@@ -28,7 +28,7 @@ def main():
     base = {}
     for a in (0.1, 0.25, 0.4):
         rep = verifier.probe_P_alpha(Q0, mass, dist, a, witnesses,
-                                     labels=labels, mask=mask, grid=grid)
+                                     labels=labels, mask=mask)
         base[a] = rep
         print(f"{a:6.2f} {rep.k_alpha_ref:8.4f} {rep.k_used:8.4f} "
               f"{rep.kprime_used:8.1f} {rep.margin:11.4f}")

@@ -16,10 +16,7 @@ import scipy.sparse as sp
 
 from .errors import EllipticityLost, NotElliptic
 from .finsler import CoefficientField, DistanceField, freeze_coefficients
-from .geometry import Grid, GridMask
-
-# row weights for |hess u|^2 = u_xx^2 + u_yy^2 + 2 u_xy^2
-_HESS_WEIGHTS = (1.0, 1.0, 2.0)
+from .geometry import Grid, GridMask, difference_ops
 
 
 @dataclass(frozen=True)
@@ -42,13 +39,6 @@ class FormMatrix:
             v = u
         return float(u @ (self.matrix @ v))
 
-    def export_triplets(self, path) -> None:
-        """Plain-text coordinate export: 'row col value', 17 significant digits."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", encoding="utf-8") as f:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                f.write("%d %d %.17g\n" % (r, c, v))
-
 
 @dataclass(frozen=True)
 class EllipticityWindow:
@@ -56,32 +46,10 @@ class EllipticityWindow:
     Lambda_ell: float
 
 
-def _lattice_ops(grid: Grid):
-    """Full-lattice centered difference operators (n_nodes x n_nodes)."""
-    h = grid.h
-    ex = np.ones(grid.nx)
-    ey = np.ones(grid.ny)
-    Tx = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1], format="csr")
-    Ty = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1], format="csr")
-    Cx = sp.diags([-ex[:-1], ex[:-1]], [-1, 1], format="csr") / (2 * h)
-    Cy = sp.diags([-ey[:-1], ey[:-1]], [-1, 1], format="csr") / (2 * h)
-    Ix = sp.identity(grid.nx, format="csr")
-    Iy = sp.identity(grid.ny, format="csr")
-    Dxx = sp.kron(Iy, Tx, format="csr") / h**2
-    Dyy = sp.kron(Ty, Ix, format="csr") / h**2
-    Dxy = sp.kron(Cy, Cx, format="csr")
-    Gx = sp.kron(Iy, Cx, format="csr")
-    Gy = sp.kron(Cy, Ix, format="csr")
-    return Dxx, Dyy, Dxy, Gx, Gy
-
-
-def _restriction(grid: Grid, mask: GridMask) -> sp.csr_matrix:
-    """Selection matrix R (n_nodes x count): zero extension of mask vectors."""
+def _dof_nodes(grid: Grid, mask: GridMask) -> np.ndarray:
+    """Raveled lattice index of each dof (the dof columns of difference_ops)."""
     iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    rows = iy * grid.nx + ix
-    return sp.csr_matrix(
-        (np.ones(mask.count), (rows, np.arange(mask.count))),
-        shape=(grid.n_nodes, mask.count))
+    return iy * grid.nx + ix
 
 
 def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
@@ -100,15 +68,13 @@ def _ritz_probe(A: sp.csr_matrix, seed: int = 0, nvec: int = 8) -> float:
 
 def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
     """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point form)."""
-    Dxx, Dyy, _, _, _ = _lattice_ops(grid)
-    R = _restriction(grid, mask)
-    L = (Dxx + Dyy) @ R
+    Dxx, Dyy, _, _, _ = difference_ops(grid)
+    L = (Dxx + Dyy)[:, _dof_nodes(grid, mask)]
     Q0 = _symmetrize((L.T @ L) * grid.h**2)
     return FormMatrix(Q0, "Q0", grid.h)
 
 
-def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField,
-               check_elliptic: bool = True) -> FormMatrix:
+def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatrix:
     """Q(u) = h^2 * sum_nodes s(u)^T M(x) s(u), s = (u_xx, u_yy, u_xy).
 
     For the bilaplacian tensor the assembly routes through Lap_h^T Lap_h so
@@ -119,26 +85,24 @@ def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField,
                                      [0.0, 0.0, 0.0]]), atol=0.0):
         q0 = assemble_Q0(grid, mask)
         return FormMatrix(q0.matrix, "Q", grid.h)
-    Dxx, Dyy, Dxy, _, _ = _lattice_ops(grid)
-    R = _restriction(grid, mask)
-    B = sp.vstack([Dxx @ R, Dyy @ R, Dxy @ R], format="csr")
+    cols = _dof_nodes(grid, mask)
+    B = sp.vstack([Op[:, cols] for Op in difference_ops(grid)[:3]],
+                  format="csr")
     n = grid.n_nodes
     Mflat = Mfield.reshape(n, 3, 3)
     blocks = [[sp.diags(Mflat[:, a, b]) for b in range(3)] for a in range(3)]
     A = sp.bmat(blocks, format="csr")
     Q = _symmetrize((B.T @ (A @ B)) * grid.h**2)
-    fm = FormMatrix(Q, "Q", grid.h)
-    if check_elliptic and _ritz_probe(Q) <= 0.0:
+    if _ritz_probe(Q) <= 0.0:
         raise NotElliptic("assembled form has a nonpositive Ritz value")
-    return fm
+    return FormMatrix(Q, "Q", grid.h)
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
                       order: str, power: float, n_reg: int = 1) -> FormMatrix:
     """Weighted forms over interior nodes with weight d_n^-power.
 
-    order='mass': diag(h^2 w); 'grad': G^T diag(h^2 w) G; 'hess':
-    B^T diag(h^2 w) B with the (1,1,2) Hessian row weights.
+    order='mass': diag(h^2 w); 'grad': sum over (Gx, Gy) of G^T diag(h^2 w) G.
     """
     n_reg = int(n_reg)
     if n_reg < 1:
@@ -153,43 +117,26 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
     W = sp.diags(grid.h**2 * w).tocsr()
     if order == "mass":
         return FormMatrix(W, "weighted_mass", grid.h, float(power), n_reg)
-    Dxx, Dyy, Dxy, Gx, Gy = _lattice_ops(grid)
-    R = _restriction(grid, mask)
-    Rt = R.T
+    if order != "grad":
+        raise ValueError(f"unknown weighted order {order!r}")
     # power 0: difference rows at every lattice node (same zero-extension
-    # convention as Q0, so the unweighted forms are genuinely coercive);
+    # convention as Q0, so the unweighted form is genuinely coercive);
     # singular weights: quadrature restricted to strictly interior nodes.
-    if order == "grad":
-        A = sp.csr_matrix((mask.count, mask.count))
-        for Gop in (Gx, Gy):
-            if power == 0.0:
-                G = Gop @ R
-                A = A + (G.T @ G) * grid.h**2
-            else:
-                G = Rt @ (Gop @ R)
-                A = A + G.T @ (W @ G)
-        return FormMatrix(_symmetrize(A), "weighted_grad", grid.h,
-                          float(power), n_reg)
-    if order == "hess":
-        A = sp.csr_matrix((mask.count, mask.count))
-        for wrow, Dop in zip(_HESS_WEIGHTS, (Dxx, Dyy, Dxy)):
-            if power == 0.0:
-                D = Dop @ R
-                A = A + wrow * (D.T @ D) * grid.h**2
-            else:
-                D = Rt @ (Dop @ R)
-                A = A + wrow * (D.T @ (W @ D))
-        return FormMatrix(_symmetrize(A), "weighted_hess", grid.h,
-                          float(power), n_reg)
-    raise ValueError(f"unknown weighted order {order!r}")
+    cols = _dof_nodes(grid, mask)
+    if power == 0.0:
+        rows, W = slice(None), sp.diags(np.full(grid.n_nodes, grid.h**2))
+    else:
+        rows = cols
+    _, _, _, Gx, Gy = difference_ops(grid)
+    A = sum(G.T @ (W @ G) for G in (Gx[rows][:, cols], Gy[rows][:, cols]))
+    return FormMatrix(_symmetrize(A), "weighted_grad", grid.h, float(power),
+                      n_reg)
 
 
 def interior_difference_ops(grid: Grid, mask: GridMask):
     """(Dxx, Dyy, Dxy, Gx, Gy) restricted to interior rows and columns."""
-    Dxx, Dyy, Dxy, Gx, Gy = _lattice_ops(grid)
-    R = _restriction(grid, mask)
-    Rt = R.T
-    return tuple(Rt @ (Op @ R) for Op in (Dxx, Dyy, Dxy, Gx, Gy))
+    cols = _dof_nodes(grid, mask)
+    return tuple(Op[cols][:, cols] for Op in difference_ops(grid))
 
 
 def principal_submatrix(form: FormMatrix, mask: GridMask,
@@ -215,16 +162,6 @@ def ellipticity_window(Q: FormMatrix, Q0: FormMatrix, m: int = 1,
     lam = float(lo.values[0])
     Lam = 1.0 / float(hi.values[0])
     return EllipticityWindow(lambda_ell=lam, Lambda_ell=Lam)
-
-
-def _hessian_basis_matrix(M: np.ndarray) -> np.ndarray:
-    """Voigt matrix conjugated into the orthonormal basis (uxx, uyy, sqrt2 uxy).
-
-    The spectral norm in this basis bounds |Q_tilde(v) - Q(v)| by
-    norm * integral |hess v|^2.
-    """
-    T = np.diag([1.0, 1.0, 1.0 / np.sqrt(2.0)])
-    return T @ M @ T
 
 
 def tensor_sup_norm(coeffs: CoefficientField, samples: np.ndarray) -> float:

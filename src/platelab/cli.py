@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import assembly, finsler, verifier
-from .errors import ConfigError, NoConvergence, PlatelabError
+from .errors import ConfigError, PlatelabError
 from .experiments import (RunConfig, load_config, make_coeffs, make_domain,
                           run_erosion_study, write_json, CSV_FMT)
 from .geometry import build_grid
@@ -145,7 +145,7 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
             continue
         rep = verifier.probe_P_alpha(Q, mass, dist, a, witnesses,
                                      labels=labels, n_sweep=cfg.n_sweep,
-                                     mask=mask, grid=grid)
+                                     mask=mask)
         entry = {"base": dataclasses.asdict(rep)}
         if cfg.delta > 0.0:
             tilde = assembly.perturb_coeffs(coeffs, cfg.delta, seed=cfg.seed)
@@ -203,24 +203,18 @@ def cli_main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=0)
         p.add_argument("--allow-blowup", action="store_true")
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("missing subcommand; expected one of "
                               + ", ".join(sorted(_COMMANDS)))
-        if args.threads > 0:
-            os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-            os.environ.setdefault("OPENBLAS_NUM_THREADS", str(args.threads))
         cfg = load_config(args.config)
         updates = {}
         if args.seed is not None:
             updates["seed"] = args.seed
         if args.allow_blowup:
             updates["allow_blowup"] = True
-        if args.threads:
-            updates["threads"] = args.threads
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
         out = args.out if args.out is not None else cfg.out_dir
@@ -228,8 +222,6 @@ def cli_main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         return _emit_error(2, "ConfigError", str(exc))
-    except NoConvergence as exc:
-        return _emit_error(3, "NoConvergence", str(exc))
     except PlatelabError as exc:
         return _emit_error(3, type(exc).__name__, str(exc))
 

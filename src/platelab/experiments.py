@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
@@ -15,7 +14,8 @@ from . import assembly, finsler, geometry, spectral, verifier
 from .assembly import FormMatrix, assemble_Q, assemble_weighted, principal_submatrix
 from .errors import ConfigError, PlatelabError
 from .finsler import CoefficientField, DistanceField
-from .geometry import AnalyticDomain, CutoffField, build_cutoff, build_grid
+from .geometry import (AnalyticDomain, CutoffField, build_cutoff, build_grid,
+                       lattice_derivative_norms)
 from .spectral import Spectrum, lowest_eigenpairs
 
 CSV_FMT = "%.17g"
@@ -37,7 +37,6 @@ class RunConfig:
     tol: float
     out_dir: str
     allow_blowup: bool = False
-    threads: int = 0
     delta: float = 0.0
 
 
@@ -121,6 +120,9 @@ def validate_config(cfg: RunConfig) -> None:
     for a in cfg.alphas:
         if not (0.0 < a < 1.0):
             raise ConfigError(f"alpha={a} outside (0, 1)")
+    for n in cfg.n_sweep:
+        if n < 1:
+            raise ConfigError(f"n_sweep entry {n} < 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,6 @@ class StabilityRow:
     ball_law_error: float
     residual: float
     residual_tilde: float
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -213,16 +214,13 @@ def measure_eroded_hessian_bound(domain: AnalyticDomain, grid, mask,
                                  eps: float) -> float:
     """Measured sup |hess d_eps| on the transition band {d < 2 eps}."""
     X, Y = grid.meshgrid()
-    deps = -(domain.sdf(X, Y) + eps)  # distance to the eroded boundary
-    h = grid.h
-    dxx = (deps[1:-1, 2:] - 2 * deps[1:-1, 1:-1] + deps[1:-1, :-2]) / h**2
-    dyy = (deps[2:, 1:-1] - 2 * deps[1:-1, 1:-1] + deps[:-2, 1:-1]) / h**2
-    dxy = (deps[2:, 2:] + deps[:-2, :-2] - deps[2:, :-2] - deps[:-2, 2:]) / (4 * h**2)
-    d = -domain.sdf(X, Y)[1:-1, 1:-1]
-    band = mask.interior[1:-1, 1:-1] & (d > eps + 2 * h) & (d < 2 * eps)
+    sd = domain.sdf(X, Y)
+    deps = -(sd + eps)  # distance to the eroded boundary
+    d = -sd[1:-1, 1:-1]
+    band = mask.interior[1:-1, 1:-1] & (d > eps + 2 * grid.h) & (d < 2 * eps)
     if band.sum() == 0:
         return float("nan")
-    return float(np.sqrt(dxx**2 + dyy**2 + 2 * dxy**2)[band].max())
+    return float(lattice_derivative_norms(grid, deps)[1][band].max())
 
 
 def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,

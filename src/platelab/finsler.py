@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NegativeQuartic, NoConvergence
-from .geometry import AnalyticDomain, Grid, GridMask
+from .geometry import AnalyticDomain, Grid, GridMask, lattice_derivative_norms
 
 try:
     from numba import njit
@@ -130,10 +130,6 @@ class DistanceField:
     def interior_values(self, mask: GridMask) -> np.ndarray:
         iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
         return self.d[iy, ix]
-
-    def interior_dn(self, mask: GridMask) -> np.ndarray:
-        iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-        return self.d_n[iy, ix]
 
 
 def regularize(dist: DistanceField, n: int) -> DistanceField:
@@ -377,15 +373,10 @@ def measure_collar_regularity(dist: DistanceField, mask: GridMask,
 
     Returns (c_fit, tau_fit) from least squares on the log-log samples.
     """
-    grid = dist.grid
-    h = grid.h
     d = dist.d
     if theta is None:
         theta = float(d.max()) / 2.0
-    dxx = (d[1:-1, 2:] - 2 * d[1:-1, 1:-1] + d[1:-1, :-2]) / h**2
-    dyy = (d[2:, 1:-1] - 2 * d[1:-1, 1:-1] + d[:-2, 1:-1]) / h**2
-    dxy = (d[2:, 2:] + d[:-2, :-2] - d[2:, :-2] - d[:-2, 2:]) / (4 * h**2)
-    hess = np.sqrt(dxx**2 + dyy**2 + 2 * dxy**2)
+    _, hess = lattice_derivative_norms(dist.grid, d)
     dc = d[1:-1, 1:-1]
     inner = mask.interior.copy()
     # keep a safety ring: all 8 neighbors interior

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BandUnresolved, EmptyErosion, GridTooCoarse
 
@@ -148,6 +149,37 @@ class Grid:
         return self.nx * self.ny
 
 
+def difference_ops(grid: Grid):
+    """Centered difference operators (Dxx, Dyy, Dxy, Gx, Gy), n_nodes x n_nodes
+    CSR on raveled (iy, ix) lattice vectors; the one place the stencils are
+    written.  Reads past the lattice edge are zero."""
+    h = grid.h
+    ex = np.ones(grid.nx)
+    ey = np.ones(grid.ny)
+    Tx = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1], format="csr")
+    Ty = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1], format="csr")
+    Cx = sp.diags([-ex[:-1], ex[:-1]], [-1, 1], format="csr") / (2 * h)
+    Cy = sp.diags([-ey[:-1], ey[:-1]], [-1, 1], format="csr") / (2 * h)
+    Ix = sp.identity(grid.nx, format="csr")
+    Iy = sp.identity(grid.ny, format="csr")
+    Dxx = sp.kron(Iy, Tx, format="csr") / h**2
+    Dyy = sp.kron(Ty, Ix, format="csr") / h**2
+    Dxy = sp.kron(Cy, Cx, format="csr")
+    Gx = sp.kron(Iy, Cx, format="csr")
+    Gy = sp.kron(Cy, Ix, format="csr")
+    return Dxx, Dyy, Dxy, Gx, Gy
+
+
+def lattice_derivative_norms(grid: Grid, f: np.ndarray):
+    """(|grad f|, sqrt(f_xx^2 + f_yy^2 + 2 f_xy^2)) of an (ny, nx) lattice
+    array on its core [1:-1, 1:-1], where no stencil leaves the lattice."""
+    Dxx, Dyy, Dxy, Gx, Gy = difference_ops(grid)
+    fr = np.ravel(f)
+    grad = np.sqrt((Gx @ fr) ** 2 + (Gy @ fr) ** 2)
+    hess = np.sqrt((Dxx @ fr) ** 2 + (Dyy @ fr) ** 2 + 2.0 * (Dxy @ fr) ** 2)
+    return grad.reshape(f.shape)[1:-1, 1:-1], hess.reshape(f.shape)[1:-1, 1:-1]
+
+
 @dataclass(frozen=True)
 class GridMask:
     """Strictly interior nodes (sdf < 0) and the dof <-> node index maps."""
@@ -203,11 +235,6 @@ class CutoffField:
         """C in |grad tau| <= C / eps."""
         return self.grad_bound * self.epsilon
 
-    @property
-    def hess_constant(self) -> float:
-        """C in |hess tau| <= C / eps^2."""
-        return self.hess_bound * self.epsilon**2
-
 
 def build_cutoff(grid: Grid, dist, eps: float) -> CutoffField:
     """tau = smoothstep((d - eps)/eps): 0 where d <= eps, 1 where d >= 2*eps."""
@@ -217,13 +244,6 @@ def build_cutoff(grid: Grid, dist, eps: float) -> CutoffField:
     d = dist.d
     tau = smoothstep((d - eps) / eps)
     tau = np.where(d > 0.0, tau, 0.0)
-    h = grid.h
-    tx = (tau[:, 2:] - tau[:, :-2]) / (2 * h)
-    ty = (tau[2:, :] - tau[:-2, :]) / (2 * h)
-    gmax = float(np.sqrt(np.max(tx[1:-1, :] ** 2 + ty[:, 1:-1] ** 2)))
-    txx = (tau[:, 2:] - 2 * tau[:, 1:-1] + tau[:, :-2]) / h**2
-    tyy = (tau[2:, :] - 2 * tau[1:-1, :] + tau[:-2, :]) / h**2
-    txy = (tau[2:, 2:] + tau[:-2, :-2] - tau[2:, :-2] - tau[:-2, 2:]) / (4 * h**2)
-    hmax = float(np.sqrt(np.max(
-        txx[1:-1, :] ** 2 + tyy[:, 1:-1] ** 2 + 2.0 * txy**2)))
-    return CutoffField(tau=tau, epsilon=eps, grad_bound=gmax, hess_bound=hmax)
+    grad, hess = lattice_derivative_norms(grid, tau)
+    return CutoffField(tau=tau, epsilon=eps, grad_bound=float(grad.max()),
+                       hess_bound=float(hess.max()))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (FormMatrix, assemble_Q0, assemble_weighted,
@@ -151,17 +150,21 @@ def verify_decay(spec: Spectrum, u_index: int, alpha: float,
     if n_sweep is None:
         n_sweep = default_n_sweep(grid.h)
     n_sweep = sorted(set(int(n) for n in n_sweep))
+    if n_sweep[0] < 1:
+        raise ValueError("n_reg must be >= 1")
     u = spec.vectors[:, u_index]
     lam = float(spec.values[u_index])
     nrm2 = spec.b_inner(u, u)
+    Dxx, Dyy, Dxy, Gx, Gy = interior_difference_ops(grid, mask)
+    hess2 = (Dxx @ u) ** 2 + (Dyy @ u) ** 2 + 2.0 * (Dxy @ u) ** 2
+    grad2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
+    d = dist.interior_values(mask)
     sweep = []
     for n in n_sweep:
-        lhs_n = 0.0
-        for order, power in (("hess", 2 * alpha),
-                             ("grad", 2 + 2 * alpha),
-                             ("mass", 4 + 2 * alpha)):
-            W = assemble_weighted(grid, mask, dist, order, power, n)
-            lhs_n += W(u)
+        dn = d + 1.0 / n
+        lhs_n = grid.h**2 * float(hess2 @ dn ** (-2 * alpha)
+                                  + grad2 @ dn ** (-2 - 2 * alpha)
+                                  + u**2 @ dn ** (-4 - 2 * alpha))
         sweep.append((n, lhs_n))
     lhs = sweep[-1][1]
     rhs = lam ** (1.0 + alpha / 2.0) * nrm2
@@ -223,8 +226,7 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
                   alpha: float, witnesses, labels=None,
                   k: Optional[float] = None, kprime: Optional[float] = None,
                   n_sweep: Optional[Sequence[int]] = None,
-                  mask: Optional[GridMask] = None,
-                  grid: Optional[Grid] = None) -> PAlphaReport:
+                  mask: Optional[GridMask] = None) -> PAlphaReport:
     """Check Q(w_n u) <= k Q(u, w_n^2 u) + k' ||u||^2 over witnesses and n.
 
     With k defaulting to 1.05 * k_alpha_ref, k' is the smallest power of two

@@ -119,7 +119,7 @@ def test_acceptance_07_form_inequality_witnesses(disk64, disk96):
         for a in (0.1, 0.25, 0.4):
             rep = verifier.probe_P_alpha(
                 setup.Q0, setup.mass, setup.dist, a, witnesses,
-                labels=labels, mask=setup.mask, grid=setup.grid)
+                labels=labels, mask=setup.mask)
             assert rep.k_used == pytest.approx(
                 1.05 * verifier.k_alpha_ref(a), rel=1e-12)
             assert rep.margin >= 0.0

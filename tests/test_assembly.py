@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import platelab as pl
 from platelab import assembly, finsler
 from platelab.errors import EllipticityLost
+from platelab.geometry import difference_ops
 
 
 def _single_node_setup():
@@ -74,9 +75,9 @@ def test_bilinear_consistency(disk32):
     u = rng.standard_normal(disk32.mask.count)
     v = rng.standard_normal(disk32.mask.count)
     grid, mask = disk32.grid, disk32.mask
-    Dxx, Dyy, _, _, _ = assembly._lattice_ops(grid)
-    R = assembly._restriction(grid, mask)
-    L = (Dxx + Dyy) @ R
+    Dxx, Dyy, _, _, _ = difference_ops(grid)
+    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
+    L = (Dxx + Dyy)[:, iy * grid.nx + ix]
     direct = grid.h**2 * float((L @ u) @ (L @ v))
     assert disk32.Q0(u, v) == pytest.approx(direct, rel=1e-10)
 
@@ -194,12 +195,3 @@ def test_perturb_ellipticity_lost():
             break
     assert killed
 
-
-def test_export_triplets(tmp_path, disk32):
-    path = tmp_path / "q0.txt"
-    disk32.Q0.export_triplets(path)
-    rows = np.loadtxt(path)
-    A = sp.csr_matrix((rows[:, 2], (rows[:, 0].astype(int),
-                                    rows[:, 1].astype(int))),
-                      shape=disk32.Q0.matrix.shape)
-    assert abs(A - disk32.Q0.matrix).max() < 1e-12

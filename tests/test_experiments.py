@@ -138,6 +138,18 @@ def test_cutoff_rayleigh_identity_when_tau_is_one():
     assert np.allclose(bounds, spec.values, rtol=1e-10)
 
 
+def test_eroded_hessian_bound_disk_closed_form():
+    # |hess r| = 1/r in the (1,1,2) norm, so on the unit disk the sup over
+    # the band eps + 2h < d < 2 eps tends to 1/(1 - 2 eps)
+    dom = pl.disk(1.0)
+    for h in (1.0 / 48, 1.0 / 64, 1.0 / 96):
+        grid, mask = pl.build_grid(dom, h)
+        for eps in (0.1, 0.2):
+            got = experiments.measure_eroded_hessian_bound(dom, grid, mask,
+                                                           eps)
+            assert got == pytest.approx(1.0 / (1.0 - 2.0 * eps), rel=5e-3)
+
+
 def test_erosion_study_rows_and_ball_law(disk32):
     report = experiments.run_erosion_study(
         disk32.domain, pl.bilaplacian(), disk32.h, 2, [0.125, 0.25],
@@ -189,6 +201,16 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "missing.cfg" in err["message"]
+
+
+def test_cli_n_sweep_below_one_exit_2(tmp_path, capsys):
+    cfg_text = BASE_CFG.replace("eps = 0.25", "eps = 0.25\nn_sweep = 0 8")
+    code = cli_main(["decay", "--config", _write_cfg(tmp_path, cfg_text),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "n_sweep" in err["message"]
 
 
 def test_cli_unknown_subcommand_exit_2(tmp_path, capsys):

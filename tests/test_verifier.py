@@ -108,6 +108,28 @@ def test_decay_blowup_flags(disk32):
     with pytest.raises(AlphaOutOfRange):
         verifier.verify_decay(disk32.spec, 0, 1.5, disk32.dist,
                               disk32.grid, disk32.mask)
+    with pytest.raises(ValueError):
+        verifier.verify_decay(disk32.spec, 0, 0.25, disk32.dist,
+                              disk32.grid, disk32.mask, n_sweep=(0, 8))
+
+
+def test_decay_matches_assembled_weighted_forms(disk32):
+    # reference: the three weighted integrals as assembled sparse forms
+    grid, mask, dist = disk32.grid, disk32.mask, disk32.dist
+    u = disk32.spec.vectors[:, 0]
+    Dxx, Dyy, Dxy, _, _ = assembly.interior_difference_ops(grid, mask)
+    alpha = 0.3
+    rep = verifier.verify_decay(disk32.spec, 0, alpha, dist, grid, mask,
+                                n_sweep=(8, 32))
+    for n, lhs in rep.n_sweep:
+        W = assembly.assemble_weighted(grid, mask, dist, "mass", 2 * alpha, n)
+        hess = sum(wr * float((D @ u) @ (W.matrix @ (D @ u)))
+                   for wr, D in ((1.0, Dxx), (1.0, Dyy), (2.0, Dxy)))
+        grad = assembly.assemble_weighted(grid, mask, dist, "grad",
+                                          2 + 2 * alpha, n)(u)
+        mass = assembly.assemble_weighted(grid, mask, dist, "mass",
+                                          4 + 2 * alpha, n)(u)
+        assert lhs == pytest.approx(hess + grad + mass, rel=1e-10)
 
 
 def test_decay_increment_grows_with_alpha(disk32):
@@ -138,8 +160,7 @@ def test_probe_p_alpha_positive_margin(disk32):
     witnesses, labels = verifier.make_witnesses(
         disk32.spec, disk32.dist, disk32.grid, disk32.mask)
     rep = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                 witnesses, labels=labels, mask=disk32.mask,
-                                 grid=disk32.grid)
+                                 witnesses, labels=labels, mask=disk32.mask)
     assert rep.margin > 0
     assert rep.k_used == pytest.approx(1.05 * verifier.k_alpha_ref(0.25))
     assert rep.kprime_used >= 1.0
