@@ -54,8 +54,12 @@ def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
 def _cmd_distance(cfg: RunConfig, out: str) -> int:
     domain, coeffs, grid, mask = _build_common(cfg)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
-    dist_e = finsler.finsler_distance(domain, grid, mask, coeffs,
-                                      metric="euclidean")
+    if coeffs.kind == "bilaplacian":
+        # p* is |xi| already: the Euclidean solve would repeat this one
+        dist_e = dataclasses.replace(dist, metric="euclidean")
+    else:
+        dist_e = finsler.finsler_distance(domain, grid, mask, coeffs,
+                                          metric="euclidean")
     dist = finsler.with_equivalence(dist, dist_e, mask)
     res = finsler.eikonal_residual(dist, coeffs, mask)
     d_e = dist_e.interior_values(mask)

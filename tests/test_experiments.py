@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab import assembly, experiments
+from platelab import assembly, experiments, finsler
 from platelab.cli import cli_main
 from platelab.errors import ConfigError
 
@@ -193,6 +193,32 @@ def test_cli_spectrum_success(tmp_path, capsys):
     lines = (out / "spectrum.csv").read_text().strip().split("\n")
     assert lines[0] == "index,value,residual"
     assert len(lines) == 4
+
+
+def test_cli_distance_bilaplacian_solves_once(tmp_path, monkeypatch):
+    # p* = |xi| for the bilaplacian, so the Finsler and Euclidean solves agree
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 0.0625)
+    df = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
+    de = pl.finsler_distance(dom, grid, mask, pl.bilaplacian(),
+                             metric="euclidean")
+    assert np.array_equal(df.d, de.d)
+    calls = []
+    sweep = finsler._sweep_once
+    monkeypatch.setattr(finsler, "_sweep_once",
+                        lambda *a: calls.append(1) or sweep(*a))
+    pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
+    one_solve = len(calls)
+    out = tmp_path / "out"
+    assert cli_main(["distance", "--config", _write_cfg(tmp_path),
+                     "--out", str(out)]) == 0
+    assert len(calls) == 2 * one_solve
+    stats = json.loads((out / "distance.json").read_text())
+    assert (stats["metric"], stats["c1_hat"], stats["c2_hat"]) == \
+        ("finsler", 1.0, 1.0)
+    rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 2], rows[:, 3])
+    assert np.array_equal(rows[:, 2], df.interior_values(mask))
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):

@@ -180,3 +180,129 @@ def test_freeze_coefficients_shape():
     M = pl.freeze_coefficients(pl.bilaplacian(), grid)
     assert M.shape == (grid.ny, grid.nx, 3, 3)
     assert np.allclose(M[0, 0], [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+
+
+def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
+    """Scalar fast sweeping: row-major Gauss-Seidel, one node at a time, each
+    upwind pair solved by 60 bisection steps.  Returns (d, sweeps)."""
+    M = pl.freeze_coefficients(coeffs, grid)
+    h = grid.h
+    step = 1.5 * h / finsler._axis_pstar_min(M, mask)
+    d = np.where(mask.interior, 1e100, 0.0)
+    iy, ix, vals = finsler._seed_boundary_layer(dom, grid, mask, M)
+    d[iy, ix] = vals
+    free = mask.interior.copy()
+    free[iy, ix] = False
+    d = np.pad(d, 1, constant_values=1e100)   # d[y + 1, x + 1] is node (y, x)
+
+    def g(Mn, nvx, sgx, nvy, sgy, t):
+        gx = sgx * max(t - nvx, 0.0) / h
+        gy = sgy * max(t - nvy, 0.0) / h
+        s = np.array([gx * gx, gy * gy, gx * gy])
+        return max(float(s @ Mn @ s), 0.0) ** 0.25
+
+    def update(y, x):
+        best = 1e100
+        for nvx, sgx in ((d[y + 1, x], 1.0), (d[y + 1, x + 2], -1.0)):
+            for nvy, sgy in ((d[y, x + 1], 1.0), (d[y + 2, x + 1], -1.0)):
+                if max(nvx, nvy) >= 1e99:
+                    continue
+                lo = min(nvx, nvy)
+                hi, it = lo + step, 0
+                while g(M[y, x], nvx, sgx, nvy, sgy, hi) < 1.0 and it < 60:
+                    hi, it = lo + 2.0 * (hi - lo), it + 1
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if g(M[y, x], nvx, sgx, nvy, sgy, mid) < 1.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                best = min(best, 0.5 * (lo + hi))
+        return best
+
+    ny, nx = grid.ny, grid.nx
+    sweeps, change = 0, np.inf
+    while change >= tol:
+        change = 0.0
+        for sy, sx in finsler._SWEEP_ORDERS:
+            for y in (range(ny) if sy > 0 else range(ny - 1, -1, -1)):
+                for x in (range(nx) if sx > 0 else range(nx - 1, -1, -1)):
+                    if free[y, x]:
+                        t = update(y, x)
+                        if t < d[y + 1, x + 1]:
+                            change = max(change, d[y + 1, x + 1] - t)
+                            d[y + 1, x + 1] = t
+            sweeps += 1
+    return np.where(mask.interior, d[1:-1, 1:-1], 0.0), sweeps
+
+
+@pytest.mark.parametrize("dom, coeffs", [
+    (pl.disk(1.0), pl.bilaplacian()),
+    (pl.rectangle(2.0, 1.0), pl.diagonal(np.diag([16.0, 1.0]))),
+    (pl.rectangle(2.0, 1.0), pl.product(np.array([[4.0, 1.0], [1.0, 2.0]]))),
+], ids=["disk_bilaplacian", "rect_aniso", "rect_product"])
+def test_diagonal_sweep_matches_scalar_reference(dom, coeffs, monkeypatch):
+    grid, mask = pl.build_grid(dom, 1.0 / 8)
+    d_ref, sweeps_ref = _reference_distance(dom, grid, mask, coeffs)
+    calls = []
+    sweep = finsler._sweep_once
+    monkeypatch.setattr(finsler, "_sweep_once",
+                        lambda *a: calls.append(1) or sweep(*a))
+    dist = pl.finsler_distance(dom, grid, mask, coeffs)
+    assert len(calls) == sweeps_ref
+    assert np.max(np.abs(dist.d - d_ref)) <= 1e-12
+
+
+def test_distance_when_every_node_is_seeded():
+    # one row of nodes: every interior node touches the exterior
+    dom = pl.rectangle(4.0, 0.2)
+    grid, mask = pl.build_grid(dom, 0.1)
+    M = pl.freeze_coefficients(pl.bilaplacian(), grid)
+    iy, ix, vals = finsler._seed_boundary_layer(dom, grid, mask, M)
+    assert len(iy) == mask.count
+    dist = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
+    assert np.array_equal(dist.d[iy, ix], vals)
+
+
+def _voigt_entries(coeffs):
+    M = coeffs.voigt(np.array(0.0), np.array(0.0))
+    return M[finsler._VOIGT_ROWS, finsler._VOIGT_COLS][:, None]
+
+
+def test_local_solve_two_sided_euclidean():
+    h = 0.1
+    a = np.array([0.3, 0.3, 0.5, 0.25])
+    b = np.array([0.3, 0.35, 0.45, 0.32])   # |a - b| < h: both sides flow in
+    sg = np.array([1.0, -1.0, 1.0, -1.0])
+    t = finsler._local_solve(_voigt_entries(pl.bilaplacian()), a, sg, b, -sg,
+                             h, 1.5 * h)
+    exact = 0.5 * (a + b + np.sqrt(2.0 * h * h - (a - b) ** 2))
+    assert np.max(np.abs(t - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("coeffs", [
+    pl.diagonal(np.diag([16.0, 1.0])),
+    pl.product(np.array([[4.0, 1.0], [1.0, 2.0]])),
+], ids=["diagonal", "product"])
+def test_local_solve_one_sided(coeffs):
+    h, nv, far = 0.05, 0.2, 5.0   # far neighbour stays above t: no inflow
+    C = _voigt_entries(coeffs)
+    for axis in (0, 1):
+        e = np.eye(2)[axis]
+        px = pl.dual_metric(coeffs, (0.0, 0.0), e)
+        nvs = [np.array([nv]), np.array([far])]
+        nvx, nvy = nvs if axis == 0 else nvs[::-1]
+        for sg in (1.0, -1.0):
+            t = finsler._local_solve(C, nvx, np.array([sg]), nvy,
+                                     np.array([-sg]), h, 1.5 * h)
+            assert t[0] == pytest.approx(nv + h / px, rel=1e-15)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_sweeps": 0}, {"metric": "Euclid"}, {"tol": 0.0},
+], ids=["max_sweeps_0", "unknown_metric", "tol_0"])
+def test_finsler_distance_rejects_bad_arguments(kwargs):
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 1.0 / 8)
+    with pytest.raises(ValueError):
+        pl.finsler_distance(dom, grid, mask, pl.bilaplacian(), **kwargs)
