@@ -15,8 +15,7 @@ from .geometry import (AnalyticDomain, CutoffField, Grid, GridMask,
 from .finsler import (CoefficientField, DistanceField, bilaplacian, diagonal,
                       dual_metric, eikonal_residual, equivalence_constants,
                       euclidean_from_sdf, finsler_distance,
-                      freeze_coefficients, measure_collar_regularity,
-                      product, regularize, with_equivalence)
+                      freeze_coefficients, measure_collar_regularity, product)
 from .assembly import (EllipticityWindow, FormMatrix, assemble_Q,
                        assemble_Q0, assemble_weighted, ellipticity_window,
                        interior_difference_ops, perturb_coeffs,

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EllipticityLost, NotElliptic
-from .finsler import CoefficientField, DistanceField, freeze_coefficients
+from .finsler import (_BILAPLACIAN_M, CoefficientField, DistanceField,
+                      freeze_coefficients, quartic_symbol)
 from .geometry import Grid, GridMask, difference_ops
 
 
@@ -24,14 +25,7 @@ class FormMatrix:
     """Sparse symmetric quadratic form on the masked unknowns."""
 
     matrix: sp.csr_matrix
-    kind: str
     h: float
-    power: float = 0.0
-    n_reg: int = 0
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[0]
 
     def __call__(self, u, v=None) -> float:
         """Q(u) or the bilinear Q(u, v)."""
@@ -71,7 +65,7 @@ def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
     Dxx, Dyy, _, _, _ = difference_ops(grid)
     L = (Dxx + Dyy)[:, _dof_nodes(grid, mask)]
     Q0 = _symmetrize((L.T @ L) * grid.h**2)
-    return FormMatrix(Q0, "Q0", grid.h)
+    return FormMatrix(Q0, grid.h)
 
 
 def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatrix:
@@ -81,10 +75,8 @@ def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatr
     that Q equals Q0 entrywise.
     """
     Mfield = freeze_coefficients(coeffs, grid)
-    if np.allclose(Mfield, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
-                                     [0.0, 0.0, 0.0]]), atol=0.0):
-        q0 = assemble_Q0(grid, mask)
-        return FormMatrix(q0.matrix, "Q", grid.h)
+    if np.allclose(Mfield, _BILAPLACIAN_M, atol=0.0):
+        return assemble_Q0(grid, mask)
     cols = _dof_nodes(grid, mask)
     B = sp.vstack([Op[:, cols] for Op in difference_ops(grid)[:3]],
                   format="csr")
@@ -95,7 +87,7 @@ def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatr
     Q = _symmetrize((B.T @ (A @ B)) * grid.h**2)
     if _ritz_probe(Q) <= 0.0:
         raise NotElliptic("assembled form has a nonpositive Ritz value")
-    return FormMatrix(Q, "Q", grid.h)
+    return FormMatrix(Q, grid.h)
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
@@ -116,7 +108,7 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         w = dn ** (-float(power))
     W = sp.diags(grid.h**2 * w).tocsr()
     if order == "mass":
-        return FormMatrix(W, "weighted_mass", grid.h, float(power), n_reg)
+        return FormMatrix(W, grid.h)
     if order != "grad":
         raise ValueError(f"unknown weighted order {order!r}")
     # power 0: difference rows at every lattice node (same zero-extension
@@ -129,8 +121,7 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         rows = cols
     _, _, _, Gx, Gy = difference_ops(grid)
     A = sum(G.T @ (W @ G) for G in (Gx[rows][:, cols], Gy[rows][:, cols]))
-    return FormMatrix(_symmetrize(A), "weighted_grad", grid.h, float(power),
-                      n_reg)
+    return FormMatrix(_symmetrize(A), grid.h)
 
 
 def interior_difference_ops(grid: Grid, mask: GridMask):
@@ -149,7 +140,7 @@ def principal_submatrix(form: FormMatrix, mask: GridMask,
     iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
     keep = np.nonzero(sub_interior[iy, ix])[0]
     sub = form.matrix[keep][:, keep].tocsr()
-    return FormMatrix(sub, form.kind, form.h, form.power, form.n_reg), keep
+    return FormMatrix(sub, form.h), keep
 
 
 def ellipticity_window(Q: FormMatrix, Q0: FormMatrix, m: int = 1,
@@ -199,16 +190,13 @@ def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
         M = base_voigt(x, y)
         return M + dM
 
-    field = CoefficientField("perturbed", voigt, base=base,
-                             delta_norm=delta_magnitude)
+    field = CoefficientField("perturbed", voigt, delta_norm=delta_magnitude)
     # positivity probe of the quartic symbol on sampled directions
     thetas = np.linspace(0.0, np.pi, 64, endpoint=False)
-    s = np.stack([np.cos(thetas) ** 2, np.sin(thetas) ** 2,
-                  np.cos(thetas) * np.sin(thetas)], axis=-1)
     xs = rng.standard_normal(16)
     ys = rng.standard_normal(16)
-    M = field.voigt(xs, ys)  # (16, 3, 3)
-    q = np.einsum("nij,ti,tj->nt", M, s, s)
+    M = field.voigt(xs, ys)[:, None]  # (16, 1, 3, 3)
+    q = quartic_symbol(M, np.cos(thetas), np.sin(thetas))
     if np.min(q) <= 1e-12:
         raise EllipticityLost(
             f"quartic symbol nonpositive (min {np.min(q):.3e}) after "

@@ -54,20 +54,17 @@ def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
 def _cmd_distance(cfg: RunConfig, out: str) -> int:
     domain, coeffs, grid, mask = _build_common(cfg)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
-    if coeffs.kind == "bilaplacian":
-        # p* is |xi| already: the Euclidean solve would repeat this one
-        dist_e = dataclasses.replace(dist, metric="euclidean")
-    else:
-        dist_e = finsler.finsler_distance(domain, grid, mask, coeffs,
-                                          metric="euclidean")
-    dist = finsler.with_equivalence(dist, dist_e, mask)
+    # p* is |xi| for the bilaplacian: the Euclidean solve would repeat this one
+    dist_e = (dist if coeffs.kind == "bilaplacian" else
+              finsler.finsler_distance(domain, grid, mask, finsler.bilaplacian()))
+    c1_hat, c2_hat = finsler.equivalence_constants(dist, dist_e, mask)
     res = finsler.eikonal_residual(dist, coeffs, mask)
     d_e = dist_e.interior_values(mask)
     far = d_e > 3.0 * grid.h
     stats = {
-        "metric": dist.metric,
-        "c1_hat": dist.c1_hat,
-        "c2_hat": dist.c2_hat,
+        "metric": "finsler",
+        "c1_hat": c1_hat,
+        "c2_hat": c2_hat,
         "n_reg": dist.n_reg,
         "residual_median": float(np.median(res[far])) if far.any() else None,
         "residual_q95": float(np.quantile(res[far], 0.95)) if far.any() else None,

@@ -15,7 +15,7 @@ Newton iteration on p* - 1 inside a bisection bracket.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ class CoefficientField:
 
     kind: str
     voigt: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    base: Optional["CoefficientField"] = None
     delta_norm: float = 0.0
 
     def tensor_entry(self, x, y, i, j, k, l):
@@ -101,11 +100,19 @@ def freeze_coefficients(coeffs: CoefficientField, grid: Grid) -> np.ndarray:
     return M
 
 
+def quartic_symbol(M, xi_x, xi_y) -> np.ndarray:
+    """sum a_ijkl xi_i xi_j xi_k xi_l = s^T M s, s = (xi_x^2, xi_y^2, xi_x xi_y).
+
+    M (..., 3, 3) broadcasts against the direction arrays.
+    """
+    s = np.stack([xi_x * xi_x, xi_y * xi_y, xi_x * xi_y], axis=-1)
+    return np.einsum("...ij,...i,...j->...", M, s, s)
+
+
 def dual_metric(coeffs: CoefficientField, x, xi) -> float:
     """p*(x, xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4)."""
     M = coeffs.voigt(np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float))
-    s = np.array([xi[0] ** 2, xi[1] ** 2, xi[0] * xi[1]])
-    q = float(s @ M @ s)
+    q = float(quartic_symbol(M, xi[0], xi[1]))
     if q < -1e-12 * max(1.0, np.dot(xi, xi) ** 2):
         raise NegativeQuartic(f"quartic form = {q} < 0 at x={tuple(x)}")
     return max(q, 0.0) ** 0.25
@@ -113,27 +120,20 @@ def dual_metric(coeffs: CoefficientField, x, xi) -> float:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Grid samples of distance-to-boundary plus the regularization d_n."""
+    """Grid samples of distance-to-boundary; n_reg = round(1/h) is the
+    default index n of the regularization d_n = d + 1/n."""
 
-    metric: str                 # 'euclidean' or 'finsler'
     grid: Grid
     d: np.ndarray               # (ny, nx), 0 outside the interior mask
     n_reg: int
-    d_n: np.ndarray             # d + 1/n_reg
-    c1_hat: Optional[float] = None
-    c2_hat: Optional[float] = None
 
     def interior_values(self, mask: GridMask) -> np.ndarray:
         iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
         return self.d[iy, ix]
 
 
-def regularize(dist: DistanceField, n: int) -> DistanceField:
-    """d_n = d + 1/n exactly."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("regularization index must be >= 1")
-    return replace(dist, n_reg=n, d_n=dist.d + 1.0 / n)
+def _distance_field(grid: Grid, d: np.ndarray) -> DistanceField:
+    return DistanceField(grid=grid, d=d, n_reg=max(1, int(round(1.0 / grid.h))))
 
 
 _FAR = 1e100   # unvisited nodes and the ring around the lattice
@@ -245,15 +245,10 @@ def _sweep_once(dp, diagonals, h, step):
 def _axis_pstar_min(Mfield, mask):
     """Min over interior nodes and 16 directions of p*(unit vector)."""
     thetas = np.linspace(0.0, np.pi, 16, endpoint=False)
-    pmin = np.inf
     iy, ix = np.nonzero(mask.interior)
-    M = Mfield[iy, ix]  # (count, 3, 3)
-    for th in thetas:
-        ux, uy = np.cos(th), np.sin(th)
-        s = np.array([ux * ux, uy * uy, ux * uy])
-        q = np.einsum("nij,i,j->n", M, s, s)
-        q = np.maximum(q, 0.0)
-        pmin = min(pmin, float(np.min(q) ** 0.25))
+    M = Mfield[iy, ix, None]  # (count, 1, 3, 3)
+    q = quartic_symbol(M, np.cos(thetas), np.sin(thetas))
+    pmin = float(np.min(np.maximum(q, 0.0)) ** 0.25)
     if not np.isfinite(pmin) or pmin <= 0:
         raise NegativeQuartic("dual metric degenerates on the mask")
     return pmin
@@ -261,7 +256,11 @@ def _axis_pstar_min(Mfield, mask):
 
 def _seed_boundary_layer(domain, grid, mask, Mfield):
     """Interior nodes with an exterior 4-neighbor get the flat-boundary value
-    d0 = -sdf / p*(x, n) with n the outward sdf gradient direction."""
+    d0 = -sdf / p*(x, n) with n the outward sdf gradient direction.
+
+    On the medial axis the central difference of the sdf cancels; there a
+    one-sided (forward) difference picks one of the nearest boundaries.
+    """
     X, Y = grid.meshgrid()
     sd = domain.sdf(X, Y)
     interior = mask.interior
@@ -271,16 +270,18 @@ def _seed_boundary_layer(domain, grid, mask, Mfield):
     nb_ext[1:, :] |= ~interior[:-1, :]
     nb_ext[:-1, :] |= ~interior[1:, :]
     iy, ix = np.nonzero(interior & nb_ext)
+    x, y, s0 = X[iy, ix], Y[iy, ix], sd[iy, ix]
     dq = 1e-4 * grid.h
-    gx = (domain.sdf(X[iy, ix] + dq, Y[iy, ix]) - domain.sdf(X[iy, ix] - dq, Y[iy, ix])) / (2 * dq)
-    gy = (domain.sdf(X[iy, ix], Y[iy, ix] + dq) - domain.sdf(X[iy, ix], Y[iy, ix] - dq)) / (2 * dq)
+    sxp, syp = domain.sdf(x + dq, y), domain.sdf(x, y + dq)
+    gx = (sxp - domain.sdf(x - dq, y)) / (2 * dq)
+    gy = (syp - domain.sdf(x, y - dq)) / (2 * dq)
+    medial = np.hypot(gx, gy) < 0.5
+    gx = np.where(medial, (sxp - s0) / dq, gx)
+    gy = np.where(medial, (syp - s0) / dq, gy)
     nrm = np.maximum(np.hypot(gx, gy), 1e-12)
-    gx, gy = gx / nrm, gy / nrm
-    s = np.stack([gx * gx, gy * gy, gx * gy], axis=-1)
-    M = Mfield[iy, ix]
-    q = np.maximum(np.einsum("nij,ni,nj->n", M, s, s), 1e-300)
+    q = np.maximum(quartic_symbol(Mfield[iy, ix], gx / nrm, gy / nrm), 1e-300)
     pstar = q ** 0.25
-    vals = np.maximum(-sd[iy, ix], 1e-3 * grid.h) / pstar
+    vals = np.maximum(-s0, 1e-3 * grid.h) / pstar
     return iy, ix, vals
 
 
@@ -289,22 +290,16 @@ _SWEEP_ORDERS = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
 
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
                      coeffs: CoefficientField, tol: float = 1e-9,
-                     max_sweeps: int = 200, metric: str = "finsler") -> DistanceField:
+                     max_sweeps: int = 200) -> DistanceField:
     """Distance-to-boundary solving p*(x, grad d) = 1 by fast sweeping.
 
-    For metric='euclidean' the same solver runs with p* = |xi|.
+    With coeffs = bilaplacian(), p* = |xi| and d is the Euclidean distance.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    if metric == "euclidean":
-        Mfield = np.broadcast_to(_BILAPLACIAN_M,
-                                 (grid.ny, grid.nx, 3, 3)).copy()
-    elif metric == "finsler":
-        Mfield = freeze_coefficients(coeffs, grid)
-    else:
-        raise ValueError(f"metric must be 'finsler' or 'euclidean', not {metric!r}")
+    Mfield = freeze_coefficients(coeffs, grid)
     pmin = _axis_pstar_min(Mfield, mask)
     h = grid.h
     step = 1.5 * h / pmin
@@ -336,20 +331,14 @@ def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
         raise NoConvergence(
             f"fast sweeping: max update {cycle_change:.3e} > tol {tol:.3e} "
             f"after {sweeps} sweeps")
-    d = np.where(mask.interior, d, 0.0)
-    n_reg = max(1, int(round(1.0 / h)))
-    return DistanceField(metric=metric, grid=grid, d=d, n_reg=n_reg,
-                         d_n=d + 1.0 / n_reg)
+    return _distance_field(grid, np.where(mask.interior, d, 0.0))
 
 
-def euclidean_from_sdf(domain: AnalyticDomain, grid: Grid, mask: GridMask,
-                       n_reg: Optional[int] = None) -> DistanceField:
+def euclidean_from_sdf(domain: AnalyticDomain, grid: Grid,
+                       mask: GridMask) -> DistanceField:
     """Exact Euclidean distance sampled from the analytic sdf (geometry uses)."""
     X, Y = grid.meshgrid()
-    d = np.where(mask.interior, -domain.sdf(X, Y), 0.0)
-    n = n_reg if n_reg is not None else max(1, int(round(1.0 / grid.h)))
-    return DistanceField(metric="euclidean", grid=grid, d=d, n_reg=n,
-                         d_n=d + 1.0 / n)
+    return _distance_field(grid, np.where(mask.interior, -domain.sdf(X, Y), 0.0))
 
 
 def equivalence_constants(dist: DistanceField, dist_euclid: DistanceField,
@@ -361,25 +350,14 @@ def equivalence_constants(dist: DistanceField, dist_euclid: DistanceField,
     return float(ratio.min()), float(ratio.max())
 
 
-def with_equivalence(dist: DistanceField, dist_euclid: DistanceField,
-                     mask: GridMask) -> DistanceField:
-    c1, c2 = equivalence_constants(dist, dist_euclid, mask)
-    return replace(dist, c1_hat=c1, c2_hat=c2)
-
-
 def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
-                     mask: GridMask, metric: Optional[str] = None) -> np.ndarray:
+                     mask: GridMask) -> np.ndarray:
     """|p*(x, grad_h d) - 1| at interior nodes, upwind one-sided gradient.
 
     Returns an (count,) array aligned with the dof ordering.
     """
-    grid = dist.grid
-    if (metric or dist.metric) == "euclidean":
-        Mfield = np.broadcast_to(_BILAPLACIAN_M, (grid.ny, grid.nx, 3, 3))
-    else:
-        Mfield = freeze_coefficients(coeffs, grid)
     d = dist.d
-    h = grid.h
+    h = dist.grid.h
     iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
     dW = d[iy, ix - 1]
     dE = d[iy, ix + 1]
@@ -391,9 +369,8 @@ def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
     # no-inflow components vanish
     gx = np.where(np.minimum(dW, dE) <= dc, gx, 0.0)
     gy = np.where(np.minimum(dS, dN) <= dc, gy, 0.0)
-    s = np.stack([gx * gx, gy * gy, gx * gy], axis=-1)
-    M = Mfield[iy, ix]
-    q = np.maximum(np.einsum("nij,ni,nj->n", M, s, s), 0.0)
+    M = freeze_coefficients(coeffs, dist.grid)[iy, ix]
+    q = np.maximum(quartic_symbol(M, gx, gy), 0.0)
     return np.abs(q ** 0.25 - 1.0)
 
 

@@ -93,9 +93,10 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     lu = spla.splu(A.matrix.tocsc())
     op = spla.LinearOperator(A.matrix.shape, matvec=lu.solve)
     sweep = []
+    weights = {}
     for n in n_sweep:
-        W = assemble_weighted(grid, mask, dist, order, power, n)
-        spec = lowest_eigenpairs(A, W, m=1, seed=seed, OPinv=op)
+        weights[n] = assemble_weighted(grid, mask, dist, order, power, n)
+        spec = lowest_eigenpairs(A, weights[n], m=1, seed=seed, OPinv=op)
         sweep.append((n, float(spec.values[0])))
 
     weak_pair = None
@@ -103,17 +104,14 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     weak_stabilized = False
     if len(n_sweep) >= 2:
         n_hi, n_lo = n_sweep[-1], n_sweep[-2]
-        W_hi = assemble_weighted(grid, mask, dist, order, power, n_hi)
-        W_lo = assemble_weighted(grid, mask, dist, order, power, n_lo)
         for j in shift_exponents:
             shift = 2.0**j
-            As = FormMatrix((A.matrix + shift * mass.matrix).tocsr(),
-                            A.kind, A.h)
+            As = FormMatrix((A.matrix + shift * mass.matrix).tocsr(), A.h)
             lus = spla.splu(As.matrix.tocsc())
             ops = spla.LinearOperator(As.matrix.shape, matvec=lus.solve)
-            c_hi = float(lowest_eigenpairs(As, W_hi, m=1, seed=seed,
+            c_hi = float(lowest_eigenpairs(As, weights[n_hi], m=1, seed=seed,
                                            OPinv=ops).values[0])
-            c_lo = float(lowest_eigenpairs(As, W_lo, m=1, seed=seed,
+            c_lo = float(lowest_eigenpairs(As, weights[n_lo], m=1, seed=seed,
                                            OPinv=ops).values[0])
             weak_sweep = ((n_lo, c_lo), (n_hi, c_hi))
             weak_stabilized = abs(c_lo - c_hi) <= stability_tol * abs(c_hi)
@@ -225,8 +223,8 @@ def make_witnesses(spec: Spectrum, dist: DistanceField, grid: Grid,
 def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
                   alpha: float, witnesses, labels=None,
                   k: Optional[float] = None, kprime: Optional[float] = None,
-                  n_sweep: Optional[Sequence[int]] = None,
-                  mask: Optional[GridMask] = None) -> PAlphaReport:
+                  n_sweep: Optional[Sequence[int]] = None, *,
+                  mask: GridMask) -> PAlphaReport:
     """Check Q(w_n u) <= k Q(u, w_n^2 u) + k' ||u||^2 over witnesses and n.
 
     With k defaulting to 1.05 * k_alpha_ref, k' is the smallest power of two
@@ -302,8 +300,8 @@ def probe_perturbation(base_report: PAlphaReport, Q_tilde: FormMatrix,
                        mass: FormMatrix, dist: DistanceField,
                        delta_norm: float, lambda_tilde: float,
                        c_hat: float, witnesses, labels=None,
-                       n_sweep: Optional[Sequence[int]] = None,
-                       mask: Optional[GridMask] = None) -> PAlphaReport:
+                       n_sweep: Optional[Sequence[int]] = None, *,
+                       mask: GridMask) -> PAlphaReport:
     """Re-run the form-inequality probe for a perturbed tensor with the
     inflated constant k~ = k / (1 - (1 + c k) ||a~ - a|| / lambda~)."""
     k = base_report.k_used

@@ -88,11 +88,8 @@ def test_weighted_mass_power_values():
     W0 = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     assert np.allclose(W0.matrix.diagonal(), grid.h**2)
     const_dist = finsler.DistanceField(
-        metric="euclidean", grid=grid,
-        d=np.full((grid.ny, grid.nx), 0.5), n_reg=1,
-        d_n=np.full((grid.ny, grid.nx), 0.5))
-    W4 = assembly.assemble_weighted(grid, mask, pl.regularize(const_dist, 10**9),
-                                    "mass", 4.0, 10**9)
+        grid=grid, d=np.full((grid.ny, grid.nx), 0.5), n_reg=1)
+    W4 = assembly.assemble_weighted(grid, mask, const_dist, "mass", 4.0, 10**9)
     assert np.allclose(W4.matrix.diagonal(), grid.h**2 * 16.0, rtol=1e-6)
 
 
@@ -139,8 +136,7 @@ def test_ellipticity_window_identity_and_scaling(disk32):
     win = assembly.ellipticity_window(disk32.Q0, disk32.Q0)
     assert win.lambda_ell == pytest.approx(1.0, abs=1e-8)
     assert win.Lambda_ell == pytest.approx(1.0, abs=1e-8)
-    Q3 = assembly.FormMatrix((3.0 * disk32.Q0.matrix).tocsr(), "Q",
-                             disk32.Q0.h)
+    Q3 = assembly.FormMatrix((3.0 * disk32.Q0.matrix).tocsr(), disk32.Q0.h)
     win3 = assembly.ellipticity_window(Q3, disk32.Q0)
     assert win3.lambda_ell == pytest.approx(3.0, rel=1e-8)
     assert win3.Lambda_ell == pytest.approx(3.0, rel=1e-8)

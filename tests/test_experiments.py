@@ -196,13 +196,10 @@ def test_cli_spectrum_success(tmp_path, capsys):
 
 
 def test_cli_distance_bilaplacian_solves_once(tmp_path, monkeypatch):
-    # p* = |xi| for the bilaplacian, so the Finsler and Euclidean solves agree
+    # p* = |xi| for the bilaplacian, so the Finsler solve is the Euclidean one
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 0.0625)
     df = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    de = pl.finsler_distance(dom, grid, mask, pl.bilaplacian(),
-                             metric="euclidean")
-    assert np.array_equal(df.d, de.d)
     calls = []
     sweep = finsler._sweep_once
     monkeypatch.setattr(finsler, "_sweep_once",
@@ -219,6 +216,30 @@ def test_cli_distance_bilaplacian_solves_once(tmp_path, monkeypatch):
     rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 2], rows[:, 3])
     assert np.array_equal(rows[:, 2], df.interior_values(mask))
+
+
+def test_cli_distance_anisotropic_euclidean_column(tmp_path):
+    # rect_aniso at h = 1/16: the Euclidean column is the bilaplacian solve
+    text = BASE_CFG.replace("kind = disk\nradius = 1.0",
+                            "kind = rectangle\nwidth = 2.0\nheight = 1.0")
+    text = text.replace("kind = bilaplacian",
+                        "kind = diagonal\na00 = 16.0\na11 = 1.0")
+    out = tmp_path / "out"
+    assert cli_main(["distance", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+    dom = pl.rectangle(2.0, 1.0)
+    grid, mask = pl.build_grid(dom, 0.0625)
+    coeffs = pl.diagonal(np.array([[16.0, 0.0], [0.0, 1.0]]))
+    df = pl.finsler_distance(dom, grid, mask, coeffs)
+    de = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
+    rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 2], df.interior_values(mask))
+    assert np.array_equal(rows[:, 3], de.interior_values(mask))
+    stats = json.loads((out / "distance.json").read_text())
+    assert stats["metric"] == "finsler"
+    assert (stats["c1_hat"], stats["c2_hat"]) == \
+        pl.equivalence_constants(df, de, mask)
+    assert stats["c1_hat"] < stats["c2_hat"]
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):

@@ -98,9 +98,19 @@ def test_bilaplacian_matches_euclidean_solver():
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 32)
     df = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    de = pl.finsler_distance(dom, grid, mask, pl.bilaplacian(),
-                             metric="euclidean")
+    de = pl.euclidean_from_sdf(dom, grid, mask)
     assert np.max(np.abs(df.d - de.d)) <= 3.0 * grid.h
+
+
+def test_distance_on_medial_axis_strip():
+    # one row of interior nodes on y = 0, all of them seeds on the medial
+    # axis, where the central difference of the sdf vanishes
+    dom = pl.rectangle(4.0, 0.2)
+    grid, mask = pl.build_grid(dom, 0.1)
+    dist = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
+    d = dist.interior_values(mask)
+    assert len(d) == 39
+    assert np.max(np.abs(d - 0.1)) <= 1e-12
 
 
 def test_equivalence_constants():
@@ -111,7 +121,7 @@ def test_equivalence_constants():
     assert (c1, c2) == (1.0, 1.0)
     coeffs = pl.product(np.diag([4.0, 1.0]))
     df = pl.finsler_distance(dom, grid, mask, coeffs)
-    ds = pl.finsler_distance(dom, grid, mask, coeffs, metric="euclidean")
+    ds = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
     c1, c2 = pl.equivalence_constants(df, ds, mask)
     thetas = np.linspace(0, 2 * np.pi, 360, endpoint=False)
     ps = [pl.dual_metric(coeffs, (0.0, 0.0),
@@ -119,20 +129,6 @@ def test_equivalence_constants():
     # distance scales inversely with the directional metric speed
     predicted = (max(ps) / min(ps))
     assert c2 / c1 == pytest.approx(predicted, rel=0.10)
-
-
-def test_regularize_exact():
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 1.0 / 16)
-    dist = pl.euclidean_from_sdf(dom, grid, mask)
-    r10 = pl.regularize(dist, 10)
-    assert r10.n_reg == 10
-    assert np.allclose(r10.d_n, dist.d + 0.1)
-    r4 = pl.regularize(dist, 4)
-    assert np.all(r4.d_n >= r10.d_n)
-    assert np.all(r10.d_n >= dist.d)
-    # omega at alpha = 0.5 on a node with d = 0.5
-    assert (0.5 + 0.25) ** -0.5 == pytest.approx(1.1547, abs=1e-4)
 
 
 def test_default_n_reg_is_inverse_h():
@@ -299,8 +295,8 @@ def test_local_solve_one_sided(coeffs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_sweeps": 0}, {"metric": "Euclid"}, {"tol": 0.0},
-], ids=["max_sweeps_0", "unknown_metric", "tol_0"])
+    {"max_sweeps": 0}, {"tol": 0.0},
+], ids=["max_sweeps_0", "tol_0"])
 def test_finsler_distance_rejects_bad_arguments(kwargs):
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 8)

@@ -71,6 +71,18 @@ def test_hardy_weak_pair_reported(disk32):
     assert len(rep.weak_sweep) == 2
 
 
+def test_hardy_assembles_each_weight_once(disk32, monkeypatch):
+    # the weak scan reuses the n-sweep's weights at n_lo and n_hi
+    calls = []
+    weighted = verifier.assemble_weighted
+    monkeypatch.setattr(verifier, "assemble_weighted",
+                        lambda *a: calls.append(a[-1]) or weighted(*a))
+    verifier.estimate_hardy_constant(
+        disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "hardy_grad",
+        n_sweep=(4, 8, 16), mass=disk32.mass, shift_exponents=range(0, 2))
+    assert calls == [4, 8, 16]
+
+
 def test_hardy_weak_stabilized_flag(disk32):
     # default shifts never meet the 2% test on disk32: the capped value is
     # reported and flagged as not stabilized
@@ -170,6 +182,19 @@ def test_probe_p_alpha_positive_margin(disk32):
     with pytest.raises(AlphaOutOfRange):
         verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.5,
                                witnesses, mask=disk32.mask)
+
+
+def test_probes_require_mask(disk32):
+    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
+                                           disk32.grid, disk32.mask)
+    with pytest.raises(TypeError, match="mask"):
+        verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
+                               witnesses)
+    base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
+                                  witnesses, mask=disk32.mask)
+    with pytest.raises(TypeError, match="mask"):
+        verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
+                                    disk32.dist, 0.0, 1.0, 1.0, witnesses)
 
 
 def test_probe_p_alpha_fixed_kprime(disk32):
