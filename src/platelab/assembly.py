@@ -51,10 +51,11 @@ def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
     return ((A + A.T) * 0.5).tocsr()
 
 
-def _ritz_probe(A: sp.csr_matrix, seed: int = 0, nvec: int = 8) -> float:
-    """Smallest Ritz value over a seeded random subspace (cheap PD probe)."""
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((A.shape[0], min(nvec, A.shape[0])))
+def _ritz_probe(A: sp.csr_matrix) -> float:
+    """Smallest Ritz value over a seeded random subspace of at most eight
+    vectors (cheap PD probe)."""
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((A.shape[0], min(8, A.shape[0])))
     V, _ = np.linalg.qr(V)
     H = V.T @ (A @ V)
     return float(np.linalg.eigvalsh((H + H.T) / 2).min())
@@ -143,13 +144,13 @@ def principal_submatrix(form: FormMatrix, mask: GridMask,
     return FormMatrix(sub, form.h), keep
 
 
-def ellipticity_window(Q: FormMatrix, Q0: FormMatrix, m: int = 1,
-                       tol: float = 1e-8, seed: int = 42) -> EllipticityWindow:
+def ellipticity_window(Q: FormMatrix, Q0: FormMatrix,
+                       seed: int = 42) -> EllipticityWindow:
     """Extreme generalized eigenvalues of the pencil (Q, Q0)."""
     from .spectral import lowest_eigenpairs
 
-    lo = lowest_eigenpairs(Q, Q0, m=m, tol=tol, seed=seed)
-    hi = lowest_eigenpairs(Q0, Q, m=m, tol=tol, seed=seed)
+    lo = lowest_eigenpairs(Q, Q0, m=1, seed=seed)
+    hi = lowest_eigenpairs(Q0, Q, m=1, seed=seed)
     lam = float(lo.values[0])
     Lam = 1.0 / float(hi.values[0])
     return EllipticityWindow(lambda_ell=lam, Lambda_ell=Lam)

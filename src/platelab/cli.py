@@ -38,15 +38,21 @@ def _build_common(cfg: RunConfig):
     return domain, coeffs, grid, mask
 
 
-def _mass(grid, mask):
-    return assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+def _build_pencil(cfg: RunConfig, m: int):
+    """The common setup plus the operator form Q, the mass form and the
+    lowest m eigenpairs of the pencil (Q, mass)."""
+    domain, coeffs, grid, mask = _build_common(cfg)
+    if m >= mask.count:
+        raise ConfigError(f"m={m} eigenpairs need more than the "
+                          f"{mask.count} grid unknowns")
+    Q = assembly.assemble_Q(grid, mask, coeffs)
+    mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+    spec = lowest_eigenpairs(Q, mass, m=m, tol=cfg.tol, seed=cfg.seed)
+    return domain, coeffs, grid, mask, Q, mass, spec
 
 
 def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
-    domain, coeffs, grid, mask = _build_common(cfg)
-    Q = assembly.assemble_Q(grid, mask, coeffs)
-    spec = lowest_eigenpairs(Q, _mass(grid, mask), m=cfg.m, tol=cfg.tol,
-                             seed=cfg.seed)
+    *_, spec = _build_pencil(cfg, cfg.m)
     spec.to_csv(os.path.join(out, "spectrum.csv"))
     return 0
 
@@ -62,7 +68,6 @@ def _cmd_distance(cfg: RunConfig, out: str) -> int:
     d_e = dist_e.interior_values(mask)
     far = d_e > 3.0 * grid.h
     stats = {
-        "metric": "finsler",
         "c1_hat": c1_hat,
         "c2_hat": c2_hat,
         "n_reg": dist.n_reg,
@@ -88,7 +93,7 @@ def _cmd_hardy(cfg: RunConfig, out: str) -> int:
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
-    mass = _mass(grid, mask)
+    mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     reports = {}
     for kind, A in (("hardy_grad", grad), ("rellich_mass", Q0),
                     ("rellich_grad", Q0)):
@@ -100,24 +105,21 @@ def _cmd_hardy(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _check_alphas(cfg: RunConfig, upper: float) -> None:
-    if cfg.allow_blowup:
-        return
-    bad = [a for a in cfg.alphas if not (0.0 < a < upper)]
+def _check_alphas(cfg: RunConfig) -> None:
+    """The decay integrals diverge for alpha >= 1/2, so only ``decay
+    --allow-blowup`` runs such alphas, as a demonstration."""
+    bad = [a for a in cfg.alphas if not (0.0 < a < 0.5)]
     if bad:
         raise ConfigError(
-            f"alpha values {bad} outside (0, {upper}); pass --allow-blowup "
-            "to run the blow-up demonstration")
+            f"alpha values {bad} outside (0, 0.5); only decay runs them, "
+            "with --allow-blowup, as the blow-up demonstration")
 
 
 def _cmd_decay(cfg: RunConfig, out: str) -> int:
-    _check_alphas(cfg, 0.5)
-    domain, coeffs, grid, mask = _build_common(cfg)
+    if not cfg.allow_blowup:
+        _check_alphas(cfg)
+    domain, _, grid, mask, _, _, spec = _build_pencil(cfg, cfg.m)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
-    Q = assembly.assemble_Q(grid, mask, coeffs)
-    mass = _mass(grid, mask)
-    spec = lowest_eigenpairs(Q, mass, m=max(cfg.m, 1), tol=cfg.tol,
-                             seed=cfg.seed)
     with open(os.path.join(out, "decay.csv"), "w", encoding="utf-8") as f:
         f.write("alpha,n_reg,lhs,rhs,c_hat,flag\n")
         for a in cfg.alphas:
@@ -132,27 +134,23 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_palpha(cfg: RunConfig, out: str) -> int:
-    _check_alphas(cfg, 0.5)
-    domain, coeffs, grid, mask = _build_common(cfg)
+    _check_alphas(cfg)
+    domain, coeffs, grid, mask, Q, mass, spec = _build_pencil(cfg, 5)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
-    Q = assembly.assemble_Q(grid, mask, coeffs)
-    mass = _mass(grid, mask)
-    spec = lowest_eigenpairs(Q, mass, m=5, tol=cfg.tol, seed=cfg.seed)
     witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask,
                                                 seed=cfg.seed)
+    if cfg.delta > 0.0:
+        tilde = assembly.perturb_coeffs(coeffs, cfg.delta, seed=cfg.seed)
+        Qt = assembly.assemble_Q(grid, mask, tilde)
+        Q0 = assembly.assemble_Q0(grid, mask)
+        win = assembly.ellipticity_window(Qt, Q0, seed=cfg.seed)
     payload = {}
     for a in cfg.alphas:
-        if not (0.0 < a < 0.5):
-            continue
         rep = verifier.probe_P_alpha(Q, mass, dist, a, witnesses,
                                      labels=labels, n_sweep=cfg.n_sweep,
                                      mask=mask)
         entry = {"base": dataclasses.asdict(rep)}
         if cfg.delta > 0.0:
-            tilde = assembly.perturb_coeffs(coeffs, cfg.delta, seed=cfg.seed)
-            Qt = assembly.assemble_Q(grid, mask, tilde)
-            Q0 = assembly.assemble_Q0(grid, mask)
-            win = assembly.ellipticity_window(Qt, Q0, seed=cfg.seed)
             c_hat = verifier.measure_cross_term_constant(
                 dist, a, witnesses, grid, mask, Q0=Q0)
             try:
@@ -172,10 +170,10 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
 def _cmd_erode(cfg: RunConfig, out: str) -> int:
     if not cfg.eps_list:
         raise ConfigError("erode requires a nonempty eps list")
-    domain, coeffs, grid, mask = _build_common(cfg)
+    domain, coeffs, grid, mask, Q, mass, spec = _build_pencil(cfg, cfg.m)
     report = run_erosion_study(domain, coeffs, cfg.h, cfg.m, cfg.eps_list,
                                tol=cfg.tol, seed=cfg.seed, grid=grid,
-                               mask=mask)
+                               mask=mask, Q=Q, mass=mass, spec=spec)
     report.to_csv(os.path.join(out, "stability.csv"))
     write_json(os.path.join(out, "stability.json"), {
         "fitted_exponent": {str(k): v for k, v in

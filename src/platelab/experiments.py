@@ -5,15 +5,16 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+import scipy.linalg as sla
 
-from . import assembly, finsler, geometry, spectral, verifier
+from . import finsler, geometry, verifier
 from .assembly import FormMatrix, assemble_Q, assemble_weighted, principal_submatrix
-from .errors import ConfigError, PlatelabError
-from .finsler import CoefficientField, DistanceField
+from .errors import ConfigError
+from .finsler import CoefficientField
 from .geometry import (AnalyticDomain, CutoffField, build_cutoff, build_grid,
                        lattice_derivative_norms)
 from .spectral import Spectrum, lowest_eigenpairs
@@ -179,7 +180,6 @@ def cutoff_rayleigh_bound(spec: Spectrum, cutoff: CutoffField,
     T = (T + T.T) / 2
     bounds = np.empty(spec.m)
     for n in range(1, spec.m + 1):
-        import scipy.linalg as sla
         vals = sla.eigh(S[:n, :n], T[:n, :n], eigvals_only=True)
         bounds[n - 1] = vals[-1]
     return bounds
@@ -249,6 +249,9 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
             raise ConfigError(f"eps={eps} < 4h={4 * h}")
         sub_int = sd < -eps
         Qs, keep = principal_submatrix(Q, mask, sub_int)
+        if m >= keep.size:
+            raise ConfigError(f"m={m} eigenpairs need more than the "
+                              f"{keep.size} unknowns left at eps={eps}")
         Ms, _ = principal_submatrix(mass, mask, sub_int)
         spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
         cutoff = build_cutoff(grid, dist_sdf, eps)

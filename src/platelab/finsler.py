@@ -16,7 +16,7 @@ Newton iteration on p* - 1 inside a bisection bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -374,15 +374,14 @@ def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
     return np.abs(q ** 0.25 - 1.0)
 
 
-def measure_collar_regularity(dist: DistanceField, mask: GridMask,
-                              theta: Optional[float] = None):
-    """Fit |hess d| <= c d^(-1+tau) over the collar theta/4 < d < theta.
+def measure_collar_regularity(dist: DistanceField, mask: GridMask):
+    """Fit |hess d| <= c d^(-1+tau) over the collar theta/4 < d < theta,
+    theta = max d / 2.
 
     Returns (c_fit, tau_fit) from least squares on the log-log samples.
     """
     d = dist.d
-    if theta is None:
-        theta = float(d.max()) / 2.0
+    theta = float(d.max()) / 2.0
     _, hess = lattice_derivative_norms(dist.grid, d)
     dc = d[1:-1, 1:-1]
     inner = mask.interior.copy()

@@ -60,12 +60,13 @@ def rectangle(width: float, height: float) -> AnalyticDomain:
     )
 
 
-def superellipse(a: float, b: float, p: float, n_boundary: int = 4096) -> AnalyticDomain:
-    """|x/a|^p + |y/b|^p = 1 boundary; distance via a dense boundary polyline."""
+def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
+    """|x/a|^p + |y/b|^p = 1 boundary; distance via a 4096-vertex boundary
+    polyline."""
     a, b, p = float(a), float(b), float(p)
     if p < 2:
         raise ValueError("superellipse exponent must be >= 2")
-    t = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ct, st = np.cos(t), np.sin(t)
     bx = a * np.sign(ct) * np.abs(ct) ** (2.0 / p)
     by = b * np.sign(st) * np.abs(st) ** (2.0 / p)

@@ -9,13 +9,13 @@ stability under coefficient perturbations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (FormMatrix, assemble_Q0, assemble_weighted,
+from .assembly import (FormMatrix, assemble_weighted,
                        interior_difference_ops)
 from .errors import AlphaOutOfRange, BoundViolated
 from .finsler import DistanceField
@@ -190,9 +190,9 @@ class PAlphaReport:
 
 
 def make_witnesses(spec: Spectrum, dist: DistanceField, grid: Grid,
-                   mask: GridMask, n_eig: int = 5, n_bumps: int = 3,
-                   seed: int = 42):
-    """Low eigenvectors plus seeded smooth bumps, all mass-normalized."""
+                   mask: GridMask, seed: int = 42):
+    """The lowest five eigenvectors (as many as ``spec`` holds) plus three
+    seeded smooth bumps, all mass-normalized."""
     rng = np.random.default_rng(seed)
     iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
     xs = grid.origin[0] + grid.h * ix
@@ -201,10 +201,10 @@ def make_witnesses(spec: Spectrum, dist: DistanceField, grid: Grid,
     dmax = float(d.max())
     witnesses = []
     labels = []
-    for j in range(min(n_eig, spec.m)):
+    for j in range(min(5, spec.m)):
         witnesses.append(spec.vectors[:, j].copy())
         labels.append(f"phi_{j + 1}")
-    for b in range(n_bumps):
+    for b in range(3):
         while True:
             cx = rng.uniform(xs.min(), xs.max())
             cy = rng.uniform(ys.min(), ys.max())
@@ -272,18 +272,13 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
 
 def measure_cross_term_constant(dist: DistanceField, alpha: float,
                                 witnesses, grid: Grid, mask: GridMask,
-                                Q0: Optional[FormMatrix] = None,
-                                n_reg: Optional[int] = None) -> float:
+                                Q0: FormMatrix) -> float:
     """c_hat = max over witnesses of
     sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v)."""
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    if Q0 is None:
-        Q0 = assemble_Q0(grid, mask)
-    if n_reg is None:
-        n_reg = dist.n_reg
     Dxx, Dyy, Dxy, _, _ = interior_difference_ops(grid, mask)
-    dn = dist.interior_values(mask) + 1.0 / n_reg
+    dn = dist.interior_values(mask) + 1.0 / dist.n_reg
     h2 = grid.h**2
     c_hat = 0.0
     for v in witnesses:

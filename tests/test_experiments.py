@@ -211,8 +211,7 @@ def test_cli_distance_bilaplacian_solves_once(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0
     assert len(calls) == 2 * one_solve
     stats = json.loads((out / "distance.json").read_text())
-    assert (stats["metric"], stats["c1_hat"], stats["c2_hat"]) == \
-        ("finsler", 1.0, 1.0)
+    assert (stats["c1_hat"], stats["c2_hat"]) == (1.0, 1.0)
     rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 2], rows[:, 3])
     assert np.array_equal(rows[:, 2], df.interior_values(mask))
@@ -236,7 +235,6 @@ def test_cli_distance_anisotropic_euclidean_column(tmp_path):
     assert np.array_equal(rows[:, 2], df.interior_values(mask))
     assert np.array_equal(rows[:, 3], de.interior_values(mask))
     stats = json.loads((out / "distance.json").read_text())
-    assert stats["metric"] == "finsler"
     assert (stats["c1_hat"], stats["c2_hat"]) == \
         pl.equivalence_constants(df, de, mask)
     assert stats["c1_hat"] < stats["c2_hat"]
@@ -300,3 +298,66 @@ def test_cli_erode_outputs(tmp_path):
     lines = (out / "stability.csv").read_text().strip().split("\n")
     assert lines[0] == experiments.STABILITY_HEADER
     assert len(lines) == 2
+
+
+def test_cli_palpha_rejects_blowup_alphas(tmp_path, capsys):
+    # --allow-blowup belongs to decay; palpha has no blow-up demonstration
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("alphas = 0.25",
+                                                "alphas = 0.6"))
+    out = tmp_path / "out"
+    for extra in ([], ["--allow-blowup"]):
+        code = cli_main(["palpha", "--config", cfg, "--out", str(out)]
+                        + extra)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "0.6" in err["message"]
+    assert not (out / "palpha.json").exists()
+
+
+def test_cli_m_not_below_dof_count_exit_2(tmp_path, capsys):
+    # the h = 1/16 disk has 793 unknowns
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 5000"))
+    for command in ("spectrum", "decay", "erode"):
+        code = cli_main([command, "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "793" in err["message"]
+
+
+def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys):
+    # eroding the h = 1/16 disk by eps = 0.25 leaves 437 of 793 unknowns
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 600"))
+    code = cli_main(["erode", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "437" in err["message"]
+
+
+def test_cli_palpha_builds_perturbation_once(tmp_path, monkeypatch):
+    calls = []
+    window = assembly.ellipticity_window
+    monkeypatch.setattr(assembly, "ellipticity_window",
+                        lambda *a, **k: calls.append(1) or window(*a, **k))
+    text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25") \
+        + "\n[perturbation]\ndelta = 0.01\n"
+    out = tmp_path / "out"
+    assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+    assert len(calls) == 1
+    payload = json.loads((out / "palpha.json").read_text())
+    assert sorted(payload) == ["0.1", "0.25"]
+    assert all("perturbed" in entry for entry in payload.values())
+
+
+def test_cli_hardy_writes_three_pencils(tmp_path):
+    text = BASE_CFG.replace("eps = 0.25", "eps = 0.25\nn_sweep = 4 8")
+    out = tmp_path / "out"
+    assert cli_main(["hardy", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+    reports = json.loads((out / "hardy.json").read_text())
+    assert sorted(reports) == ["hardy_grad", "rellich_grad", "rellich_mass"]
