@@ -170,10 +170,11 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
 def _cmd_erode(cfg: RunConfig, out: str) -> int:
     if not cfg.eps_list:
         raise ConfigError("erode requires a nonempty eps list")
-    domain, coeffs, grid, mask, Q, mass, spec = _build_pencil(cfg, cfg.m)
+    domain, coeffs, grid, mask = _build_common(cfg)
+    # run_erosion_study checks the eroded grids before the full solve
     report = run_erosion_study(domain, coeffs, cfg.h, cfg.m, cfg.eps_list,
                                tol=cfg.tol, seed=cfg.seed, grid=grid,
-                               mask=mask, Q=Q, mass=mass, spec=spec)
+                               mask=mask)
     report.to_csv(os.path.join(out, "stability.csv"))
     write_json(os.path.join(out, "stability.json"), {
         "fitted_exponent": {str(k): v for k, v in

@@ -223,6 +223,29 @@ def measure_eroded_hessian_bound(domain: AnalyticDomain, grid, mask,
     return float(lattice_derivative_norms(grid, deps)[1][band].max())
 
 
+def _eroded_interiors(domain: AnalyticDomain, grid, mask, m: int,
+                      eps_list: Sequence[float]) -> list:
+    """The node sets {sdf < -eps}, one per eps.
+
+    Raises ConfigError when an eps is below 4h or leaves no more than m
+    unknowns.  Both depend only on the grid and the sdf, so they are checked
+    before any eigensolve.
+    """
+    X, Y = grid.meshgrid()
+    sd = domain.sdf(X, Y)
+    interiors = []
+    for eps in eps_list:
+        if eps < 4.0 * grid.h:
+            raise ConfigError(f"eps={eps} < 4h={4 * grid.h}")
+        sub_int = sd < -eps
+        count = int(np.count_nonzero(sub_int & mask.interior))
+        if m >= count:
+            raise ConfigError(f"m={m} eigenpairs need more than the {count} "
+                              f"unknowns left of {mask.count} at eps={eps}")
+        interiors.append(sub_int)
+    return interiors
+
+
 def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
                       h: float, m: int, eps_list: Sequence[float],
                       tol: float = 1e-8, seed: int = 42,
@@ -232,6 +255,7 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     restriction of the operator form on a fixed grid."""
     if grid is None or mask is None:
         grid, mask = build_grid(domain, h)
+    interiors = _eroded_interiors(domain, grid, mask, m, eps_list)
     if Q is None:
         Q = assemble_Q(grid, mask, coeffs)
     if mass is None:
@@ -239,19 +263,11 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     if spec is None:
         spec = lowest_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
     dist_sdf = finsler.euclidean_from_sdf(domain, grid, mask)
-    X, Y = grid.meshgrid()
-    sd = domain.sdf(X, Y)
 
     rows = []
     hess_deps = {}
-    for eps in eps_list:
-        if eps < 4.0 * h:
-            raise ConfigError(f"eps={eps} < 4h={4 * h}")
-        sub_int = sd < -eps
-        Qs, keep = principal_submatrix(Q, mask, sub_int)
-        if m >= keep.size:
-            raise ConfigError(f"m={m} eigenpairs need more than the "
-                              f"{keep.size} unknowns left at eps={eps}")
+    for eps, sub_int in zip(eps_list, interiors):
+        Qs, _ = principal_submatrix(Q, mask, sub_int)
         Ms, _ = principal_submatrix(mass, mask, sub_int)
         spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
         cutoff = build_cutoff(grid, dist_sdf, eps)

@@ -45,6 +45,16 @@ def _as_matrix(A: Union[FormMatrix, sp.spmatrix]) -> sp.csr_matrix:
     return A.tocsr()
 
 
+def factor(A) -> spla.LinearOperator:
+    """x -> A^-1 x through one sparse LU of the positive definite A, with a
+    symmetric minimum-degree ordering and diagonal pivots (splu's default,
+    COLAMD with partial pivoting, fills the h = 1/96 disk's LU 1.5x more)."""
+    Am = _as_matrix(A)
+    lu = spla.splu(Am.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return spla.LinearOperator(Am.shape, matvec=lu.solve)
+
+
 def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
                       seed: int = DEFAULT_SEED,
                       OPinv: Optional[spla.LinearOperator] = None) -> Spectrum:
@@ -52,7 +62,7 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
 
     Shift-invert at sigma = 0 (A is positive definite for all pencils used
     here).  Deterministic for fixed (A, B, m, tol, seed).  ``OPinv`` lets a
-    caller reuse one factorization of A across a sweep of mass matrices.
+    caller reuse one ``factor(A)`` across a sweep of mass matrices.
     """
     Am = _as_matrix(A)
     Bm = _as_matrix(B)
@@ -69,8 +79,7 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
 
     v0 = rng.standard_normal(n)
     if OPinv is None:
-        lu = spla.splu(Am.tocsc())
-        OPinv = spla.LinearOperator(Am.shape, matvec=lu.solve)
+        OPinv = factor(Am)
     try:
         vals, vecs = spla.eigsh(Am, k=m, M=Bm, sigma=0.0, which="LM",
                                 v0=v0, OPinv=OPinv)

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (FormMatrix, assemble_weighted,
                        interior_difference_ops)
 from .errors import AlphaOutOfRange, BoundViolated
 from .finsler import DistanceField
 from .geometry import Grid, GridMask, smoothstep
-from .spectral import Spectrum, lowest_eigenpairs
+from .spectral import Spectrum, factor, lowest_eigenpairs
 
 STABILIZATION_INCREMENT = 0.05  # top-two-n relative increment threshold
+WEAK_STABILITY_TOL = 0.02  # weak pair: top-two-n relative difference
 
 
 def k_alpha_ref(alpha: float) -> float:
@@ -69,7 +69,6 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
                             n_sweep: Optional[Sequence[int]] = None,
                             mass: Optional[FormMatrix] = None,
                             shift_exponents: range = range(0, 11),
-                            stability_tol: float = 0.02,
                             seed: int = 42) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
 
@@ -90,8 +89,7 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     if mass is None:
         mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
 
-    lu = spla.splu(A.matrix.tocsc())
-    op = spla.LinearOperator(A.matrix.shape, matvec=lu.solve)
+    op = factor(A)
     sweep = []
     weights = {}
     for n in n_sweep:
@@ -107,14 +105,13 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
         for j in shift_exponents:
             shift = 2.0**j
             As = FormMatrix((A.matrix + shift * mass.matrix).tocsr(), A.h)
-            lus = spla.splu(As.matrix.tocsc())
-            ops = spla.LinearOperator(As.matrix.shape, matvec=lus.solve)
+            ops = factor(As)
             c_hi = float(lowest_eigenpairs(As, weights[n_hi], m=1, seed=seed,
                                            OPinv=ops).values[0])
             c_lo = float(lowest_eigenpairs(As, weights[n_lo], m=1, seed=seed,
                                            OPinv=ops).values[0])
             weak_sweep = ((n_lo, c_lo), (n_hi, c_hi))
-            weak_stabilized = abs(c_lo - c_hi) <= stability_tol * abs(c_hi)
+            weak_stabilized = abs(c_lo - c_hi) <= WEAK_STABILITY_TOL * abs(c_hi)
             if weak_stabilized:
                 break
         weak_pair = (c_hi, shift)

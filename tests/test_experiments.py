@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab import assembly, experiments, finsler
+from platelab import assembly, cli, experiments, finsler, spectral
 from platelab.cli import cli_main
 from platelab.errors import ConfigError
 
@@ -327,8 +327,16 @@ def test_cli_m_not_below_dof_count_exit_2(tmp_path, capsys):
         assert "793" in err["message"]
 
 
-def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys):
-    # eroding the h = 1/16 disk by eps = 0.25 leaves 437 of 793 unknowns
+def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # eroding the h = 1/16 disk by eps = 0.25 leaves 437 of 793 unknowns;
+    # the eroded grids are checked before any eigensolve
+    calls = []
+    for mod in (cli, experiments, spectral):
+        solve = mod.lowest_eigenpairs
+        monkeypatch.setattr(mod, "lowest_eigenpairs",
+                            lambda *a, _solve=solve, **k:
+                            calls.append(1) or _solve(*a, **k))
     cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 600"))
     code = cli_main(["erode", "--config", cfg,
                      "--out", str(tmp_path / "out")])
@@ -336,6 +344,7 @@ def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "437" in err["message"]
+    assert calls == []
 
 
 def test_cli_palpha_builds_perturbation_once(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import platelab as pl
-from platelab import spectral
+from platelab import assembly, spectral
 from platelab.errors import InsufficientBasis, MassNotPD
 
 
@@ -132,3 +136,66 @@ def test_to_csv_roundtrip(tmp_path, disk32):
     assert len(lines) == disk32.spec.m + 1
     vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert np.allclose(vals, disk32.spec.values, rtol=1e-15)
+
+
+def test_factor_solves_disk_forms(disk32):
+    grad = assembly.assemble_weighted(disk32.grid, disk32.mask, None,
+                                      "grad", 0.0, 1)
+    b = np.random.default_rng(3).standard_normal(disk32.mask.count)
+    for form in (disk32.Q0, grad):
+        x = spectral.factor(form) @ b
+        assert np.linalg.norm(form.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_lowest_eigenpairs_matches_default_ordering_lu(disk32):
+    A = disk32.Q0.matrix
+    lu = spla.splu(A.tocsc())
+    ref = pl.lowest_eigenpairs(
+        disk32.Q0, disk32.mass, m=disk32.spec.m,
+        OPinv=spla.LinearOperator(A.shape, matvec=lu.solve))
+    assert np.allclose(disk32.spec.values, ref.values, rtol=1e-9, atol=0.0)
+
+
+def _splu_callers(path):
+    """(module, innermost enclosing def) of every call to a name ``splu``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "attr", getattr(f, "id", None)) == "splu":
+                    found.append((path.stem, owner))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_every_lu_goes_through_factor():
+    # every matrix platelab factors is SPD, so each LU takes factor's
+    # symmetric ordering
+    src = Path(spectral.__file__).resolve().parent
+    found = [c for p in sorted(src.glob("*.py")) for c in _splu_callers(p)]
+    assert found == [("spectral", "factor")]
+
+
+def test_single_eigenpair_is_the_minimum_of_a_degenerate_pair():
+    # hardy_grad shifted by 2^5 * mass against W_40 on the h = 1/40 disk:
+    # the lowest eigenvalue is a pair, and a Lanczos start vector carried
+    # over from the previous shift converged to a higher one (+1.9%)
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 1.0 / 40)
+    dist = pl.euclidean_from_sdf(dom, grid, mask)
+    grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
+    mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+    W = assembly.assemble_weighted(grid, mask, dist, "mass", 2.0, 40)
+    A = assembly.FormMatrix((grad.matrix + 2.0**5 * mass.matrix).tocsr(),
+                            grad.h)
+    four = pl.lowest_eigenpairs(A, W, m=4).values
+    assert four[1] == pytest.approx(four[0], rel=1e-9)
+    assert four[0] == pytest.approx(0.7814344, rel=1e-6)
+    one = pl.lowest_eigenpairs(A, W, m=1).values[0]
+    assert one == pytest.approx(four.min(), rel=1e-9)
