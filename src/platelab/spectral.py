@@ -55,14 +55,27 @@ def factor(A) -> spla.LinearOperator:
     return spla.LinearOperator(Am.shape, matvec=lu.solve)
 
 
+def _residuals(Am, Bm, vals, vecs) -> np.ndarray:
+    """Certificates ||A v - t B v|| / (|t| ||v||_B) of the pairs (vals, vecs)."""
+    res = np.empty(len(vals))
+    for k, t in enumerate(vals):
+        v = vecs[:, k]
+        bn = np.sqrt(float(v @ (Bm @ v)))
+        res[k] = np.linalg.norm(Am @ v - t * (Bm @ v)) / (abs(t) * bn)
+    return res
+
+
 def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
                       seed: int = DEFAULT_SEED,
-                      OPinv: Optional[spla.LinearOperator] = None) -> Spectrum:
+                      OPinv: Optional[spla.LinearOperator] = None,
+                      ncv: Optional[int] = None) -> Spectrum:
     """The m algebraically smallest generalized eigenvalues of (A, B).
 
     Shift-invert at sigma = 0 (A is positive definite for all pencils used
-    here).  Deterministic for fixed (A, B, m, tol, seed).  ``OPinv`` lets a
-    caller reuse one ``factor(A)`` across a sweep of mass matrices.
+    here).  Deterministic for fixed (A, B, m, tol, seed, ncv).  ``OPinv``
+    lets a caller reuse one ``factor(A)`` across a sweep of mass matrices.
+    ``ncv`` is the number of Lanczos vectors (capped at the dimension);
+    None keeps ARPACK's default.
     """
     Am = _as_matrix(A)
     Bm = _as_matrix(B)
@@ -82,19 +95,18 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
         OPinv = factor(Am)
     try:
         vals, vecs = spla.eigsh(Am, k=m, M=Bm, sigma=0.0, which="LM",
-                                v0=v0, OPinv=OPinv)
+                                v0=v0, OPinv=OPinv,
+                                ncv=None if ncv is None else min(ncv, n))
     except spla.ArpackNoConvergence as exc:
+        partial = None
+        if len(exc.eigenvalues):
+            partial = _residuals(Am, Bm, exc.eigenvalues, exc.eigenvectors)
         raise NoConvergence("eigsh failed to converge",
-                            residuals=getattr(exc, "eigenvalues", None)) from exc
+                            residuals=partial) from exc
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
-    res = np.empty(m)
-    for k in range(m):
-        v = vecs[:, k]
-        bn = np.sqrt(float(v @ (Bm @ v)))
-        num = np.linalg.norm(Am @ v - vals[k] * (Bm @ v))
-        res[k] = num / (abs(vals[k]) * bn)
+    res = _residuals(Am, Bm, vals, vecs)
     if np.any(res > tol):
         raise NoConvergence(
             f"residuals {res} exceed tol {tol}", residuals=res)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import platelab as pl
-from platelab import assembly, finsler
+from platelab import assembly, finsler, spectral
 from platelab.errors import EllipticityLost
 from platelab.geometry import difference_ops
 
@@ -149,6 +151,41 @@ def test_ellipticity_window_product_tensor(disk32):
     # symbol extremes of (2 x^2 + y^2)^2 / |xi|^4 are 1 and 4
     assert win.lambda_ell == pytest.approx(1.0, rel=0.05)
     assert win.Lambda_ell == pytest.approx(4.0, rel=0.05)
+
+
+def _rect_aniso_window_pencil(h):
+    grid, mask = pl.build_grid(pl.rectangle(2.0, 1.0), h)
+    tilde = assembly.perturb_coeffs(pl.diagonal([[16.0, 0.0], [0.0, 1.0]]),
+                                    0.01, seed=42)
+    return (assembly.assemble_Q(grid, mask, tilde),
+            assembly.assemble_Q0(grid, mask))
+
+
+def test_ellipticity_window_matches_dense_pencil():
+    Qt, Q0 = _rect_aniso_window_pencil(1.0 / 12)
+    ref = sla.eigh(Qt.matrix.toarray(), Q0.matrix.toarray(), eigvals_only=True)
+    win = assembly.ellipticity_window(Qt, Q0)
+    assert win.lambda_ell == pytest.approx(ref[0], rel=1e-9)
+    assert win.Lambda_ell == pytest.approx(ref[-1], rel=1e-9)
+
+
+def test_ellipticity_window_solve_count(monkeypatch):
+    # both ends of a dense band: 11084 solves with ARPACK's default 20
+    # Lanczos vectors, 1844 with WINDOW_NCV
+    solves = [0]
+    factor = spectral.factor
+
+    def counting_factor(A):
+        op = factor(A)
+
+        def solve(x):
+            solves[0] += 1
+            return op.matvec(x)
+        return spla.LinearOperator(op.shape, matvec=solve)
+
+    monkeypatch.setattr(spectral, "factor", counting_factor)
+    assembly.ellipticity_window(*_rect_aniso_window_pencil(1.0 / 32))
+    assert 0 < solves[0] <= 3000
 
 
 def test_tensor_sup_norm_perturbation():

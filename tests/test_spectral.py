@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import platelab as pl
 from platelab import assembly, spectral
-from platelab.errors import InsufficientBasis, MassNotPD
+from platelab.errors import InsufficientBasis, MassNotPD, NoConvergence
 
 
 def _diag_pencil(n=12):
@@ -57,6 +57,39 @@ def test_determinism():
     s2 = pl.lowest_eigenpairs(A, B, m=4, seed=7)
     assert np.max(np.abs(s1.values - s2.values)) < 1e-12
     assert np.max(np.abs(np.abs(s1.vectors) - np.abs(s2.vectors))) < 1e-9
+
+
+def test_ncv_is_capped_at_the_dimension():
+    A, B = _diag_pencil()
+    spec = pl.lowest_eigenpairs(A, B, m=1, ncv=80)
+    assert spec.values[0] == pytest.approx(1.0, rel=1e-10)
+
+
+def _raise_no_convergence(values, vectors):
+    def eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", values, vectors)
+    return eigsh
+
+
+def test_no_convergence_carries_partial_residuals(monkeypatch):
+    # partial pair (1.1, e_1) of diag(1..12): ||A e1 - 1.1 e1|| / 1.1
+    A, B = _diag_pencil()
+    e1 = np.zeros((12, 1))
+    e1[0, 0] = 1.0
+    monkeypatch.setattr(spla, "eigsh",
+                        _raise_no_convergence(np.array([1.1]), e1))
+    with pytest.raises(NoConvergence) as info:
+        pl.lowest_eigenpairs(A, B, m=2)
+    assert info.value.residuals == pytest.approx([0.1 / 1.1], rel=1e-12)
+
+
+def test_no_convergence_without_partial_pairs(monkeypatch):
+    A, B = _diag_pencil()
+    monkeypatch.setattr(spla, "eigsh",
+                        _raise_no_convergence(np.empty(0), np.empty((12, 0))))
+    with pytest.raises(NoConvergence) as info:
+        pl.lowest_eigenpairs(A, B, m=2)
+    assert info.value.residuals is None
 
 
 def test_mass_not_pd():
