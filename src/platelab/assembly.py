@@ -40,12 +40,6 @@ class EllipticityWindow:
     Lambda_ell: float
 
 
-def _dof_nodes(grid: Grid, mask: GridMask) -> np.ndarray:
-    """Raveled lattice index of each dof (the dof columns of difference_ops)."""
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    return iy * grid.nx + ix
-
-
 def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
     A = A.tocsr()
     return ((A + A.T) * 0.5).tocsr()
@@ -64,7 +58,7 @@ def _ritz_probe(A: sp.csr_matrix) -> float:
 def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
     """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point form)."""
     Dxx, Dyy, _, _, _ = difference_ops(grid)
-    L = (Dxx + Dyy)[:, _dof_nodes(grid, mask)]
+    L = (Dxx + Dyy)[:, mask.nodes]
     Q0 = _symmetrize((L.T @ L) * grid.h**2)
     return FormMatrix(Q0, grid.h)
 
@@ -78,8 +72,7 @@ def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatr
     Mfield = freeze_coefficients(coeffs, grid)
     if np.allclose(Mfield, _BILAPLACIAN_M, atol=0.0):
         return assemble_Q0(grid, mask)
-    cols = _dof_nodes(grid, mask)
-    B = sp.vstack([Op[:, cols] for Op in difference_ops(grid)[:3]],
+    B = sp.vstack([Op[:, mask.nodes] for Op in difference_ops(grid)[:3]],
                   format="csr")
     n = grid.n_nodes
     Mflat = Mfield.reshape(n, 3, 3)
@@ -115,7 +108,7 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
     # power 0: difference rows at every lattice node (same zero-extension
     # convention as Q0, so the unweighted form is genuinely coercive);
     # singular weights: quadrature restricted to strictly interior nodes.
-    cols = _dof_nodes(grid, mask)
+    cols = mask.nodes
     if power == 0.0:
         rows, W = slice(None), sp.diags(np.full(grid.n_nodes, grid.h**2))
     else:
@@ -127,21 +120,19 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
 
 def interior_difference_ops(grid: Grid, mask: GridMask):
     """(Dxx, Dyy, Dxy, Gx, Gy) restricted to interior rows and columns."""
-    cols = _dof_nodes(grid, mask)
+    cols = mask.nodes
     return tuple(Op[cols][:, cols] for Op in difference_ops(grid))
 
 
 def principal_submatrix(form: FormMatrix, mask: GridMask,
-                        sub_interior: np.ndarray) -> tuple:
+                        sub_interior: np.ndarray) -> FormMatrix:
     """Restrict a form to the dofs whose nodes satisfy ``sub_interior``.
 
-    Returns (FormMatrix, dof index array).  This is the discrete meaning of
-    restricting the quadratic form to the eroded subdomain.
+    This is the discrete meaning of restricting the quadratic form to the
+    eroded subdomain.
     """
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    keep = np.nonzero(sub_interior[iy, ix])[0]
-    sub = form.matrix[keep][:, keep].tocsr()
-    return FormMatrix(sub, form.h), keep
+    keep = np.flatnonzero(mask.restrict(sub_interior))
+    return FormMatrix(form.matrix[keep][:, keep].tocsr(), form.h)
 
 
 # Lanczos vectors for the window's two solves.  The spectrum of (Q, Q0)

@@ -77,9 +77,7 @@ def _cmd_distance(cfg: RunConfig, out: str) -> int:
         if far.any() else None,
     }
     write_json(os.path.join(out, "distance.json"), stats)
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    xs = grid.origin[0] + grid.h * ix
-    ys = grid.origin[1] + grid.h * iy
+    xs, ys = (mask.restrict(c) for c in grid.meshgrid())
     with open(os.path.join(out, "distance.csv"), "w", encoding="utf-8") as f:
         f.write("x,y,d_finsler,d_euclid,residual\n")
         dv = dist.interior_values(mask)

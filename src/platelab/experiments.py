@@ -171,9 +171,7 @@ def cutoff_rayleigh_bound(spec: Spectrum, cutoff: CutoffField,
     Returns one bound per n = 1..m via the dense generalized eigenproblem in
     the transplanted subspace.
     """
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    tau = cutoff.tau[iy, ix]
-    U = tau[:, None] * spec.vectors
+    U = mask.restrict(cutoff.tau)[:, None] * spec.vectors
     S = U.T @ (Q.matrix @ U)
     T = U.T @ (mass.matrix @ U)
     S = (S + S.T) / 2
@@ -267,8 +265,8 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     rows = []
     hess_deps = {}
     for eps, sub_int in zip(eps_list, interiors):
-        Qs, _ = principal_submatrix(Q, mask, sub_int)
-        Ms, _ = principal_submatrix(mass, mask, sub_int)
+        Qs = principal_submatrix(Q, mask, sub_int)
+        Ms = principal_submatrix(mass, mask, sub_int)
         spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
         cutoff = build_cutoff(grid, dist_sdf, eps)
         bounds = cutoff_rayleigh_bound(spec, cutoff, Q, mass, mask)

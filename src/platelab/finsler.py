@@ -66,13 +66,7 @@ def bilaplacian() -> CoefficientField:
 
 
 def product(b) -> CoefficientField:
-    """a_ijkl = b_ij b_kl for a symmetric 2x2 matrix (or field) b."""
-    if callable(b):
-        def voigt(x, y):
-            B = np.asarray(b(x, y), dtype=float)
-            s = np.stack([B[..., 0, 0], B[..., 1, 1], 2.0 * B[..., 0, 1]], axis=-1)
-            return s[..., :, None] * s[..., None, :]
-        return CoefficientField("product", voigt)
+    """a_ijkl = b_ij b_kl for a constant symmetric 2x2 matrix b."""
     B = np.asarray(b, dtype=float)
     if not np.allclose(B, B.T):
         raise ValueError("product matrix b must be symmetric")
@@ -128,8 +122,7 @@ class DistanceField:
     n_reg: int
 
     def interior_values(self, mask: GridMask) -> np.ndarray:
-        iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-        return self.d[iy, ix]
+        return mask.restrict(self.d)
 
 
 def _distance_field(grid: Grid, d: np.ndarray) -> DistanceField:
@@ -245,8 +238,7 @@ def _sweep_once(dp, diagonals, h, step):
 def _axis_pstar_min(Mfield, mask):
     """Min over interior nodes and 16 directions of p*(unit vector)."""
     thetas = np.linspace(0.0, np.pi, 16, endpoint=False)
-    iy, ix = np.nonzero(mask.interior)
-    M = Mfield[iy, ix, None]  # (count, 1, 3, 3)
+    M = mask.restrict(Mfield)[:, None]  # (count, 1, 3, 3)
     q = quartic_symbol(M, np.cos(thetas), np.sin(thetas))
     pmin = float(np.min(np.maximum(q, 0.0)) ** 0.25)
     if not np.isfinite(pmin) or pmin <= 0:
@@ -356,20 +348,17 @@ def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
 
     Returns an (count,) array aligned with the dof ordering.
     """
-    d = dist.d
+    d = dist.d.reshape(-1)
     h = dist.grid.h
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    dW = d[iy, ix - 1]
-    dE = d[iy, ix + 1]
-    dS = d[iy - 1, ix]
-    dN = d[iy + 1, ix]
-    dc = d[iy, ix]
+    p, row = mask.nodes, dist.grid.nx
+    # interior nodes never touch the lattice edge (build_grid's halo ring)
+    dW, dE, dS, dN, dc = d[p - 1], d[p + 1], d[p - row], d[p + row], d[p]
     gx = np.where(dW <= dE, (dc - dW) / h, (dE - dc) / h)
     gy = np.where(dS <= dN, (dc - dS) / h, (dN - dc) / h)
     # no-inflow components vanish
     gx = np.where(np.minimum(dW, dE) <= dc, gx, 0.0)
     gy = np.where(np.minimum(dS, dN) <= dc, gy, 0.0)
-    M = freeze_coefficients(coeffs, dist.grid)[iy, ix]
+    M = mask.restrict(freeze_coefficients(coeffs, dist.grid))
     q = np.maximum(quartic_symbol(M, gx, gy), 0.0)
     return np.abs(q ** 0.25 - 1.0)
 

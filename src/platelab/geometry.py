@@ -8,6 +8,7 @@ at stencil order, du/dn = 0 on the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -183,12 +184,26 @@ def lattice_derivative_norms(grid: Grid, f: np.ndarray):
 
 @dataclass(frozen=True)
 class GridMask:
-    """Strictly interior nodes (sdf < 0) and the dof <-> node index maps."""
+    """Strictly interior nodes (sdf < 0); they are the unknowns (dofs).
+
+    Dof k sits at lattice node ``nodes[k]``, the raveled index iy * nx + ix;
+    dofs run in row-major lattice order.  ``restrict`` gathers a lattice
+    array to dof values.
+    """
 
     interior: np.ndarray          # bool, shape (ny, nx)
-    dof_of_node: np.ndarray       # int, shape (ny, nx), -1 outside
-    node_of_dof: np.ndarray       # int, shape (count, 2) as (iy, ix)
-    count: int
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.interior)
+
+    @property
+    def count(self) -> int:
+        return self.nodes.size
+
+    def restrict(self, a: np.ndarray) -> np.ndarray:
+        """Dof values of a lattice array of shape (ny, nx, ...)."""
+        return a.reshape((self.interior.size,) + a.shape[2:])[self.nodes]
 
 
 def build_grid(domain: AnalyticDomain, h: float, min_interior: int = 25):
@@ -206,14 +221,11 @@ def build_grid(domain: AnalyticDomain, h: float, min_interior: int = 25):
     grid = Grid(h=float(h), origin=(i0 * h, j0 * h), nx=nx, ny=ny)
     X, Y = grid.meshgrid()
     interior = domain.sdf(X, Y) < 0.0
-    count = int(interior.sum())
-    if count < min_interior:
-        raise GridTooCoarse(f"only {count} interior nodes (need {min_interior})")
-    dof_of_node = np.full((ny, nx), -1, dtype=np.int64)
-    iy, ix = np.nonzero(interior)
-    dof_of_node[iy, ix] = np.arange(count)
-    node_of_dof = np.column_stack([iy, ix])
-    return grid, GridMask(interior, dof_of_node, node_of_dof, count)
+    mask = GridMask(interior)
+    if mask.count < min_interior:
+        raise GridTooCoarse(
+            f"only {mask.count} interior nodes (need {min_interior})")
+    return grid, mask
 
 
 def smoothstep(t):

@@ -49,6 +49,17 @@ def default_n_sweep(h: float) -> list:
     return ns
 
 
+def _n_levels(n_sweep: Optional[Sequence[int]], h: float) -> list:
+    """The regularization levels n, sorted and distinct; ``default_n_sweep``
+    when None.  Raises ValueError for n < 1: d + 1/n regularizes d only
+    for n >= 1."""
+    ns = default_n_sweep(h) if n_sweep is None else sorted(
+        set(int(n) for n in n_sweep))
+    if not ns or ns[0] < 1:
+        raise ValueError(f"n_sweep {ns} needs n >= 1")
+    return ns
+
+
 @dataclass(frozen=True)
 class HardyReport:
     kind: str                     # hardy_grad | rellich_mass | rellich_grad
@@ -66,8 +77,8 @@ _HARDY_POWERS = {"hardy_grad": ("mass", 2.0),
 
 def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
                             dist: DistanceField, kind: str,
-                            n_sweep: Optional[Sequence[int]] = None,
-                            mass: Optional[FormMatrix] = None,
+                            n_sweep: Optional[Sequence[int]] = None, *,
+                            mass: FormMatrix,
                             shift_exponents: range = range(0, 11),
                             seed: int = 42) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
@@ -83,11 +94,7 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     if kind not in _HARDY_POWERS:
         raise ValueError(f"unknown Hardy kind {kind!r}")
     order, power = _HARDY_POWERS[kind]
-    if n_sweep is None:
-        n_sweep = default_n_sweep(grid.h)
-    n_sweep = sorted(set(int(n) for n in n_sweep))
-    if mass is None:
-        mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+    n_sweep = _n_levels(n_sweep, grid.h)
 
     op = factor(A)
     sweep = []
@@ -142,11 +149,7 @@ def verify_decay(spec: Spectrum, u_index: int, alpha: float,
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1)")
     flagged = alpha >= 0.5
-    if n_sweep is None:
-        n_sweep = default_n_sweep(grid.h)
-    n_sweep = sorted(set(int(n) for n in n_sweep))
-    if n_sweep[0] < 1:
-        raise ValueError("n_reg must be >= 1")
+    n_sweep = _n_levels(n_sweep, grid.h)
     u = spec.vectors[:, u_index]
     lam = float(spec.values[u_index])
     nrm2 = spec.b_inner(u, u)
@@ -191,9 +194,7 @@ def make_witnesses(spec: Spectrum, dist: DistanceField, grid: Grid,
     """The lowest five eigenvectors (as many as ``spec`` holds) plus three
     seeded smooth bumps, all mass-normalized."""
     rng = np.random.default_rng(seed)
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    xs = grid.origin[0] + grid.h * ix
-    ys = grid.origin[1] + grid.h * iy
+    xs, ys = (mask.restrict(c) for c in grid.meshgrid())
     d = dist.interior_values(mask)
     dmax = float(d.max())
     witnesses = []
@@ -229,9 +230,7 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
     """
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    if n_sweep is None:
-        n_sweep = default_n_sweep(Q.h)
-    n_sweep = sorted(set(int(n) for n in n_sweep))
+    n_sweep = _n_levels(n_sweep, Q.h)
     if k is None:
         k = 1.05 * k_alpha_ref(alpha)
     dvals = dist.interior_values(mask)

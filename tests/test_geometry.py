@@ -1,9 +1,13 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import platelab as pl
 from platelab.errors import BandUnresolved, EmptyErosion, GridTooCoarse
-from platelab.geometry import smoothstep, build_cutoff
+from platelab.geometry import GridMask, smoothstep, build_cutoff
 
 
 def test_disk_sdf_values():
@@ -60,9 +64,7 @@ def test_erode_empty():
 def test_build_grid_disk_h_half_count_nine():
     grid, mask = pl.build_grid(pl.disk(1.0), 0.5, min_interior=1)
     assert mask.count == 9
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    xs = grid.origin[0] + grid.h * ix
-    ys = grid.origin[1] + grid.h * iy
+    xs, ys = (mask.restrict(c) for c in grid.meshgrid())
     assert np.all(xs**2 + ys**2 < 1.0)
 
 
@@ -79,11 +81,44 @@ def test_build_grid_count_tracks_area():
     assert abs(mask.count - expect) / expect < 0.01
 
 
-def test_dof_maps_are_inverse():
+def test_dof_index_is_row_major():
     grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 16)
-    iy, ix = mask.node_of_dof[:, 0], mask.node_of_dof[:, 1]
-    assert np.array_equal(mask.dof_of_node[iy, ix], np.arange(mask.count))
-    assert (mask.dof_of_node >= 0).sum() == mask.count
+    assert [f.name for f in dataclasses.fields(GridMask)] == ["interior"]
+    assert np.array_equal(mask.nodes, np.flatnonzero(mask.interior))
+    again = GridMask(mask.interior)
+    assert np.array_equal(again.interior, mask.interior)
+    assert np.array_equal(again.nodes, mask.nodes)
+    assert again.count == mask.count == mask.nodes.size
+    # the gather reads lattice arrays with trailing axes too
+    a = np.arange(grid.n_nodes * 4.0).reshape(grid.ny, grid.nx, 2, 2)
+    iy, ix = np.nonzero(mask.interior)
+    assert np.array_equal(mask.restrict(a), a[iy, ix])
+    assert np.array_equal(mask.restrict(a[..., 0, 0]), a[iy, ix, 0, 0])
+
+
+# the names of a second, inverse pair of dof <-> node maps
+_INDEX_MAPS = {"_of_".join(pair) for pair in (("node", "dof"), ("dof", "node"))}
+
+
+def _dof_layout_uses(path):
+    """(module, name) for every use of a name in ``_INDEX_MAPS`` and every
+    ``GridMask(...)`` call in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name in _INDEX_MAPS:
+            found.append((path.stem, name))
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "attr", getattr(f, "id", None)) == "GridMask":
+                found.append((path.stem, "GridMask"))
+    return found
+
+
+def test_only_geometry_knows_the_dof_layout():
+    src = Path(pl.geometry.__file__).resolve().parent
+    found = [u for p in sorted(src.glob("*.py")) for u in _dof_layout_uses(p)]
+    assert found == [("geometry", "GridMask")]
 
 
 def test_mask_monotone_under_erosion():

@@ -58,7 +58,7 @@ def test_hardy_plain_constant_above_quarter(disk64):
 def test_hardy_unknown_kind(disk32):
     with pytest.raises(ValueError):
         verifier.estimate_hardy_constant(disk32.Q0, disk32.grid, disk32.mask,
-                                         disk32.dist, "nope")
+                                         disk32.dist, "nope", mass=disk32.mass)
 
 
 def test_hardy_weak_pair_reported(disk32):
@@ -195,6 +195,29 @@ def test_probes_require_mask(disk32):
     with pytest.raises(TypeError, match="mask"):
         verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
                                     disk32.dist, 0.0, 1.0, 1.0, witnesses)
+
+
+@pytest.mark.parametrize("n_sweep", [(0, 8), (-4, 8), ()])
+def test_every_probe_rejects_levels_below_one(disk32, n_sweep):
+    # d + 1/n is undefined for n = 0 and no regularization for n < 0
+    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
+                                           disk32.grid, disk32.mask)
+    base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
+                                  witnesses, mask=disk32.mask)
+    with pytest.raises(ValueError, match="n >= 1"):
+        verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
+                               witnesses, n_sweep=n_sweep, mask=disk32.mask)
+    with pytest.raises(ValueError, match="n >= 1"):
+        verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
+                                    disk32.dist, 0.0, 1.0, 1.0, witnesses,
+                                    n_sweep=n_sweep, mask=disk32.mask)
+    with pytest.raises(ValueError, match="n >= 1"):
+        verifier.verify_decay(disk32.spec, 0, 0.25, disk32.dist,
+                              disk32.grid, disk32.mask, n_sweep=n_sweep)
+    with pytest.raises(ValueError, match="n >= 1"):
+        verifier.estimate_hardy_constant(
+            disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
+            n_sweep=n_sweep, mass=disk32.mass)
 
 
 def test_probe_p_alpha_fixed_kprime(disk32):
