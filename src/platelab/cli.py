@@ -16,7 +16,7 @@ import numpy as np
 from . import assembly, finsler, verifier
 from .errors import ConfigError, PlatelabError
 from .experiments import (RunConfig, load_config, make_coeffs, make_domain,
-                          run_erosion_study, write_json, CSV_FMT)
+                          run_erosion_study, validate_config)
 from .geometry import build_grid
 from .spectral import lowest_eigenpairs
 
@@ -24,6 +24,35 @@ from .spectral import lowest_eigenpairs
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
+
+
+def write_json(path: str, payload) -> None:
+    def default(o):
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        raise TypeError(type(o))
+
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True, default=default)
+        f.write("\n")
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """One line per row: ints as %d, strings as they are and every other
+    value as %.17g, which reads back as the same float64."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return "%d" % v
+        return "%.17g" % v
+
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def _emit_error(code: int, kind: str, message: str) -> int:
@@ -53,7 +82,8 @@ def _build_pencil(cfg: RunConfig, m: int):
 
 def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
     *_, spec = _build_pencil(cfg, cfg.m)
-    spec.to_csv(os.path.join(out, "spectrum.csv"))
+    _write_csv(os.path.join(out, "spectrum.csv"), "index,value,residual",
+               zip(range(spec.m), spec.values, spec.residuals))
     return 0
 
 
@@ -78,11 +108,9 @@ def _cmd_distance(cfg: RunConfig, out: str) -> int:
     }
     write_json(os.path.join(out, "distance.json"), stats)
     xs, ys = (mask.restrict(c) for c in grid.meshgrid())
-    with open(os.path.join(out, "distance.csv"), "w", encoding="utf-8") as f:
-        f.write("x,y,d_finsler,d_euclid,residual\n")
-        dv = dist.interior_values(mask)
-        for row in zip(xs, ys, dv, d_e, res):
-            f.write(",".join(CSV_FMT % v for v in row) + "\n")
+    _write_csv(os.path.join(out, "distance.csv"),
+               "x,y,d_finsler,d_euclid,residual",
+               zip(xs, ys, dist.interior_values(mask), d_e, res))
     return 0
 
 
@@ -118,16 +146,15 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
         _check_alphas(cfg)
     domain, _, grid, mask, _, _, spec = _build_pencil(cfg, cfg.m)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
-    with open(os.path.join(out, "decay.csv"), "w", encoding="utf-8") as f:
-        f.write("alpha,n_reg,lhs,rhs,c_hat,flag\n")
-        for a in cfg.alphas:
-            rep = verifier.verify_decay(spec, 0, a, dist, grid, mask,
-                                        n_sweep=cfg.n_sweep)
-            for n, lhs in rep.n_sweep:
-                flag = "BLOWUP" if rep.blowup else "STABLE"
-                f.write("%s,%d,%s,%s,%s,%s\n" % (
-                    CSV_FMT % a, n, CSV_FMT % lhs, CSV_FMT % rep.rhs,
-                    CSV_FMT % (lhs / rep.rhs), flag))
+    rows = []
+    for a in cfg.alphas:
+        rep = verifier.verify_decay(spec, 0, a, dist, grid, mask,
+                                    n_sweep=cfg.n_sweep)
+        flag = "BLOWUP" if rep.blowup else "STABLE"
+        rows += [(a, n, lhs, rep.rhs, lhs / rep.rhs, flag)
+                 for n, lhs in rep.n_sweep]
+    _write_csv(os.path.join(out, "decay.csv"),
+               "alpha,n_reg,lhs,rhs,c_hat,flag", rows)
     return 0
 
 
@@ -173,7 +200,10 @@ def _cmd_erode(cfg: RunConfig, out: str) -> int:
     report = run_erosion_study(domain, coeffs, cfg.h, cfg.m, cfg.eps_list,
                                tol=cfg.tol, seed=cfg.seed, grid=grid,
                                mask=mask)
-    report.to_csv(os.path.join(out, "stability.csv"))
+    _write_csv(os.path.join(out, "stability.csv"),
+               "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error",
+               ((r.n, r.eps, r.lam, r.lam_tilde, r.drift, r.rayleigh_upper,
+                 r.ball_law_error) for r in report.rows))
     write_json(os.path.join(out, "stability.json"), {
         "fitted_exponent": {str(k): v for k, v in
                             report.fitted_exponent.items()},
@@ -215,6 +245,7 @@ def cli_main(argv=None) -> int:
             updates["allow_blowup"] = True
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
+            validate_config(cfg)
         out = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

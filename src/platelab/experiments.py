@@ -1,11 +1,11 @@
 """Orchestration: the boundary-erosion stability study, cutoff Rayleigh
-bounds, run configuration, and CSV/JSON report emission."""
+bounds and run configuration.  Results are returned as data; the CLI writes
+them out."""
 from __future__ import annotations
 
 import configparser
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +18,6 @@ from .finsler import CoefficientField
 from .geometry import (AnalyticDomain, CutoffField, build_cutoff, build_grid,
                        lattice_derivative_norms)
 from .spectral import Spectrum, lowest_eigenpairs
-
-CSV_FMT = "%.17g"
-STABILITY_HEADER = "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,11 +104,21 @@ def load_config(path: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.h <= 0:
-        raise ConfigError("grid spacing h must be positive")
+    for name, value in (("grid spacing h", cfg.h), ("tol", cfg.tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{name}={value} must be finite and positive")
+    if not (np.isfinite(cfg.delta) and cfg.delta >= 0):
+        raise ConfigError(f"delta={cfg.delta} must be finite and >= 0")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed={cfg.seed} must be >= 0")
     if cfg.m < 1:
         raise ConfigError("eigenpair count m must be >= 1")
-    domain = make_domain(cfg.domain_kind, cfg.domain_params)
+    try:
+        domain = make_domain(cfg.domain_kind, cfg.domain_params)
+        make_coeffs(cfg.operator_kind, cfg.operator_params)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad or missing domain or operator parameter: "
+                          f"{exc}") from exc
     for eps in cfg.eps_list:
         if eps < 4.0 * cfg.h:
             raise ConfigError(f"eps={eps} violates eps >= 4h (h={cfg.h})")
@@ -141,26 +147,9 @@ class StabilityRow:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    domain_kind: str
-    h: float
-    m: int
     rows: tuple                   # StabilityRow
     fitted_exponent: dict         # n -> drift exponent extrapolated to eps -> 0
-    hess_deps_bound: dict = field(default_factory=dict)  # eps -> measured sup
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(STABILITY_HEADER + "\n")
-            for r in self.rows:
-                f.write(",".join([
-                    "%d" % r.n,
-                    CSV_FMT % r.eps,
-                    CSV_FMT % r.lam,
-                    CSV_FMT % r.lam_tilde,
-                    CSV_FMT % r.drift,
-                    CSV_FMT % r.rayleigh_upper,
-                    CSV_FMT % r.ball_law_error,
-                ]) + "\n")
+    hess_deps_bound: dict         # eps -> measured sup |hess d_eps| on the band
 
 
 def cutoff_rayleigh_bound(spec: Spectrum, cutoff: CutoffField,
@@ -294,19 +283,5 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
         floor = np.array([2.0 * (r.residual + r.residual_tilde) * r.lam
                           for r in rows])[sel]
         fitted[n] = fit_drift_exponent(eps_arr[sel], drift, floor)
-    return StabilityReport(domain_kind=domain.kind, h=h, m=m,
-                           rows=tuple(rows), fitted_exponent=fitted,
+    return StabilityReport(rows=tuple(rows), fitted_exponent=fitted,
                            hess_deps_bound=hess_deps)
-
-
-def write_json(path: str, payload) -> None:
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(type(o))
-
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=default)
-        f.write("\n")

@@ -278,19 +278,16 @@ def _seed_boundary_layer(domain, grid, mask, Mfield):
 
 
 _SWEEP_ORDERS = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+_SWEEP_TOL = 1e-9      # converged when a cycle's largest update is below
+_MAX_SWEEPS = 200
 
 
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
-                     coeffs: CoefficientField, tol: float = 1e-9,
-                     max_sweeps: int = 200) -> DistanceField:
+                     coeffs: CoefficientField) -> DistanceField:
     """Distance-to-boundary solving p*(x, grad d) = 1 by fast sweeping.
 
     With coeffs = bilaplacian(), p* = |xi| and d is the Euclidean distance.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     Mfield = freeze_coefficients(coeffs, grid)
     pmin = _axis_pstar_min(Mfield, mask)
     h = grid.h
@@ -311,18 +308,18 @@ def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
 
     sweeps = 0
     converged = False
-    while sweeps < max_sweeps and not converged:
+    while sweeps < _MAX_SWEEPS and not converged:
         cycle_change = 0.0
         for diagonals in orders:
             cycle_change = max(cycle_change, _sweep_once(dp, diagonals, h, step))
             sweeps += 1
-            if sweeps >= max_sweeps:
+            if sweeps >= _MAX_SWEEPS:
                 break
-        converged = cycle_change < tol
+        converged = cycle_change < _SWEEP_TOL
     if not converged:
         raise NoConvergence(
-            f"fast sweeping: max update {cycle_change:.3e} > tol {tol:.3e} "
-            f"after {sweeps} sweeps")
+            f"fast sweeping: max update {cycle_change:.3e} > tol "
+            f"{_SWEEP_TOL:.3e} after {sweeps} sweeps")
     return _distance_field(grid, np.where(mask.interior, d, 0.0))
 
 

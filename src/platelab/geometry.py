@@ -65,8 +65,8 @@ def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
     """|x/a|^p + |y/b|^p = 1 boundary; distance via a 4096-vertex boundary
     polyline."""
     a, b, p = float(a), float(b), float(p)
-    if p < 2:
-        raise ValueError("superellipse exponent must be >= 2")
+    if a <= 0 or b <= 0 or p < 2:
+        raise ValueError("superellipse needs a, b > 0 and exponent p >= 2")
     t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     ct, st = np.cos(t), np.sin(t)
     bx = a * np.sign(ct) * np.abs(ct) ** (2.0 / p)

@@ -32,12 +32,6 @@ class Spectrum:
     def b_norm(self, u) -> float:
         return float(np.sqrt(max(self.b_inner(u, u), 0.0)))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("index,value,residual\n")
-            for i, (v, r) in enumerate(zip(self.values, self.residuals)):
-                f.write("%d,%.17g,%.17g\n" % (i, v, r))
-
 
 def _as_matrix(A: Union[FormMatrix, sp.spmatrix]) -> sp.csr_matrix:
     if isinstance(A, FormMatrix):
@@ -82,6 +76,8 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
     n = Am.shape[0]
     if m < 1 or m > n - 1:
         raise ValueError(f"m={m} out of range for n={n}")
+    if not tol > 0:  # nan too: the certificate is the only convergence test
+        raise ValueError(f"tol={tol} must be positive")
 
     # cheap PD probe on the mass side
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,20 +171,54 @@ def test_erosion_study_rejects_thin_eps(disk32):
             grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
 
 
-def test_stability_csv_header_and_reproducibility(tmp_path, disk32):
-    report = experiments.run_erosion_study(
-        disk32.domain, pl.bilaplacian(), disk32.h, 1, [0.25],
-        grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    report.to_csv(p1)
-    report2 = experiments.run_erosion_study(
-        disk32.domain, pl.bilaplacian(), disk32.h, 1, [0.25],
-        grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
-    report2.to_csv(p2)
-    b1, b2 = p1.read_bytes(), p2.read_bytes()
-    assert b1 == b2
-    header = b1.split(b"\n", 1)[0].decode()
+def test_stability_csv_header_and_reproducibility(tmp_path):
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 1"))
+    csv = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli_main(["erode", "--config", cfg, "--out", str(out)]) == 0
+        csv.append((out / "stability.csv").read_bytes())
+    assert csv[0] == csv[1]
+    header = csv[0].split(b"\n", 1)[0].decode()
     assert header == "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error"
+
+
+def test_write_csv_reads_back_exactly(tmp_path):
+    sum17 = np.float64(0.1) + np.float64(0.2)
+    assert float("%.16g" % sum17) != sum17   # needs all 17 digits
+    rows = [(7, "STABLE", 0.1, sum17, np.float64(-2.5e-300)),
+            (np.int64(-3), "BLOWUP", 1e300, np.float64("nan"), float("nan"))]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "n,flag,a,b,c", rows)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "n,flag,a,b,c" and lines[-1] == ""
+    assert lines[1].split(",")[:4] == ["7", "STABLE", "0.10000000000000001",
+                                       "0.30000000000000004"]
+    assert len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:], rows):
+        n, flag, *floats = line.split(",")
+        assert int(n) == row[0] and flag == row[1]
+        for text, v in zip(floats, row[2:]):
+            assert float(text) == v or (np.isnan(v) and text == "nan")
+
+
+def _file_writes(path):
+    """(module, name) of every call to ``open`` or ``dump`` (json.dump), in
+    any spelling, in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "attr", getattr(f, "id", None))
+            if name in ("open", "dump"):
+                found.append((path.stem, name))
+    return found
+
+
+def test_only_cli_writes_files():
+    # the library returns data; the CLI alone knows the output formats
+    src = Path(cli.__file__).resolve().parent
+    found = {u for p in sorted(src.glob("*.py")) for u in _file_writes(p)}
+    assert found == {("cli", "open"), ("cli", "dump")}
 
 
 def test_cli_spectrum_success(tmp_path, capsys):
@@ -248,6 +284,53 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "missing.cfg" in err["message"]
 
 
+_DISK = "kind = disk\nradius = 1.0"
+_PERTURB = "[perturbation]\ndelta = {}\n\n[run]"
+
+# id: (command, {old: new} edits of BASE_CFG, extra arguments).  Unchecked,
+# each value ends in a traceback, a solver-stage failure, or a run that
+# silently ignores it.
+BAD_CONFIGS = {
+    "radius_negative": ("spectrum", {"radius = 1.0": "radius = -1"}, []),
+    "radius_missing": ("spectrum", {"radius = 1.0\n": ""}, []),
+    "rectangle_width_0": ("spectrum", {
+        _DISK: "kind = rectangle\nwidth = 0\nheight = 1"}, []),
+    "superellipse_p_1": ("spectrum", {
+        _DISK: "kind = superellipse\na = 1\nb = 1\np = 1"}, []),
+    "superellipse_a_0": ("spectrum", {
+        _DISK: "kind = superellipse\na = 0\nb = 1\np = 4",
+        "eps = 0.25": "eps ="}, []),
+    "diagonal_a00_negative": ("spectrum", {
+        "kind = bilaplacian": "kind = diagonal\na00 = -1\na11 = 1"}, []),
+    "diagonal_a11_missing": ("spectrum", {
+        "kind = bilaplacian": "kind = diagonal\na00 = 1"}, []),
+    "tol_nan": ("spectrum", {"tol = 1e-8": "tol = nan"}, []),
+    "tol_negative": ("spectrum", {"tol = 1e-8": "tol = -1"}, []),
+    "seed_negative": ("spectrum", {"seed = 42": "seed = -1"}, []),
+    "seed_flag_negative": ("spectrum", {}, ["--seed", "-1"]),
+    "delta_negative": ("palpha", {"[run]": _PERTURB.format("-0.01")}, []),
+    "delta_inf": ("palpha", {"[run]": _PERTURB.format("inf")}, []),
+    "h_inf": ("spectrum", {"h = 0.0625": "h = inf", "eps = 0.25": "eps ="},
+              []),
+}
+
+
+@pytest.mark.parametrize("command, edits, extra", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS.keys())
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, edits,
+                                     extra):
+    text = BASE_CFG
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    code = cli_main([command, "--config", _write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_cli_n_sweep_below_one_exit_2(tmp_path, capsys):
     cfg_text = BASE_CFG.replace("eps = 0.25", "eps = 0.25\nn_sweep = 0 8")
     code = cli_main(["decay", "--config", _write_cfg(tmp_path, cfg_text),
@@ -296,7 +379,8 @@ def test_cli_erode_outputs(tmp_path):
     payload = json.loads((out / "stability.json").read_text())
     assert "fitted_exponent" in payload and "hess_deps_bound" in payload
     lines = (out / "stability.csv").read_text().strip().split("\n")
-    assert lines[0] == experiments.STABILITY_HEADER
+    assert lines[0] == \
+        "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error"
     assert len(lines) == 2
 
 

@@ -293,12 +293,3 @@ def test_local_solve_one_sided(coeffs):
                                      np.array([-sg]), h, 1.5 * h)
             assert t[0] == pytest.approx(nv + h / px, rel=1e-15)
 
-
-@pytest.mark.parametrize("kwargs", [
-    {"max_sweeps": 0}, {"tol": 0.0},
-], ids=["max_sweeps_0", "tol_0"])
-def test_finsler_distance_rejects_bad_arguments(kwargs):
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 1.0 / 8)
-    with pytest.raises(ValueError):
-        pl.finsler_distance(dom, grid, mask, pl.bilaplacian(), **kwargs)

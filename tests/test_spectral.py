@@ -161,14 +161,13 @@ def test_fractional_apply_bad_power(disk32):
         spectral.fractional_apply(disk32.spec, 1.0, disk32.spec.vectors[:, 0])
 
 
-def test_to_csv_roundtrip(tmp_path, disk32):
-    path = tmp_path / "spectrum.csv"
-    disk32.spec.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,value,residual"
-    assert len(lines) == disk32.spec.m + 1
-    vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
-    assert np.allclose(vals, disk32.spec.values, rtol=1e-15)
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_lowest_eigenpairs_rejects_tol_not_positive(tol):
+    # the residual certificate is the only convergence check: tol = nan
+    # would pass every residual
+    A, B = _diag_pencil()
+    with pytest.raises(ValueError, match="tol"):
+        pl.lowest_eigenpairs(A, B, m=3, tol=tol)
 
 
 def test_factor_solves_disk_forms(disk32):
