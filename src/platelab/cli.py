@@ -115,7 +115,10 @@ def _cmd_distance(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_hardy(cfg: RunConfig, out: str) -> int:
-    domain, coeffs, grid, mask = _build_common(cfg)
+    if cfg.operator_kind != "bilaplacian":  # the pencils use Q0 and d_euclid
+        raise ConfigError(f"hardy measures the bilaplacian's constants, not "
+                          f"those of operator kind {cfg.operator_kind!r}")
+    domain, _, grid, mask = _build_common(cfg)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
@@ -146,10 +149,11 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
         _check_alphas(cfg)
     domain, _, grid, mask, _, _, spec = _build_pencil(cfg, cfg.m)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
+    ops = assembly.interior_difference_ops(grid, mask)
     rows = []
     for a in cfg.alphas:
         rep = verifier.verify_decay(spec, 0, a, dist, grid, mask,
-                                    n_sweep=cfg.n_sweep)
+                                    n_sweep=cfg.n_sweep, ops=ops)
         flag = "BLOWUP" if rep.blowup else "STABLE"
         rows += [(a, n, lhs, rep.rhs, lhs / rep.rhs, flag)
                  for n, lhs in rep.n_sweep]

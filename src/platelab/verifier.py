@@ -140,11 +140,14 @@ class DecayReport:
 
 def verify_decay(spec: Spectrum, u_index: int, alpha: float,
                  dist: DistanceField, grid: Grid, mask: GridMask,
-                 n_sweep: Optional[Sequence[int]] = None) -> DecayReport:
+                 n_sweep: Optional[Sequence[int]] = None, *,
+                 ops=None) -> DecayReport:
     """Weighted boundary integrals of an eigenfunction vs the spectral bound.
 
     lhs = integral(|hess u|^2 d_n^-2a + |grad u|^2 d_n^-(2+2a)
     + u^2 d_n^-(4+2a)); rhs = lambda^(1+a/2) for a normalized eigenvector.
+    ``ops`` is ``interior_difference_ops(grid, mask)``, built here when
+    None, so that a sweep over alphas builds it once.
     """
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1)")
@@ -153,7 +156,9 @@ def verify_decay(spec: Spectrum, u_index: int, alpha: float,
     u = spec.vectors[:, u_index]
     lam = float(spec.values[u_index])
     nrm2 = spec.b_inner(u, u)
-    Dxx, Dyy, Dxy, Gx, Gy = interior_difference_ops(grid, mask)
+    if ops is None:
+        ops = interior_difference_ops(grid, mask)
+    Dxx, Dyy, Dxy, Gx, Gy = ops
     hess2 = (Dxx @ u) ** 2 + (Dyy @ u) ** 2 + 2.0 * (Dxy @ u) ** 2
     grad2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     d = dist.interior_values(mask)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab import assembly, cli, experiments, finsler, spectral
+from platelab import assembly, cli, experiments, finsler, spectral, verifier
 from platelab.cli import cli_main
 from platelab.errors import ConfigError
 
@@ -454,3 +454,42 @@ def test_cli_hardy_writes_three_pencils(tmp_path):
                      "--out", str(out)]) == 0
     reports = json.loads((out / "hardy.json").read_text())
     assert sorted(reports) == ["hardy_grad", "rellich_grad", "rellich_mass"]
+
+
+def test_cli_decay_builds_difference_ops_once(tmp_path, monkeypatch):
+    calls = []
+    for mod in (assembly, verifier):
+        ops = mod.interior_difference_ops
+        monkeypatch.setattr(mod, "interior_difference_ops",
+                            lambda *a, _ops=ops, **k:
+                            calls.append(1) or _ops(*a, **k))
+    text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25 0.4")
+    out = tmp_path / "out"
+    assert cli_main(["decay", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+    assert len(calls) == 1
+    lines = (out / "decay.csv").read_text().strip().split("\n")
+    assert {float(line.split(",")[0]) for line in lines[1:]} == {0.1, 0.25,
+                                                                 0.4}
+
+
+def test_cli_hardy_non_bilaplacian_exit_2(tmp_path, capsys, monkeypatch):
+    # hardy's pencils use Q0 and the Euclidean distance whatever the
+    # operator, so another operator is refused before any eigensolve
+    calls = []
+    for mod in (cli, verifier, spectral):
+        solve = mod.lowest_eigenpairs
+        monkeypatch.setattr(mod, "lowest_eigenpairs",
+                            lambda *a, _solve=solve, **k:
+                            calls.append(1) or _solve(*a, **k))
+    text = BASE_CFG.replace("kind = bilaplacian",
+                            "kind = diagonal\na00 = 16.0\na11 = 1.0")
+    out = tmp_path / "out"
+    code = cli_main(["hardy", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "diagonal" in err["message"]
+    assert calls == []
+    assert not (out / "hardy.json").exists()

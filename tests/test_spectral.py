@@ -188,15 +188,15 @@ def test_lowest_eigenpairs_matches_default_ordering_lu(disk32):
     assert np.allclose(disk32.spec.values, ref.values, rtol=1e-9, atol=0.0)
 
 
-def _splu_callers(path):
-    """(module, innermost enclosing def) of every call to a name ``splu``."""
+def _callers(path, name):
+    """(module, innermost enclosing def) of every call to ``name``."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
-                if getattr(f, "attr", getattr(f, "id", None)) == "splu":
+                if getattr(f, "attr", getattr(f, "id", None)) == name:
                     found.append((path.stem, owner))
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
@@ -210,11 +210,21 @@ def test_every_lu_goes_through_factor():
     # every matrix platelab factors is SPD, so each LU takes factor's
     # symmetric ordering
     src = Path(spectral.__file__).resolve().parent
-    found = [c for p in sorted(src.glob("*.py")) for c in _splu_callers(p)]
+    found = [c for p in sorted(src.glob("*.py")) for c in _callers(p, "splu")]
     assert found == [("spectral", "factor")]
 
 
+def test_every_eigsh_goes_through_lowest_eigenpairs():
+    # one stopping rule (LANCZOS_TOL_RATIO for m = 1) covers every Lanczos run
+    src = Path(spectral.__file__).resolve().parent
+    found = [c for p in sorted(src.glob("*.py")) for c in _callers(p, "eigsh")]
+    assert found == [("spectral", "lowest_eigenpairs")]
+
+
 def test_single_eigenpair_is_the_minimum_of_a_degenerate_pair():
+    # guards the m >= 2 path at machine precision: with ARPACK stopped at
+    # tol * LANCZOS_TOL_RATIO for every m, four[1] is the next eigenvalue
+    # 0.7814896 instead of the partner 0.7814344
     # hardy_grad shifted by 2^5 * mass against W_40 on the h = 1/40 disk:
     # the lowest eigenvalue is a pair, and a Lanczos start vector carried
     # over from the previous shift converged to a higher one (+1.9%)
@@ -231,3 +241,29 @@ def test_single_eigenpair_is_the_minimum_of_a_degenerate_pair():
     assert four[0] == pytest.approx(0.7814344, rel=1e-6)
     one = pl.lowest_eigenpairs(A, W, m=1).values[0]
     assert one == pytest.approx(four.min(), rel=1e-9)
+
+
+def test_single_eigenpair_stops_at_the_certificate_accuracy(disk32,
+                                                           monkeypatch):
+    # rellich_mass at n = 32 on the h = 1/32 disk: ARPACK's default tol = 0
+    # iterates to machine precision, past what the certificate checks
+    W = assembly.assemble_weighted(disk32.grid, disk32.mask, disk32.dist,
+                                   "mass", 4.0, 32)
+    A = disk32.Q0.matrix
+    lu = spectral.factor(A)
+    solves = []
+    OPinv = spla.LinearOperator(A.shape, matvec=lambda x: solves.append(1)
+                                or lu @ x)
+    starts = []
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda *a, **k:
+                        starts.append(k["v0"]) or eigsh(*a, **k))
+    tol = 1e-8
+    spec = pl.lowest_eigenpairs(disk32.Q0, W, m=1, tol=tol, OPinv=OPinv)
+    stopped = len(solves)
+    solves.clear()
+    ref, _ = eigsh(A, k=1, M=W.matrix, sigma=0.0, which="LM", v0=starts[0],
+                   OPinv=OPinv, tol=0)
+    assert stopped < len(solves)
+    assert spec.values[0] == pytest.approx(ref[0], rel=1e-12)
+    assert spec.residuals[0] <= tol / 10
