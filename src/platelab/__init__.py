@@ -6,21 +6,20 @@ eigenvalue drift under boundary erosion, all on uniform 2D grids.
 """
 from .errors import (AlphaOutOfRange, BandUnresolved, BoundViolated,
                      ConfigError, EllipticityLost, EmptyErosion,
-                     GridTooCoarse, InsufficientBasis, MassNotPD,
-                     NegativeQuartic, NoConvergence, NotElliptic,
-                     PlatelabError)
+                     GridTooCoarse, MassNotPD, NegativeQuartic,
+                     NoConvergence, NotElliptic, PlatelabError)
 from .geometry import (AnalyticDomain, CutoffField, Grid, GridMask,
                        build_cutoff, build_grid, disk, erode, rectangle,
                        smoothstep, superellipse)
 from .finsler import (CoefficientField, DistanceField, bilaplacian, diagonal,
                       dual_metric, eikonal_residual, equivalence_constants,
                       euclidean_from_sdf, finsler_distance,
-                      freeze_coefficients, measure_collar_regularity, product)
+                      freeze_coefficients, product)
 from .assembly import (EllipticityWindow, FormMatrix, assemble_Q,
                        assemble_Q0, assemble_weighted, ellipticity_window,
                        interior_difference_ops, perturb_coeffs,
-                       principal_submatrix, tensor_sup_norm)
-from .spectral import Spectrum, fractional_apply, lowest_eigenpairs
+                       principal_submatrix)
+from .spectral import Spectrum, lowest_eigenpairs
 from .verifier import (DecayReport, HardyReport, PAlphaReport,
                        cross_term_bound, default_n_sweep,
                        estimate_hardy_constant, gamma_alpha, k_alpha_ref,

@@ -155,14 +155,6 @@ def ellipticity_window(Q: FormMatrix, Q0: FormMatrix,
     return EllipticityWindow(lambda_ell=lam, Lambda_ell=Lam)
 
 
-def tensor_sup_norm(coeffs: CoefficientField, samples: np.ndarray) -> float:
-    """Sup over sample points of the Hessian-basis spectral norm of M(x)."""
-    M = coeffs.voigt(samples[:, 0], samples[:, 1])
-    T = np.diag([1.0, 1.0, 1.0 / np.sqrt(2.0)])
-    Mt = np.einsum("ab,nbc,cd->nad", T, M, T)
-    return float(np.max(np.abs(np.linalg.eigvalsh((Mt + Mt.transpose(0, 2, 1)) / 2))))
-
-
 def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
                    seed: int = 0) -> CoefficientField:
     """Add a reproducible constant symmetric tensor perturbation.

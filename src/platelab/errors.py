@@ -44,10 +44,6 @@ class MassNotPD(PlatelabError):
     """Mass/weight matrix of a generalized pencil is not positive definite."""
 
 
-class InsufficientBasis(PlatelabError):
-    """Spectral truncation tail bound exceeds 10% of the partial sum norm."""
-
-
 class AlphaOutOfRange(PlatelabError):
     """Weight exponent alpha outside the supported interval."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -86,9 +86,8 @@ def load_config(path: str) -> RunConfig:
                        cp.get("sweeps", "alphas", fallback="0.25").split())
         eps_list = tuple(float(e) for e in
                          cp.get("sweeps", "eps", fallback="").split())
-        n_raw = cp.get("sweeps", "n_sweep", fallback="")
-        n_sweep = tuple(int(n) for n in n_raw.split()) if n_raw.strip() \
-            else tuple(verifier.default_n_sweep(h))
+        n_sweep = tuple(int(n) for n in
+                        cp.get("sweeps", "n_sweep", fallback="").split())
         seed = int(cp.get("run", "seed", fallback="42"))
         out_dir = cp.get("run", "out", fallback=".")
         delta = float(cp.get("perturbation", "delta", fallback="0.0"))
@@ -100,6 +99,8 @@ def load_config(path: str) -> RunConfig:
                     n_sweep=n_sweep, seed=seed, tol=tol, out_dir=out_dir,
                     delta=delta)
     validate_config(cfg)
+    if not n_sweep:  # the default needs an h that passed validation
+        cfg = replace(cfg, n_sweep=tuple(verifier.default_n_sweep(h)))
     return cfg
 
 
@@ -113,6 +114,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"seed={cfg.seed} must be >= 0")
     if cfg.m < 1:
         raise ConfigError("eigenpair count m must be >= 1")
+    for key, value in (*cfg.domain_params.items(),
+                       *cfg.operator_params.items()):
+        if not np.isfinite(value):
+            raise ConfigError(f"{key}={value} must be finite")
     try:
         domain = make_domain(cfg.domain_kind, cfg.domain_params)
         make_coeffs(cfg.operator_kind, cfg.operator_params)

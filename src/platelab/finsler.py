@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NegativeQuartic, NoConvergence
-from .geometry import AnalyticDomain, Grid, GridMask, lattice_derivative_norms
+from .geometry import AnalyticDomain, Grid, GridMask
 
 _VOIGT_MULT = np.array([1.0, 1.0, 2.0])
 _IDX = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
@@ -358,29 +358,3 @@ def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
     M = mask.restrict(freeze_coefficients(coeffs, dist.grid))
     q = np.maximum(quartic_symbol(M, gx, gy), 0.0)
     return np.abs(q ** 0.25 - 1.0)
-
-
-def measure_collar_regularity(dist: DistanceField, mask: GridMask):
-    """Fit |hess d| <= c d^(-1+tau) over the collar theta/4 < d < theta,
-    theta = max d / 2.
-
-    Returns (c_fit, tau_fit) from least squares on the log-log samples.
-    """
-    d = dist.d
-    theta = float(d.max()) / 2.0
-    _, hess = lattice_derivative_norms(dist.grid, d)
-    dc = d[1:-1, 1:-1]
-    inner = mask.interior.copy()
-    # keep a safety ring: all 8 neighbors interior
-    ok = inner[1:-1, 1:-1] & inner[1:-1, 2:] & inner[1:-1, :-2] \
-        & inner[2:, 1:-1] & inner[:-2, 1:-1] & inner[2:, 2:] \
-        & inner[:-2, :-2] & inner[2:, :-2] & inner[:-2, 2:]
-    band = ok & (dc > theta / 4.0) & (dc < theta) & (hess > 1e-12)
-    if band.sum() < 8:
-        return float("nan"), float("nan")
-    x = np.log(dc[band])
-    y = np.log(hess[band])
-    slope, intercept = np.polyfit(x, y, 1)
-    tau_fit = slope + 1.0
-    c_fit = float(np.exp(intercept))
-    return c_fit, float(tau_fit)

@@ -1,5 +1,4 @@
-"""Sparse symmetric generalized eigensolver with residual certificates,
-plus spectral fractional powers via truncated eigenexpansions."""
+"""Sparse symmetric generalized eigensolver with residual certificates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import FormMatrix
-from .errors import InsufficientBasis, MassNotPD, NoConvergence
+from .errors import MassNotPD, NoConvergence
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SEED = 42
@@ -34,9 +33,6 @@ class Spectrum:
 
     def b_inner(self, u, v) -> float:
         return float(u @ (self.B @ v))
-
-    def b_norm(self, u) -> float:
-        return float(np.sqrt(max(self.b_inner(u, u), 0.0)))
 
 
 def _as_matrix(A: Union[FormMatrix, sp.spmatrix]) -> sp.csr_matrix:
@@ -116,26 +112,3 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
         raise NoConvergence(
             f"residuals {res} exceed tol {tol}", residuals=res)
     return Spectrum(values=vals, vectors=vecs, residuals=res, B=Bm, m=m)
-
-
-def fractional_apply(spec: Spectrum, alpha_half: float, u: np.ndarray):
-    """Apply H^alpha_half via the truncated spectral sum.
-
-    Returns (H^a u restricted to the computed basis, rigorous tail bound
-    lambda_m^a * ||u - P_m u||_B).  For u an exact computed eigenvector the
-    truncation is exact and the tail vanishes.
-    """
-    if not (0.0 <= alpha_half < 1.0):
-        raise ValueError("alpha_half must lie in [0, 1)")
-    V = spec.vectors
-    c = V.T @ (spec.B @ u)
-    partial = V @ (spec.values ** alpha_half * c)
-    proj = V @ c
-    tail_norm = spec.b_norm(u - proj)
-    tail_bound = float(spec.values[-1] ** alpha_half * tail_norm)
-    partial_norm = spec.b_norm(partial)
-    if tail_bound > 0.1 * max(partial_norm, 1e-300):
-        raise InsufficientBasis(
-            f"tail bound {tail_bound:.3e} exceeds 10% of partial sum norm "
-            f"{partial_norm:.3e}")
-    return partial, tail_bound

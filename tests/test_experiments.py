@@ -312,6 +312,11 @@ BAD_CONFIGS = {
     "delta_inf": ("palpha", {"[run]": _PERTURB.format("inf")}, []),
     "h_inf": ("spectrum", {"h = 0.0625": "h = inf", "eps = 0.25": "eps ="},
               []),
+    "h_0": ("spectrum", {"h = 0.0625": "h = 0"}, []),
+    "radius_nan": ("spectrum", {"radius = 1.0": "radius = nan"}, []),
+    "radius_inf": ("spectrum", {"radius = 1.0": "radius = inf"}, []),
+    "diagonal_a00_inf": ("spectrum", {
+        "kind = bilaplacian": "kind = diagonal\na00 = inf\na11 = 1"}, []),
 }
 
 

@@ -162,14 +162,6 @@ def test_refinement_contracts_distance_error():
     assert errs[1] <= 0.7 * errs[0]
 
 
-def test_collar_regularity_fit_finite():
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 1.0 / 32)
-    dist = pl.euclidean_from_sdf(dom, grid, mask)
-    c_fit, tau_fit = pl.measure_collar_regularity(dist, mask)
-    assert np.isfinite(c_fit) and np.isfinite(tau_fit)
-
-
 def test_freeze_coefficients_shape():
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 16)

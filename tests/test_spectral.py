@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import platelab as pl
 from platelab import assembly, spectral
-from platelab.errors import InsufficientBasis, MassNotPD, NoConvergence
+from platelab.errors import MassNotPD, NoConvergence
 
 
 def _diag_pencil(n=12):
@@ -37,7 +37,7 @@ def test_residual_certificates(disk32):
     for k in range(spec.m):
         v = spec.vectors[:, k]
         r = np.linalg.norm(A @ v - spec.values[k] * (spec.B @ v))
-        r /= spec.values[k] * spec.b_norm(v)
+        r /= spec.values[k] * np.sqrt(spec.b_inner(v, v))
         assert r == pytest.approx(spec.residuals[k], rel=1e-6)
         assert r <= 1e-8
 
@@ -116,49 +116,6 @@ def test_minmax_monotone_under_restriction(disk32):
     Ms = assembly.principal_submatrix(disk32.mass, disk32.mask, sub)
     spec_s = pl.lowest_eigenpairs(Qs, Ms, m=disk32.spec.m)
     assert np.all(spec_s.values >= disk32.spec.values - 1e-8)
-
-
-def test_fractional_apply_eigenvector_exact(disk32):
-    spec = disk32.spec
-    v = spec.vectors[:, 1]
-    out, tail = spectral.fractional_apply(spec, 0.5, v)
-    assert tail <= 1e-6
-    assert np.allclose(out, spec.values[1] ** 0.5 * v, atol=1e-8)
-
-
-def test_fractional_apply_zero_power_is_projection(disk32):
-    spec = disk32.spec
-    u = spec.vectors @ np.array([1.0, -2.0, 0.5, 0.0, 1.0])[: spec.m]
-    out, tail = spectral.fractional_apply(spec, 0.0, u)
-    assert np.allclose(out, u, atol=1e-8)
-    assert tail <= 1e-8
-
-
-def test_fractional_apply_norm_identity(disk32):
-    # for an eigenvector, ||H u|| ||H^(a/2) u|| = lambda^(1 + a/2)
-    spec = disk32.spec
-    v = spec.vectors[:, 0]
-    alpha = 0.3
-    h1, _ = spectral.fractional_apply(spec, alpha / 2.0, v)
-    lam = spec.values[0]
-    assert spec.b_norm(h1) * lam == pytest.approx(lam ** (1 + alpha / 2),
-                                                  rel=1e-8)
-
-
-def test_fractional_apply_rejects_unresolved(disk32):
-    spec = disk32.spec
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(disk32.mask.count)
-    # strip the resolved part so the tail dominates
-    c = spec.vectors.T @ (spec.B @ u)
-    u = u - spec.vectors @ c
-    with pytest.raises(InsufficientBasis):
-        spectral.fractional_apply(spec, 0.5, u)
-
-
-def test_fractional_apply_bad_power(disk32):
-    with pytest.raises(ValueError):
-        spectral.fractional_apply(disk32.spec, 1.0, disk32.spec.vectors[:, 0])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import platelab as pl
 from platelab import assembly, verifier
 from platelab.errors import AlphaOutOfRange, BoundViolated
+
+from conftest import disk_setup
 
 
 def test_k_alpha_reference_values():
@@ -144,6 +147,21 @@ def test_decay_matches_assembled_weighted_forms(disk32):
         assert lhs == pytest.approx(hess + grad + mass, rel=1e-10)
 
 
+def test_decay_rhs_matches_dense_spectrum():
+    # rhs = ||H u|| ||H^(a/2) u|| for H = mass^-1 Q0, both norms taken over
+    # the full dense spectrum of the h = 1/16 disk
+    disk = disk_setup(1.0 / 16)
+    assert disk.mask.count == 793
+    lam, V = sla.eigh(disk.Q0.matrix.toarray(), disk.mass.matrix.toarray())
+    u = disk.spec.vectors[:, 0]
+    c2 = (V.T @ (disk.mass.matrix @ u)) ** 2
+    for alpha in (0.1, 0.3):
+        rep = verifier.verify_decay(disk.spec, 0, alpha, disk.dist,
+                                    disk.grid, disk.mask)
+        dense = np.sqrt(lam**2 @ c2) * np.sqrt(lam**alpha @ c2)
+        assert rep.rhs == pytest.approx(dense, rel=1e-9)
+
+
 def test_decay_increment_grows_with_alpha(disk32):
     incs = []
     for a in (0.1, 0.4, 0.7):
@@ -165,7 +183,8 @@ def test_witnesses_reproducible_and_normalized(disk32):
     for a, b in zip(w1, w2):
         assert np.array_equal(a, b)
     for u in w1:
-        assert disk32.spec.b_norm(u) == pytest.approx(1.0, rel=1e-6)
+        norm = np.sqrt(disk32.spec.b_inner(u, u))
+        assert norm == pytest.approx(1.0, rel=1e-6)
 
 
 def test_probe_p_alpha_positive_margin(disk32):
