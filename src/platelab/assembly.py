@@ -1,10 +1,9 @@
 """Discrete quadratic forms on masked grid unknowns as sparse symmetric matrices.
 
-All second differences use zero extension outside the interior mask.  The
-operator form Q and the bilaplacian form Q0 include the difference rows at
-every lattice node touched by an interior unknown; this is what enforces the
-clamped condition du/dn = 0 at stencil order.  Weighted forms (singular
-weights d_n^-p) are quadrature sums over strictly interior nodes only.
+``dof_difference_ops`` is the clamped closure, zero extension: difference
+rows at every lattice node acting on the dof columns only.  Q, Q0 and the
+unweighted grad form sum all those rows with weight h^2, which enforces
+du/dn = 0 at stencil order; singular weights d_n^-p sum the dof rows only.
 """
 from __future__ import annotations
 
@@ -57,8 +56,8 @@ def _ritz_probe(A: sp.csr_matrix) -> float:
 
 def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
     """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point form)."""
-    Dxx, Dyy, _, _, _ = difference_ops(grid)
-    L = (Dxx + Dyy)[:, mask.nodes]
+    Dxx, Dyy, _, _, _ = dof_difference_ops(grid, mask)
+    L = Dxx + Dyy
     Q0 = _symmetrize((L.T @ L) * grid.h**2)
     return FormMatrix(Q0, grid.h)
 
@@ -72,8 +71,7 @@ def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatr
     Mfield = freeze_coefficients(coeffs, grid)
     if np.allclose(Mfield, _BILAPLACIAN_M, atol=0.0):
         return assemble_Q0(grid, mask)
-    B = sp.vstack([Op[:, mask.nodes] for Op in difference_ops(grid)[:3]],
-                  format="csr")
+    B = sp.vstack(dof_difference_ops(grid, mask)[:3], format="csr")
     n = grid.n_nodes
     Mflat = Mfield.reshape(n, 3, 3)
     blocks = [[sp.diags(Mflat[:, a, b]) for b in range(3)] for a in range(3)]
@@ -86,9 +84,10 @@ def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatr
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
                       order: str, power: float, n_reg: int = 1) -> FormMatrix:
-    """Weighted forms over interior nodes with weight d_n^-power.
+    """Weighted forms with weight d_n^-power on the interior nodes.
 
-    order='mass': diag(h^2 w); 'grad': sum over (Gx, Gy) of G^T diag(h^2 w) G.
+    order='mass': diag(h^2 w); 'grad': sum over (Gx, Gy) of G^T diag(h^2 w) G,
+    over every lattice row at power 0 and over the dof rows otherwise.
     """
     n_reg = int(n_reg)
     if n_reg < 1:
@@ -105,23 +104,26 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         return FormMatrix(W, grid.h)
     if order != "grad":
         raise ValueError(f"unknown weighted order {order!r}")
-    # power 0: difference rows at every lattice node (same zero-extension
-    # convention as Q0, so the unweighted form is genuinely coercive);
-    # singular weights: quadrature restricted to strictly interior nodes.
-    cols = mask.nodes
+    # power 0 keeps every lattice row, as Q0 does, so the form is coercive
+    _, _, _, Gx, Gy = dof_difference_ops(grid, mask)
     if power == 0.0:
-        rows, W = slice(None), sp.diags(np.full(grid.n_nodes, grid.h**2))
+        W = sp.diags(np.full(grid.n_nodes, grid.h**2))
     else:
-        rows = cols
-    _, _, _, Gx, Gy = difference_ops(grid)
-    A = sum(G.T @ (W @ G) for G in (Gx[rows][:, cols], Gy[rows][:, cols]))
+        Gx, Gy = Gx[mask.nodes], Gy[mask.nodes]
+    A = sum(G.T @ (W @ G) for G in (Gx, Gy))
     return FormMatrix(_symmetrize(A), grid.h)
 
 
+def dof_difference_ops(grid: Grid, mask: GridMask):
+    """(Dxx, Dyy, Dxy, Gx, Gy) with a row at every lattice node and a column
+    per dof: the clamped closure by zero extension, and the only place that
+    selects dof columns."""
+    return tuple(Op[:, mask.nodes] for Op in difference_ops(grid))
+
+
 def interior_difference_ops(grid: Grid, mask: GridMask):
-    """(Dxx, Dyy, Dxy, Gx, Gy) restricted to interior rows and columns."""
-    cols = mask.nodes
-    return tuple(Op[cols][:, cols] for Op in difference_ops(grid))
+    """The dof rows of ``dof_difference_ops``."""
+    return tuple(Op[mask.nodes] for Op in dof_difference_ops(grid, mask))
 
 
 def principal_submatrix(form: FormMatrix, mask: GridMask,

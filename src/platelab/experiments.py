@@ -125,10 +125,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"bad or missing domain or operator parameter: "
                           f"{exc}") from exc
     for eps in cfg.eps_list:
-        if eps < 4.0 * cfg.h:
-            raise ConfigError(f"eps={eps} violates eps >= 4h (h={cfg.h})")
-        if eps >= domain.inradius:
-            raise ConfigError(f"eps={eps} >= inradius {domain.inradius}")
+        if not (4.0 * cfg.h <= eps < domain.inradius):
+            raise ConfigError(f"eps={eps} outside [4h, inradius) = "
+                              f"[{4.0 * cfg.h}, {domain.inradius})")
     for a in cfg.alphas:
         if not (0.0 < a < 1.0):
             raise ConfigError(f"alpha={a} outside (0, 1)")
@@ -227,7 +226,7 @@ def _eroded_interiors(domain: AnalyticDomain, grid, mask, m: int,
     sd = domain.sdf(X, Y)
     interiors = []
     for eps in eps_list:
-        if eps < 4.0 * grid.h:
+        if not eps >= 4.0 * grid.h:
             raise ConfigError(f"eps={eps} < 4h={4 * grid.h}")
         sub_int = sd < -eps
         count = int(np.count_nonzero(sub_int & mask.interior))

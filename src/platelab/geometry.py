@@ -116,7 +116,7 @@ def _offset(base: AnalyticDomain, eps: float) -> AnalyticDomain:
 def erode(domain: AnalyticDomain, eps: float) -> AnalyticDomain:
     """Erosion {d > eps}; for these convex/star kinds the sdf shifts by eps."""
     eps = float(eps)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("erosion width must be positive")
     if eps >= domain.inradius:
         raise EmptyErosion(f"eps={eps} >= inradius={domain.inradius}")
@@ -172,14 +172,20 @@ def difference_ops(grid: Grid):
     return Dxx, Dyy, Dxy, Gx, Gy
 
 
+def derivative_norms2(ops, f: np.ndarray):
+    """(|grad f|^2, f_xx^2 + f_yy^2 + 2 f_xy^2) of the vector f under
+    ``ops`` = (Dxx, Dyy, Dxy, Gx, Gy): the (1, 1, 2) Hessian norm, squared."""
+    Dxx, Dyy, Dxy, Gx, Gy = ops
+    grad2 = (Gx @ f) ** 2 + (Gy @ f) ** 2
+    hess2 = (Dxx @ f) ** 2 + (Dyy @ f) ** 2 + 2.0 * (Dxy @ f) ** 2
+    return grad2, hess2
+
+
 def lattice_derivative_norms(grid: Grid, f: np.ndarray):
     """(|grad f|, sqrt(f_xx^2 + f_yy^2 + 2 f_xy^2)) of an (ny, nx) lattice
     array on its core [1:-1, 1:-1], where no stencil leaves the lattice."""
-    Dxx, Dyy, Dxy, Gx, Gy = difference_ops(grid)
-    fr = np.ravel(f)
-    grad = np.sqrt((Gx @ fr) ** 2 + (Gy @ fr) ** 2)
-    hess = np.sqrt((Dxx @ fr) ** 2 + (Dyy @ fr) ** 2 + 2.0 * (Dxy @ fr) ** 2)
-    return grad.reshape(f.shape)[1:-1, 1:-1], hess.reshape(f.shape)[1:-1, 1:-1]
+    norms2 = derivative_norms2(difference_ops(grid), np.ravel(f))
+    return tuple(np.sqrt(a).reshape(f.shape)[1:-1, 1:-1] for a in norms2)
 
 
 @dataclass(frozen=True)
@@ -252,7 +258,7 @@ class CutoffField:
 def build_cutoff(grid: Grid, dist, eps: float) -> CutoffField:
     """tau = smoothstep((d - eps)/eps): 0 where d <= eps, 1 where d >= 2*eps."""
     eps = float(eps)
-    if eps < 4.0 * grid.h:
+    if not eps >= 4.0 * grid.h:
         raise BandUnresolved(f"eps={eps} < 4h={4 * grid.h}")
     d = dist.d
     tau = smoothstep((d - eps) / eps)

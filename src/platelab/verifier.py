@@ -18,7 +18,7 @@ from .assembly import (FormMatrix, assemble_weighted,
                        interior_difference_ops)
 from .errors import AlphaOutOfRange, BoundViolated
 from .finsler import DistanceField
-from .geometry import Grid, GridMask, smoothstep
+from .geometry import Grid, GridMask, derivative_norms2, smoothstep
 from .spectral import Spectrum, factor, lowest_eigenpairs
 
 STABILIZATION_INCREMENT = 0.05  # top-two-n relative increment threshold
@@ -158,9 +158,7 @@ def verify_decay(spec: Spectrum, u_index: int, alpha: float,
     nrm2 = spec.b_inner(u, u)
     if ops is None:
         ops = interior_difference_ops(grid, mask)
-    Dxx, Dyy, Dxy, Gx, Gy = ops
-    hess2 = (Dxx @ u) ** 2 + (Dyy @ u) ** 2 + 2.0 * (Dxy @ u) ** 2
-    grad2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
+    grad2, hess2 = derivative_norms2(ops, u)
     d = dist.interior_values(mask)
     sweep = []
     for n in n_sweep:
@@ -278,15 +276,13 @@ def measure_cross_term_constant(dist: DistanceField, alpha: float,
     sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v)."""
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    Dxx, Dyy, Dxy, _, _ = interior_difference_ops(grid, mask)
+    ops = interior_difference_ops(grid, mask)
     dn = dist.interior_values(mask) + 1.0 / dist.n_reg
     h2 = grid.h**2
     c_hat = 0.0
     for v in witnesses:
-        vp = dn**alpha * v
-        vm = dn ** (-alpha) * v
-        hp = np.sqrt((Dxx @ vp) ** 2 + (Dyy @ vp) ** 2 + 2 * (Dxy @ vp) ** 2)
-        hm = np.sqrt((Dxx @ vm) ** 2 + (Dyy @ vm) ** 2 + 2 * (Dxy @ vm) ** 2)
+        hp, hm = (np.sqrt(derivative_norms2(ops, dn**a * v)[1])
+                  for a in (alpha, -alpha))
         left = h2 * float(hp @ hm)
         c_hat = max(c_hat, left / Q0(v))
     return c_hat

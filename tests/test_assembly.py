@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,6 +10,7 @@ import platelab as pl
 from platelab import assembly, finsler, spectral
 from platelab.errors import EllipticityLost
 from platelab.geometry import difference_ops
+from test_spectral import _callers
 
 
 def _single_node_setup():
@@ -25,6 +28,30 @@ def test_q0_isolated_node_value():
     u = np.array([1.0])
     # rows at all lattice nodes: center (4/h^2)^2 plus four side rows (1/h^2)^2
     assert Q0(u) == pytest.approx(20.0 / h**2)
+
+
+def test_grad_forms_isolated_node_row_sets():
+    grid, mask = _single_node_setup()
+    u = np.array([1.0])
+    # power 0 sums every lattice row: the four neighbour rows each give
+    # (1/2h)^2 * h^2, and the dof's own row has a zero centred gradient
+    grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
+    assert grad(u) == 1.0
+    # a singular weight sums the dof's own row only
+    half = finsler.DistanceField(
+        grid=grid, d=np.full((grid.ny, grid.nx), 0.5), n_reg=1)
+    weighted = assembly.assemble_weighted(grid, mask, half, "grad", 2.0, 1)
+    assert weighted(u) == 0.0
+
+
+def test_every_difference_op_goes_through_the_seam():
+    # the clamped closure (which dof columns a difference row reads) is
+    # chosen in one function; lattice arrays take the full-lattice stencils
+    src = Path(assembly.__file__).resolve().parent
+    found = [c for p in sorted(src.glob("*.py"))
+             for c in _callers(p, "difference_ops")]
+    assert found == [("assembly", "dof_difference_ops"),
+                     ("geometry", "lattice_derivative_norms")]
 
 
 def test_q_isolated_node_hessian_tensor():

@@ -305,6 +305,7 @@ BAD_CONFIGS = {
     "diagonal_a11_missing": ("spectrum", {
         "kind = bilaplacian": "kind = diagonal\na00 = 1"}, []),
     "tol_nan": ("spectrum", {"tol = 1e-8": "tol = nan"}, []),
+    "eps_nan": ("spectrum", {"eps = 0.25": "eps = nan"}, []),
     "tol_negative": ("spectrum", {"tol = 1e-8": "tol = -1"}, []),
     "seed_negative": ("spectrum", {"seed = 42": "seed = -1"}, []),
     "seed_flag_negative": ("spectrum", {}, ["--seed", "-1"]),

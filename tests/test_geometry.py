@@ -61,6 +61,11 @@ def test_erode_empty():
         pl.erode(pl.disk(1.0), 1.5)
 
 
+def test_erode_nan_width():
+    with pytest.raises(ValueError):
+        pl.erode(pl.disk(1.0), float("nan"))
+
+
 def test_build_grid_disk_h_half_count_nine():
     grid, mask = pl.build_grid(pl.disk(1.0), 0.5, min_interior=1)
     assert mask.count == 9
@@ -158,8 +163,9 @@ def test_build_cutoff_band_unresolved():
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 16)
     dist = pl.euclidean_from_sdf(dom, grid, mask)
-    with pytest.raises(BandUnresolved):
-        build_cutoff(grid, dist, 2.0 * grid.h)
+    for eps in (2.0 * grid.h, float("nan")):
+        with pytest.raises(BandUnresolved):
+            build_cutoff(grid, dist, eps)
 
 
 def test_cutoff_grad_constant_stable_under_refinement():
