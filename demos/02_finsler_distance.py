@@ -1,8 +1,8 @@
 """Operator-induced Finsler distance to the boundary.
 
 The quartic symbol of a fourth-order tensor defines a dual metric
-p*(x, xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4); the induced distance to
-the boundary solves the eikonal equation p*(x, grad d) = 1 by fast sweeping.
+p*(xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4); the induced distance to
+the boundary solves the eikonal equation p*(grad d) = 1 by fast sweeping.
 For the bilaplacian this is the ordinary Euclidean distance; anisotropic
 tensors stretch it directionally.
 """
@@ -26,8 +26,8 @@ def main():
         res = pl.eikonal_residual(dist, coeffs, mask)
         d_e = euclid.interior_values(mask)
         far = d_e > 3.0 * h
-        px = pl.dual_metric(coeffs, (0.0, 0.0), np.array([1.0, 0.0]))
-        py = pl.dual_metric(coeffs, (0.0, 0.0), np.array([0.0, 1.0]))
+        px = pl.dual_metric(coeffs, np.array([1.0, 0.0]))
+        py = pl.dual_metric(coeffs, np.array([0.0, 1.0]))
         print(f"\n  {name}")
         print(f"    p*(e_x) = {px:.3f}, p*(e_y) = {py:.3f}")
         print(f"    d(center) = {dist.d[grid.ny // 2, grid.nx // 2]:.4f}  "

@@ -38,8 +38,8 @@ def main():
     Qt = assembly.assemble_Q(grid, mask, tilde)
     win = assembly.ellipticity_window(Qt, Q0)
     print(f"\nperturbed tensor, ||a~ - a|| = {delta}")
-    print(f"ellipticity window of the perturbed form: "
-          f"[{win.lambda_ell:.4f}, {win.Lambda_ell:.4f}]")
+    print(f"lower ellipticity constant of the perturbed form: "
+          f"lambda~ = {win.lambda_ell:.4f}")
     a = 0.25
     c_hat = verifier.measure_cross_term_constant(dist, a, witnesses,
                                                  grid, mask, Q0=Q0)

@@ -8,13 +8,12 @@ from .errors import (AlphaOutOfRange, BandUnresolved, BoundViolated,
                      ConfigError, EllipticityLost, EmptyErosion,
                      GridTooCoarse, MassNotPD, NegativeQuartic,
                      NoConvergence, NotElliptic, PlatelabError)
-from .geometry import (AnalyticDomain, CutoffField, Grid, GridMask,
-                       build_cutoff, build_grid, disk, erode, rectangle,
-                       smoothstep, superellipse)
+from .geometry import (AnalyticDomain, Grid, GridMask, build_cutoff,
+                       build_grid, disk, erode, rectangle, smoothstep,
+                       superellipse)
 from .finsler import (CoefficientField, DistanceField, bilaplacian, diagonal,
                       dual_metric, eikonal_residual, equivalence_constants,
-                      euclidean_from_sdf, finsler_distance,
-                      freeze_coefficients, product)
+                      euclidean_from_sdf, finsler_distance, product)
 from .assembly import (EllipticityWindow, FormMatrix, assemble_Q,
                        assemble_Q0, assemble_weighted, ellipticity_window,
                        interior_difference_ops, perturb_coeffs,

@@ -15,7 +15,7 @@ from . import finsler, geometry, verifier
 from .assembly import FormMatrix, assemble_Q, assemble_weighted, principal_submatrix
 from .errors import ConfigError
 from .finsler import CoefficientField
-from .geometry import (AnalyticDomain, CutoffField, build_cutoff, build_grid,
+from .geometry import (AnalyticDomain, build_cutoff, build_grid,
                        lattice_derivative_norms)
 from .spectral import Spectrum, lowest_eigenpairs
 
@@ -156,15 +156,16 @@ class StabilityReport:
     hess_deps_bound: dict         # eps -> measured sup |hess d_eps| on the band
 
 
-def cutoff_rayleigh_bound(spec: Spectrum, cutoff: CutoffField,
+def cutoff_rayleigh_bound(spec: Spectrum, tau: np.ndarray,
                           Q: FormMatrix, mass: FormMatrix,
                           mask) -> np.ndarray:
-    """Upper bounds sup{Q(v)/||v||^2 : v in span(tau phi_1..tau phi_n)}.
+    """Upper bounds sup{Q(v)/||v||^2 : v in span(tau phi_1..tau phi_n)} for
+    the lattice cutoff ``tau`` of ``build_cutoff``.
 
     Returns one bound per n = 1..m via the dense generalized eigenproblem in
     the transplanted subspace.
     """
-    U = mask.restrict(cutoff.tau)[:, None] * spec.vectors
+    U = mask.restrict(tau)[:, None] * spec.vectors
     S = U.T @ (Q.matrix @ U)
     T = U.T @ (mass.matrix @ U)
     S = (S + S.T) / 2
@@ -261,8 +262,8 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
         Qs = principal_submatrix(Q, mask, sub_int)
         Ms = principal_submatrix(mass, mask, sub_int)
         spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
-        cutoff = build_cutoff(grid, dist_sdf, eps)
-        bounds = cutoff_rayleigh_bound(spec, cutoff, Q, mass, mask)
+        tau = build_cutoff(grid, dist_sdf, eps)
+        bounds = cutoff_rayleigh_bound(spec, tau, Q, mass, mask)
         hess_deps[eps] = measure_eroded_hessian_bound(domain, grid, mask, eps)
         for n in range(m):
             lam = float(spec.values[n])

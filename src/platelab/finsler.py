@@ -1,11 +1,12 @@
 """Coefficient tensors a_ijkl, the dual Finsler metric and distance-to-boundary.
 
-The fourth-order symbol is stored in a 3x3 "Voigt" matrix M per point, acting
-on s(u) = (u_xx, u_yy, u_xy): sum_ijkl a_ijkl u_ij u_kl = s^T M s, with index
-multiplicities folded in (M[2,2] = 4 a_0101 etc.).  The dual metric is
-p*(x, xi) = (s(xi)^T M s(xi))^(1/4) with s(xi) = (xi_x^2, xi_y^2, xi_x xi_y).
+Every operator is constant, so its fourth-order symbol is one 3x3 "Voigt"
+matrix M acting on s(u) = (u_xx, u_yy, u_xy): sum_ijkl a_ijkl u_ij u_kl =
+s^T M s, with index multiplicities folded in (M[2,2] = 4 a_0101 etc.).  The
+dual metric is p*(xi) = (s(xi)^T M s(xi))^(1/4) with
+s(xi) = (xi_x^2, xi_y^2, xi_x xi_y).
 
-Distance to the boundary solves the eikonal identity p*(x, grad d) = 1 by
+Distance to the boundary solves the eikonal identity p*(grad d) = 1 by
 Gauss-Seidel fast sweeping with upwind one-sided differences.  Each of the
 four sweep orders visits the nodes one anti-diagonal at a time, which gives
 the same values as the row-major order (Detrixhe, Gibou & Min, J. Comput.
@@ -16,7 +17,6 @@ Newton iteration on p* - 1 inside a bisection bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,32 +29,21 @@ _IDX = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Tensor a_ijkl(x) with the (ij), (kl) and (ij)<->(kl) symmetries.
+    """Constant tensor a_ijkl with the (ij), (kl) and (ij)<->(kl) symmetries.
 
-    ``voigt`` maps coordinate arrays of shape S to an array of shape S+(3,3).
-    ``delta_norm`` is the sup operator norm of the perturbation for
-    kind='perturbed' fields, measured in the orthonormal Hessian basis.
+    ``M`` is its (3, 3) Voigt matrix.  ``delta_norm`` is the operator norm of
+    the perturbation for kind='perturbed' fields, measured in the orthonormal
+    Hessian basis.
     """
 
     kind: str
-    voigt: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    M: np.ndarray
     delta_norm: float = 0.0
 
-    def tensor_entry(self, x, y, i, j, k, l):
+    def tensor_entry(self, i, j, k, l):
         """Reconstruct a_ijkl from the Voigt storage (tests/invariants)."""
-        M = self.voigt(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         m, n = _IDX[(i, j)], _IDX[(k, l)]
-        return M[..., m, n] / (_VOIGT_MULT[m] * _VOIGT_MULT[n])
-
-
-def _const_voigt(M):
-    M = np.asarray(M, dtype=float)
-
-    def voigt(x, y):
-        shp = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        return np.broadcast_to(M, shp + (3, 3)).copy()
-
-    return voigt
+        return self.M[m, n] / (_VOIGT_MULT[m] * _VOIGT_MULT[n])
 
 
 _BILAPLACIAN_M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
@@ -62,53 +51,53 @@ _BILAPLACIAN_M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
 def bilaplacian() -> CoefficientField:
     """a_ijkl = delta_ij delta_kl, the form of the bilaplacian."""
-    return CoefficientField("bilaplacian", _const_voigt(_BILAPLACIAN_M))
+    return CoefficientField("bilaplacian", _BILAPLACIAN_M.copy())
 
 
 def product(b) -> CoefficientField:
-    """a_ijkl = b_ij b_kl for a constant symmetric 2x2 matrix b."""
+    """a_ijkl = b_ij b_kl for a constant symmetric definite 2x2 matrix b.
+
+    The symbol (xi^T b xi)^2 vanishes on a nonzero xi unless det b > 0.
+    """
     B = np.asarray(b, dtype=float)
     if not np.allclose(B, B.T):
         raise ValueError("product matrix b must be symmetric")
+    if not np.linalg.det(B) > 0:
+        raise ValueError("product matrix b must be definite (det b > 0), "
+                         "or the operator is not elliptic")
     s = np.array([B[0, 0], B[1, 1], 2.0 * B[0, 1]])
-    return CoefficientField("product", _const_voigt(np.outer(s, s)))
+    return CoefficientField("product", np.outer(s, s))
 
 
 def diagonal(a_ik) -> CoefficientField:
-    """a_ijkl = delta_ij delta_kl a_ik for a symmetric nonnegative 2x2 a."""
+    """a_ijkl = delta_ij delta_kl a_ik for a symmetric nonnegative 2x2 a
+    with a00, a11 > 0, the condition for an elliptic symbol."""
     A = np.asarray(a_ik, dtype=float)
     if not np.allclose(A, A.T) or np.any(A < 0):
         raise ValueError("diagonal coefficient matrix must be symmetric nonnegative")
+    if not (A[0, 0] > 0 and A[1, 1] > 0):
+        raise ValueError("diagonal coefficients need a00 > 0 and a11 > 0, "
+                         "or the operator is not elliptic")
     M = np.array([[A[0, 0], A[0, 1], 0.0],
                   [A[0, 1], A[1, 1], 0.0],
                   [0.0, 0.0, 0.0]])
-    return CoefficientField("diagonal", _const_voigt(M))
-
-
-def freeze_coefficients(coeffs: CoefficientField, grid: Grid) -> np.ndarray:
-    """Evaluate the Voigt tensor at every lattice node: shape (ny, nx, 3, 3)."""
-    X, Y = grid.meshgrid()
-    M = np.ascontiguousarray(coeffs.voigt(X, Y), dtype=float)
-    if M.shape != (grid.ny, grid.nx, 3, 3):
-        raise ValueError("voigt field returned wrong shape")
-    return M
+    return CoefficientField("diagonal", M)
 
 
 def quartic_symbol(M, xi_x, xi_y) -> np.ndarray:
     """sum a_ijkl xi_i xi_j xi_k xi_l = s^T M s, s = (xi_x^2, xi_y^2, xi_x xi_y).
 
-    M (..., 3, 3) broadcasts against the direction arrays.
+    M is the (3, 3) Voigt matrix; the direction arrays broadcast.
     """
     s = np.stack([xi_x * xi_x, xi_y * xi_y, xi_x * xi_y], axis=-1)
     return np.einsum("...ij,...i,...j->...", M, s, s)
 
 
-def dual_metric(coeffs: CoefficientField, x, xi) -> float:
-    """p*(x, xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4)."""
-    M = coeffs.voigt(np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float))
-    q = float(quartic_symbol(M, xi[0], xi[1]))
+def dual_metric(coeffs: CoefficientField, xi) -> float:
+    """p*(xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4)."""
+    q = float(quartic_symbol(coeffs.M, xi[0], xi[1]))
     if q < -1e-12 * max(1.0, np.dot(xi, xi) ** 2):
-        raise NegativeQuartic(f"quartic form = {q} < 0 at x={tuple(x)}")
+        raise NegativeQuartic(f"quartic form = {q} < 0 at xi={tuple(xi)}")
     return max(q, 0.0) ** 0.25
 
 
@@ -134,15 +123,15 @@ _FAR = 1e100   # unvisited nodes and the ring around the lattice
 # (E,S), (E,N); W and S give differences +(t - nv)/h, E and N -(t - nv)/h.
 _SGX = np.array([1.0, 1.0, -1.0, -1.0])
 _SGY = np.array([1.0, -1.0, 1.0, -1.0])
-# Voigt entries (M00, M11, M22, M01, M02, M12) gathered per node
+# the six distinct Voigt entries (M00, M11, M22, M01, M02, M12)
 _VOIGT_ROWS = [0, 1, 2, 0, 0, 1]
 _VOIGT_COLS = [0, 1, 2, 1, 2, 2]
 
 
 def _g_and_slope(C, nvx, sgx, nvy, sgy, h, t):
-    """g(t) = p*(x, grad) for the upwind gradient with value t, and dq/dt.
+    """g(t) = p*(grad) for the upwind gradient with value t, and dq/dt.
 
-    C holds the Voigt entries (M00, M11, M22, M01, M02, M12) per candidate.
+    C holds the Voigt entries (M00, M11, M22, M01, M02, M12).
     A component whose neighbour value is above t does not flow in.
     """
     ax = t > nvx
@@ -213,20 +202,20 @@ def _diagonal_groups(active, sy, sx):
     return np.split(flat, cuts)
 
 
-def _sweep_once(dp, diagonals, h, step):
-    """One directional sweep over ``diagonals`` (from _diagonal_groups, each
-    with its Voigt entries) of the padded distance ``dp``, in place.  Returns
-    the largest decrease."""
+def _sweep_once(dp, diagonals, C, h, step):
+    """One directional sweep over ``diagonals`` (from _diagonal_groups) of the
+    padded distance ``dp``, in place, with the Voigt entries C.  Returns the
+    largest decrease."""
     flat = dp.reshape(-1)
     row = dp.shape[1]
     max_change = 0.0
-    for p, C in diagonals:
+    for p in diagonals:
         dW, dE, dS, dN = flat[p - 1], flat[p + 1], flat[p - row], flat[p + row]
         nvx = np.stack([dW, dW, dE, dE])
         nvy = np.stack([dS, dN, dS, dN])
         pair, node = np.nonzero((nvx < 1e99) & (nvy < 1e99))
         cand = np.full(nvx.shape, _FAR)
-        cand[pair, node] = _local_solve(C[:, node], nvx[pair, node], _SGX[pair],
+        cand[pair, node] = _local_solve(C, nvx[pair, node], _SGX[pair],
                                         nvy[pair, node], _SGY[pair], h, step)
         old = flat[p]
         new = np.minimum(old, cand.min(axis=0))
@@ -235,20 +224,19 @@ def _sweep_once(dp, diagonals, h, step):
     return max_change
 
 
-def _axis_pstar_min(Mfield, mask):
-    """Min over interior nodes and 16 directions of p*(unit vector)."""
+def _axis_pstar_min(M):
+    """Min over 16 directions of p*(unit vector)."""
     thetas = np.linspace(0.0, np.pi, 16, endpoint=False)
-    M = mask.restrict(Mfield)[:, None]  # (count, 1, 3, 3)
     q = quartic_symbol(M, np.cos(thetas), np.sin(thetas))
     pmin = float(np.min(np.maximum(q, 0.0)) ** 0.25)
     if not np.isfinite(pmin) or pmin <= 0:
-        raise NegativeQuartic("dual metric degenerates on the mask")
+        raise NegativeQuartic("dual metric degenerates")
     return pmin
 
 
-def _seed_boundary_layer(domain, grid, mask, Mfield):
+def _seed_boundary_layer(domain, grid, mask, M):
     """Interior nodes with an exterior 4-neighbor get the flat-boundary value
-    d0 = -sdf / p*(x, n) with n the outward sdf gradient direction.
+    d0 = -sdf / p*(n) with n the outward sdf gradient direction.
 
     On the medial axis the central difference of the sdf cancels; there a
     one-sided (forward) difference picks one of the nearest boundaries.
@@ -271,7 +259,7 @@ def _seed_boundary_layer(domain, grid, mask, Mfield):
     gx = np.where(medial, (sxp - s0) / dq, gx)
     gy = np.where(medial, (syp - s0) / dq, gy)
     nrm = np.maximum(np.hypot(gx, gy), 1e-12)
-    q = np.maximum(quartic_symbol(Mfield[iy, ix], gx / nrm, gy / nrm), 1e-300)
+    q = np.maximum(quartic_symbol(M, gx / nrm, gy / nrm), 1e-300)
     pstar = q ** 0.25
     vals = np.maximum(-s0, 1e-3 * grid.h) / pstar
     return iy, ix, vals
@@ -284,34 +272,31 @@ _MAX_SWEEPS = 200
 
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
                      coeffs: CoefficientField) -> DistanceField:
-    """Distance-to-boundary solving p*(x, grad d) = 1 by fast sweeping.
+    """Distance-to-boundary solving p*(grad d) = 1 by fast sweeping.
 
     With coeffs = bilaplacian(), p* = |xi| and d is the Euclidean distance.
     """
-    Mfield = freeze_coefficients(coeffs, grid)
-    pmin = _axis_pstar_min(Mfield, mask)
+    pmin = _axis_pstar_min(coeffs.M)
     h = grid.h
     step = 1.5 * h / pmin
 
     dp = np.full((grid.ny + 2, grid.nx + 2), _FAR)
     d = dp[1:-1, 1:-1]
     d[...] = np.where(mask.interior, _FAR, 0.0)
-    iy, ix, vals = _seed_boundary_layer(domain, grid, mask, Mfield)
+    iy, ix, vals = _seed_boundary_layer(domain, grid, mask, coeffs.M)
     d[iy, ix] = vals
     active = mask.interior.copy()
     active[iy, ix] = False
-    C = np.zeros((6,) + dp.shape)
-    C[:, 1:-1, 1:-1] = np.moveaxis(Mfield[..., _VOIGT_ROWS, _VOIGT_COLS], -1, 0)
-    C = C.reshape(6, -1)
-    orders = [[(p, C[:, p]) for p in _diagonal_groups(active, sy, sx)]
-              for sy, sx in _SWEEP_ORDERS]
+    C = tuple(coeffs.M[_VOIGT_ROWS, _VOIGT_COLS])
+    orders = [_diagonal_groups(active, sy, sx) for sy, sx in _SWEEP_ORDERS]
 
     sweeps = 0
     converged = False
     while sweeps < _MAX_SWEEPS and not converged:
         cycle_change = 0.0
         for diagonals in orders:
-            cycle_change = max(cycle_change, _sweep_once(dp, diagonals, h, step))
+            cycle_change = max(cycle_change,
+                               _sweep_once(dp, diagonals, C, h, step))
             sweeps += 1
             if sweeps >= _MAX_SWEEPS:
                 break
@@ -341,7 +326,7 @@ def equivalence_constants(dist: DistanceField, dist_euclid: DistanceField,
 
 def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
                      mask: GridMask) -> np.ndarray:
-    """|p*(x, grad_h d) - 1| at interior nodes, upwind one-sided gradient.
+    """|p*(grad_h d) - 1| at interior nodes, upwind one-sided gradient.
 
     Returns an (count,) array aligned with the dof ordering.
     """
@@ -355,6 +340,5 @@ def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
     # no-inflow components vanish
     gx = np.where(np.minimum(dW, dE) <= dc, gx, 0.0)
     gy = np.where(np.minimum(dS, dN) <= dc, gy, 0.0)
-    M = mask.restrict(freeze_coefficients(coeffs, dist.grid))
-    q = np.maximum(quartic_symbol(M, gx, gy), 0.0)
+    q = np.maximum(quartic_symbol(coeffs.M, gx, gy), 0.0)
     return np.abs(q ** 0.25 - 1.0)

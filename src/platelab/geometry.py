@@ -240,29 +240,12 @@ def smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-@dataclass(frozen=True)
-class CutoffField:
-    """Grid samples of the C2 cutoff tau with measured derivative bounds."""
-
-    tau: np.ndarray       # (ny, nx), in [0, 1]
-    epsilon: float
-    grad_bound: float     # measured sup |grad tau|
-    hess_bound: float     # measured sup |hess tau| (Frobenius)
-
-    @property
-    def grad_constant(self) -> float:
-        """C in |grad tau| <= C / eps."""
-        return self.grad_bound * self.epsilon
-
-
-def build_cutoff(grid: Grid, dist, eps: float) -> CutoffField:
-    """tau = smoothstep((d - eps)/eps): 0 where d <= eps, 1 where d >= 2*eps."""
+def build_cutoff(grid: Grid, dist, eps: float) -> np.ndarray:
+    """The (ny, nx) lattice samples of the C2 cutoff
+    tau = smoothstep((d - eps)/eps): 0 where d <= eps, 1 where d >= 2*eps."""
     eps = float(eps)
     if not eps >= 4.0 * grid.h:
         raise BandUnresolved(f"eps={eps} < 4h={4 * grid.h}")
     d = dist.d
     tau = smoothstep((d - eps) / eps)
-    tau = np.where(d > 0.0, tau, 0.0)
-    grad, hess = lattice_derivative_norms(grid, tau)
-    return CutoffField(tau=tau, epsilon=eps, grad_bound=float(grad.max()),
-                       hess_bound=float(hess.max()))
+    return np.where(d > 0.0, tau, 0.0)

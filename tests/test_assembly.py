@@ -57,8 +57,7 @@ def test_every_difference_op_goes_through_the_seam():
 def test_q_isolated_node_hessian_tensor():
     grid, mask = _single_node_setup()
     h = grid.h
-    hess_tensor = finsler.CoefficientField(
-        "hess", finsler._const_voigt(np.diag([1.0, 1.0, 2.0])))
+    hess_tensor = finsler.CoefficientField("hess", np.diag([1.0, 1.0, 2.0]))
     Q = assembly.assemble_Q(grid, mask, hess_tensor)
     u = np.array([1.0])
     # center 8/h^4, four side rows 4/h^4, four cross rows 2*(1/(4h^2))^2 each
@@ -157,20 +156,17 @@ def test_principal_submatrix_is_form_restriction():
 def test_ellipticity_window_identity_and_scaling(disk32):
     win = assembly.ellipticity_window(disk32.Q0, disk32.Q0)
     assert win.lambda_ell == pytest.approx(1.0, abs=1e-8)
-    assert win.Lambda_ell == pytest.approx(1.0, abs=1e-8)
     Q3 = assembly.FormMatrix((3.0 * disk32.Q0.matrix).tocsr(), disk32.Q0.h)
     win3 = assembly.ellipticity_window(Q3, disk32.Q0)
     assert win3.lambda_ell == pytest.approx(3.0, rel=1e-8)
-    assert win3.Lambda_ell == pytest.approx(3.0, rel=1e-8)
 
 
 def test_ellipticity_window_product_tensor(disk32):
     Q = assembly.assemble_Q(disk32.grid, disk32.mask,
                             pl.product(np.diag([2.0, 1.0])))
     win = assembly.ellipticity_window(Q, disk32.Q0)
-    # symbol extremes of (2 x^2 + y^2)^2 / |xi|^4 are 1 and 4
+    # the symbol minimum of (2 x^2 + y^2)^2 / |xi|^4 is 1
     assert win.lambda_ell == pytest.approx(1.0, rel=0.05)
-    assert win.Lambda_ell == pytest.approx(4.0, rel=0.05)
 
 
 def _rect_aniso_window_pencil(h):
@@ -186,12 +182,11 @@ def test_ellipticity_window_matches_dense_pencil():
     ref = sla.eigh(Qt.matrix.toarray(), Q0.matrix.toarray(), eigvals_only=True)
     win = assembly.ellipticity_window(Qt, Q0)
     assert win.lambda_ell == pytest.approx(ref[0], rel=1e-9)
-    assert win.Lambda_ell == pytest.approx(ref[-1], rel=1e-9)
 
 
 def test_ellipticity_window_solve_count(monkeypatch):
-    # both ends of a dense band: 11084 solves with ARPACK's default 20
-    # Lanczos vectors, 1844 with WINDOW_NCV
+    # the lower end of a dense band: 3962 solves with ARPACK's default 20
+    # Lanczos vectors, 922 with WINDOW_NCV
     solves = [0]
     factor = spectral.factor
 
@@ -214,9 +209,8 @@ def test_perturbation_norm_is_delta():
     base = pl.bilaplacian()
     pert = assembly.perturb_coeffs(base, 0.01, seed=0)
     assert pert.delta_norm == 0.01
-    x, y = np.random.default_rng(0).standard_normal((32, 2)).T
     T = np.diag([1.0, 1.0, 1.0 / np.sqrt(2.0)])
-    dM = T @ (pert.voigt(x, y) - base.voigt(x, y)) @ T
+    dM = T @ (pert.M - base.M) @ T
     assert np.max(np.abs(np.linalg.eigvalsh(dM))) == pytest.approx(
         0.01, rel=1e-12)
 
@@ -224,16 +218,16 @@ def test_perturbation_norm_is_delta():
 def test_perturbed_field_keeps_symmetries():
     pert = assembly.perturb_coeffs(pl.bilaplacian(), 0.05, seed=7)
     for (i, j, k, l) in [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)]:
-        a = pert.tensor_entry(0.2, 0.1, i, j, k, l)
-        assert a == pytest.approx(pert.tensor_entry(0.2, 0.1, j, i, k, l))
-        assert a == pytest.approx(pert.tensor_entry(0.2, 0.1, k, l, i, j))
+        a = pert.tensor_entry(i, j, k, l)
+        assert a == pytest.approx(pert.tensor_entry(j, i, k, l))
+        assert a == pytest.approx(pert.tensor_entry(k, l, i, j))
 
 
 def test_perturbed_window_close_to_identity(disk32):
     pert = assembly.perturb_coeffs(pl.bilaplacian(), 0.1, seed=0)
     Q = assembly.assemble_Q(disk32.grid, disk32.mask, pert)
     win = assembly.ellipticity_window(Q, disk32.Q0)
-    assert 0.9 - 1e-9 <= win.lambda_ell <= win.Lambda_ell <= 1.1 + 1e-9
+    assert 0.9 - 1e-9 <= win.lambda_ell <= 1.1 + 1e-9
 
 
 def test_perturb_zero_is_identity():

@@ -85,7 +85,7 @@ def test_load_config_unknown_domain(tmp_path):
 def test_make_coeffs_kinds():
     assert experiments.make_coeffs("bilaplacian", {}).kind == "bilaplacian"
     c = experiments.make_coeffs("product", {"b00": 4.0, "b11": 1.0})
-    assert pl.dual_metric(c, (0, 0), np.array([1.0, 0.0])) == pytest.approx(2.0)
+    assert pl.dual_metric(c, np.array([1.0, 0.0])) == pytest.approx(2.0)
     with pytest.raises(ConfigError):
         experiments.make_coeffs("mystery", {})
 
@@ -318,6 +318,14 @@ BAD_CONFIGS = {
     "radius_inf": ("spectrum", {"radius = 1.0": "radius = inf"}, []),
     "diagonal_a00_inf": ("spectrum", {
         "kind = bilaplacian": "kind = diagonal\na00 = inf\na11 = 1"}, []),
+    # symbols that vanish on a direction: the operator is not elliptic
+    "diagonal_a00_0": ("spectrum", {
+        "kind = bilaplacian": "kind = diagonal\na00 = 0\na11 = 1"}, []),
+    "product_indefinite": ("spectrum", {
+        "kind = bilaplacian": "kind = product\nb00 = 1\nb11 = -1"}, []),
+    "product_singular": ("spectrum", {
+        "kind = bilaplacian": "kind = product\nb00 = 1\nb11 = 1\nb01 = 1"},
+        []),
 }
 
 

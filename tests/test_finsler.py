@@ -12,10 +12,10 @@ def test_tensor_symmetries_hold():
                    pl.diagonal(np.array([[16.0, 0.5], [0.5, 1.0]]))):
         for (i, j, k, l) in [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1),
                              (0, 0, 0, 1), (1, 0, 1, 1)]:
-            a = coeffs.tensor_entry(0.3, -0.2, i, j, k, l)
-            assert a == pytest.approx(coeffs.tensor_entry(0.3, -0.2, j, i, k, l))
-            assert a == pytest.approx(coeffs.tensor_entry(0.3, -0.2, i, j, l, k))
-            assert a == pytest.approx(coeffs.tensor_entry(0.3, -0.2, k, l, i, j))
+            a = coeffs.tensor_entry(i, j, k, l)
+            assert a == pytest.approx(coeffs.tensor_entry(j, i, k, l))
+            assert a == pytest.approx(coeffs.tensor_entry(i, j, l, k))
+            assert a == pytest.approx(coeffs.tensor_entry(k, l, i, j))
 
 
 def test_cross_contraction_ordering():
@@ -33,7 +33,7 @@ def test_cross_contraction_ordering():
                 for j in range(2):
                     for k in range(2):
                         for l in range(2):
-                            a = float(coeffs.tensor_entry(0.1, 0.2, i, j, k, l))
+                            a = float(coeffs.tensor_entry(i, j, k, l))
                             lhs += a * xi[i] * xi[k] * eta[j] * eta[l]
                             rhs += a * xi[i] * xi[j] * eta[k] * eta[l]
             assert lhs <= rhs + 1e-10 * abs(rhs)
@@ -41,28 +41,27 @@ def test_cross_contraction_ordering():
 
 def test_dual_metric_bilaplacian_is_euclidean():
     c = pl.bilaplacian()
-    assert pl.dual_metric(c, (0.0, 0.0), np.array([3.0, 4.0])) == pytest.approx(5.0)
-    assert pl.dual_metric(c, (0.5, 0.1), np.array([0.0, 0.0])) == 0.0
+    assert pl.dual_metric(c, np.array([3.0, 4.0])) == pytest.approx(5.0)
+    assert pl.dual_metric(c, np.array([0.0, 0.0])) == 0.0
 
 
 def test_dual_metric_product_tensor():
     c = pl.product(np.diag([4.0, 1.0]))
-    assert pl.dual_metric(c, (0.0, 0.0), np.array([1.0, 0.0])) == pytest.approx(2.0)
+    assert pl.dual_metric(c, np.array([1.0, 0.0])) == pytest.approx(2.0)
 
 
 def test_dual_metric_homogeneity():
     c = pl.diagonal(np.array([[16.0, 0.0], [0.0, 1.0]]))
     xi = np.array([0.7, -0.4])
-    p1 = pl.dual_metric(c, (0.0, 0.0), xi)
-    p3 = pl.dual_metric(c, (0.0, 0.0), 3.0 * xi)
+    p1 = pl.dual_metric(c, xi)
+    p3 = pl.dual_metric(c, 3.0 * xi)
     assert p3 == pytest.approx(3.0 * p1)
 
 
 def test_dual_metric_negative_quartic():
-    bad = finsler.CoefficientField(
-        "bad", finsler._const_voigt(-np.eye(3)))
+    bad = finsler.CoefficientField("bad", -np.eye(3))
     with pytest.raises(NegativeQuartic):
-        pl.dual_metric(bad, (0.0, 0.0), np.array([1.0, 0.0]))
+        pl.dual_metric(bad, np.array([1.0, 0.0]))
 
 
 def test_distance_disk_center():
@@ -88,10 +87,33 @@ def test_distance_anisotropic_directional_factor():
     coeffs = pl.diagonal(np.array([[16.0, 0.0], [0.0, 1.0]]))
     grid, mask = pl.build_grid(dom, h)
     dist = pl.finsler_distance(dom, grid, mask, coeffs)
-    px = pl.dual_metric(coeffs, (0.0, 0.0), np.array([1.0, 0.0]))
+    px = pl.dual_metric(coeffs, np.array([1.0, 0.0]))
     iy = grid.ny // 2
     ix = int(round((0.9 - grid.origin[0]) / h))  # (0.9, 0): 0.1 from the face
     assert dist.d[iy, ix] == pytest.approx(0.1 / px, abs=2 * h)
+
+
+@pytest.mark.parametrize("coeffs, max_err_h", [
+    (pl.diagonal(np.diag([16.0, 1.0])), 0.21),
+    (pl.product(np.array([[4.0, 1.0], [1.0, 2.0]])), 0.46),
+], ids=["diagonal", "product"])
+def test_distance_rectangle_exact_field(coeffs, max_err_h):
+    # for a constant tensor the distance to a straight face is the Euclidean
+    # one over p*(normal), so on the 2 x 1 rectangle
+    # d = min((1 - |x|) / p*(e_x), (1/2 - |y|) / p*(e_y)) at every node
+    dom = pl.rectangle(2.0, 1.0)
+    px = pl.dual_metric(coeffs, np.array([1.0, 0.0]))
+    py = pl.dual_metric(coeffs, np.array([0.0, 1.0]))
+    mean_err = []
+    for h in (1.0 / 16, 1.0 / 32):
+        grid, mask = pl.build_grid(dom, h)
+        d = pl.finsler_distance(dom, grid, mask, coeffs).interior_values(mask)
+        x, y = (mask.restrict(c) for c in grid.meshgrid())
+        exact = np.minimum((1.0 - np.abs(x)) / px, (0.5 - np.abs(y)) / py)
+        err = np.abs(d - exact)
+        mean_err.append(err.mean())
+    assert err.max() <= max_err_h * h
+    assert mean_err[1] <= 0.5 * mean_err[0]
 
 
 def test_bilaplacian_matches_euclidean_solver():
@@ -124,8 +146,8 @@ def test_equivalence_constants():
     ds = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
     c1, c2 = pl.equivalence_constants(df, ds, mask)
     thetas = np.linspace(0, 2 * np.pi, 360, endpoint=False)
-    ps = [pl.dual_metric(coeffs, (0.0, 0.0),
-                         np.array([np.cos(t), np.sin(t)])) for t in thetas]
+    ps = [pl.dual_metric(coeffs, np.array([np.cos(t), np.sin(t)]))
+          for t in thetas]
     # distance scales inversely with the directional metric speed
     predicted = (max(ps) / min(ps))
     assert c2 / c1 == pytest.approx(predicted, rel=0.10)
@@ -162,20 +184,12 @@ def test_refinement_contracts_distance_error():
     assert errs[1] <= 0.7 * errs[0]
 
 
-def test_freeze_coefficients_shape():
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 1.0 / 16)
-    M = pl.freeze_coefficients(pl.bilaplacian(), grid)
-    assert M.shape == (grid.ny, grid.nx, 3, 3)
-    assert np.allclose(M[0, 0], [[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-
-
 def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
     """Scalar fast sweeping: row-major Gauss-Seidel, one node at a time, each
     upwind pair solved by 60 bisection steps.  Returns (d, sweeps)."""
-    M = pl.freeze_coefficients(coeffs, grid)
+    M = coeffs.M
     h = grid.h
-    step = 1.5 * h / finsler._axis_pstar_min(M, mask)
+    step = 1.5 * h / finsler._axis_pstar_min(M)
     d = np.where(mask.interior, 1e100, 0.0)
     iy, ix, vals = finsler._seed_boundary_layer(dom, grid, mask, M)
     d[iy, ix] = vals
@@ -197,11 +211,11 @@ def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
                     continue
                 lo = min(nvx, nvy)
                 hi, it = lo + step, 0
-                while g(M[y, x], nvx, sgx, nvy, sgy, hi) < 1.0 and it < 60:
+                while g(M, nvx, sgx, nvy, sgy, hi) < 1.0 and it < 60:
                     hi, it = lo + 2.0 * (hi - lo), it + 1
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
-                    if g(M[y, x], nvx, sgx, nvy, sgy, mid) < 1.0:
+                    if g(M, nvx, sgx, nvy, sgy, mid) < 1.0:
                         lo = mid
                     else:
                         hi = mid
@@ -245,16 +259,15 @@ def test_distance_when_every_node_is_seeded():
     # one row of nodes: every interior node touches the exterior
     dom = pl.rectangle(4.0, 0.2)
     grid, mask = pl.build_grid(dom, 0.1)
-    M = pl.freeze_coefficients(pl.bilaplacian(), grid)
-    iy, ix, vals = finsler._seed_boundary_layer(dom, grid, mask, M)
+    iy, ix, vals = finsler._seed_boundary_layer(dom, grid, mask,
+                                                pl.bilaplacian().M)
     assert len(iy) == mask.count
     dist = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
     assert np.array_equal(dist.d[iy, ix], vals)
 
 
-def _voigt_entries(coeffs):
-    M = coeffs.voigt(np.array(0.0), np.array(0.0))
-    return M[finsler._VOIGT_ROWS, finsler._VOIGT_COLS][:, None]
+def _distinct_entries(coeffs):
+    return coeffs.M[finsler._VOIGT_ROWS, finsler._VOIGT_COLS][:, None]
 
 
 def test_local_solve_two_sided_euclidean():
@@ -262,8 +275,8 @@ def test_local_solve_two_sided_euclidean():
     a = np.array([0.3, 0.3, 0.5, 0.25])
     b = np.array([0.3, 0.35, 0.45, 0.32])   # |a - b| < h: both sides flow in
     sg = np.array([1.0, -1.0, 1.0, -1.0])
-    t = finsler._local_solve(_voigt_entries(pl.bilaplacian()), a, sg, b, -sg,
-                             h, 1.5 * h)
+    t = finsler._local_solve(_distinct_entries(pl.bilaplacian()), a, sg, b,
+                             -sg, h, 1.5 * h)
     exact = 0.5 * (a + b + np.sqrt(2.0 * h * h - (a - b) ** 2))
     assert np.max(np.abs(t - exact)) <= 1e-15
 
@@ -274,10 +287,10 @@ def test_local_solve_two_sided_euclidean():
 ], ids=["diagonal", "product"])
 def test_local_solve_one_sided(coeffs):
     h, nv, far = 0.05, 0.2, 5.0   # far neighbour stays above t: no inflow
-    C = _voigt_entries(coeffs)
+    C = _distinct_entries(coeffs)
     for axis in (0, 1):
         e = np.eye(2)[axis]
-        px = pl.dual_metric(coeffs, (0.0, 0.0), e)
+        px = pl.dual_metric(coeffs, e)
         nvs = [np.array([nv]), np.array([far])]
         nvx, nvy = nvs if axis == 0 else nvs[::-1]
         for sg in (1.0, -1.0):
