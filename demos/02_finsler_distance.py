@@ -2,7 +2,8 @@
 
 The quartic symbol of a fourth-order tensor defines a dual metric
 p*(xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4); the induced distance to
-the boundary solves the eikonal equation p*(grad d) = 1 by fast sweeping.
+the boundary solves the eikonal equation p*(grad d) = 1 by the fast
+iterative method (Jacobi passes over the nodes whose neighbours changed).
 For the bilaplacian this is the ordinary Euclidean distance; anisotropic
 tensors stretch it directionally.
 """

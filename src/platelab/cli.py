@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import assembly, finsler, verifier
-from .errors import ConfigError, PlatelabError
+from .errors import ConfigError, EllipticityLost, PlatelabError
 from .experiments import (RunConfig, load_config, make_coeffs, make_domain,
                           run_erosion_study, validate_config)
 from .geometry import build_grid
@@ -164,12 +164,21 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
 
 def _cmd_palpha(cfg: RunConfig, out: str) -> int:
     _check_alphas(cfg)
+    # the perturbation depends only on (operator, delta, seed), so a delta
+    # that breaks ellipticity is refused before any assembly
+    if cfg.delta > 0.0:
+        try:
+            tilde = assembly.perturb_coeffs(
+                make_coeffs(cfg.operator_kind, cfg.operator_params),
+                cfg.delta, seed=cfg.seed)
+        except EllipticityLost as exc:
+            raise ConfigError(f"delta={cfg.delta} with seed {cfg.seed}: "
+                              f"{exc}") from exc
     domain, coeffs, grid, mask, Q, mass, spec = _build_pencil(cfg, 5)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
     witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask,
                                                 seed=cfg.seed)
     if cfg.delta > 0.0:
-        tilde = assembly.perturb_coeffs(coeffs, cfg.delta, seed=cfg.seed)
         Qt = assembly.assemble_Q(grid, mask, tilde)
         Q0 = assembly.assemble_Q0(grid, mask)
         win = assembly.ellipticity_window(Qt, Q0, seed=cfg.seed)

@@ -6,13 +6,14 @@ s^T M s, with index multiplicities folded in (M[2,2] = 4 a_0101 etc.).  The
 dual metric is p*(xi) = (s(xi)^T M s(xi))^(1/4) with
 s(xi) = (xi_x^2, xi_y^2, xi_x xi_y).
 
-Distance to the boundary solves the eikonal identity p*(grad d) = 1 by
-Gauss-Seidel fast sweeping with upwind one-sided differences.  Each of the
-four sweep orders visits the nodes one anti-diagonal at a time, which gives
-the same values as the row-major order (Detrixhe, Gibou & Min, J. Comput.
-Phys. 237, 2013), and updates a whole anti-diagonal with numpy.  The
-one-node quartic update has no closed form; it is solved by a safeguarded
-Newton iteration on p* - 1 inside a bisection bracket.
+Distance to the boundary solves the eikonal identity p*(grad d) = 1 with
+upwind one-sided differences by the fast iterative method (Jeong &
+Whitaker, SIAM J. Sci. Comput. 30(5), 2008): Jacobi passes over an active
+set, each re-solving with numpy every node whose neighbours changed, until
+no node decreases.  That is the fixed point of the upwind scheme that fast
+sweeping (Zhao, Math. Comp. 74, 2005) also reaches.  The one-node quartic
+update has no closed form; it is solved by a safeguarded Newton iteration
+on p* - 1 inside a bisection bracket.
 """
 from __future__ import annotations
 
@@ -157,7 +158,8 @@ def _local_solve(C, nvx, sgx, nvy, sgy, h, step):
     Newton iteration on f = g - 1 starts at hi; g = q^(1/4) is homogeneous
     of degree one in the gradient, so f is close to linear past the kink
     where the second component switches on (Newton on q - 1 stalls there).
-    A step that leaves the bracket is replaced by bisection.
+    A step that leaves the bracket is replaced by bisection.  A converged
+    entry stops moving, so each root is independent of the rest of the batch.
     """
     lo = np.minimum(nvx, nvy)
     hi = lo + step
@@ -167,6 +169,7 @@ def _local_solve(C, nvx, sgx, nvy, sgy, h, step):
             break
         hi = np.where(short, lo + 2.0 * (hi - lo), hi)
     t = hi
+    live = np.ones(t.shape, dtype=bool)
     for _ in range(60):
         g, dq = _g_and_slope(C, nvx, sgx, nvy, sgy, h, t)
         below = g < 1.0
@@ -176,52 +179,31 @@ def _local_solve(C, nvx, sgx, nvy, sgy, h, step):
             tn = t - 4.0 * g ** 3 * (g - 1.0) / dq   # dg/dt = dq / (4 g^3)
         tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
         done = np.abs(tn - t) <= 4.0 * np.spacing(t)
-        t = tn
-        if done.all():
+        t = np.where(live, tn, t)
+        live &= ~done
+        if not live.any():
             break
     return t
 
 
-def _diagonal_groups(active, sy, sx):
-    """Nodes of ``active`` in the order of one Gauss-Seidel sweep (sy, sx).
-
-    A node depends only on its upwind neighbours, which lie on the previous
-    anti-diagonal a + b = k - 1 of the flipped indices (a, b), so one whole
-    anti-diagonal updates at once and gives the row-major result.  Returns
-    flat indices into the lattice padded by one ring, one array per
-    anti-diagonal in sweep order.
-    """
-    ny, nx = active.shape
-    iy, ix = np.nonzero(active)
-    a = iy if sy > 0 else ny - 1 - iy
-    b = ix if sx > 0 else nx - 1 - ix
-    k = a + b
-    order = np.argsort(k, kind="stable")
-    flat = ((iy + 1) * (nx + 2) + ix + 1)[order]
-    cuts = np.flatnonzero(np.diff(k[order])) + 1
-    return np.split(flat, cuts)
-
-
-def _sweep_once(dp, diagonals, C, h, step):
-    """One directional sweep over ``diagonals`` (from _diagonal_groups) of the
-    padded distance ``dp``, in place, with the Voigt entries C.  Returns the
-    largest decrease."""
+def _sweep_once(dp, active, C, h, step):
+    """One Jacobi pass: re-solve the nodes ``active`` (flat indices into the
+    padded distance ``dp``) from their current neighbours, in place, with the
+    Voigt entries C.  Returns the nodes whose value decreased."""
     flat = dp.reshape(-1)
     row = dp.shape[1]
-    max_change = 0.0
-    for p in diagonals:
-        dW, dE, dS, dN = flat[p - 1], flat[p + 1], flat[p - row], flat[p + row]
-        nvx = np.stack([dW, dW, dE, dE])
-        nvy = np.stack([dS, dN, dS, dN])
-        pair, node = np.nonzero((nvx < 1e99) & (nvy < 1e99))
-        cand = np.full(nvx.shape, _FAR)
-        cand[pair, node] = _local_solve(C, nvx[pair, node], _SGX[pair],
-                                        nvy[pair, node], _SGY[pair], h, step)
-        old = flat[p]
-        new = np.minimum(old, cand.min(axis=0))
-        max_change = max(max_change, float(np.max(old - new, initial=0.0)))
-        flat[p] = new
-    return max_change
+    dW, dE = flat[active - 1], flat[active + 1]
+    dS, dN = flat[active - row], flat[active + row]
+    nvx = np.stack([dW, dW, dE, dE])
+    nvy = np.stack([dS, dN, dS, dN])
+    pair, node = np.nonzero((nvx < 1e99) & (nvy < 1e99))
+    cand = np.full(nvx.shape, _FAR)
+    cand[pair, node] = _local_solve(C, nvx[pair, node], _SGX[pair],
+                                    nvy[pair, node], _SGY[pair], h, step)
+    new = cand.min(axis=0)
+    down = new < flat[active]
+    flat[active[down]] = new[down]
+    return active[down]
 
 
 def _axis_pstar_min(M):
@@ -265,14 +247,13 @@ def _seed_boundary_layer(domain, grid, mask, M):
     return iy, ix, vals
 
 
-_SWEEP_ORDERS = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
-_SWEEP_TOL = 1e-9      # converged when a cycle's largest update is below
-_MAX_SWEEPS = 200
-
-
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
                      coeffs: CoefficientField) -> DistanceField:
-    """Distance-to-boundary solving p*(grad d) = 1 by fast sweeping.
+    """Distance-to-boundary solving p*(grad d) = 1 by the fast iterative
+    method: every free node starts active, and after each pass the free
+    4-neighbours of the nodes that decreased are the next active set.  It
+    stops when a pass decreases no node, an exact fixed point.  The passes
+    are capped at 4 (nx + ny), four times a monotone path across the lattice.
 
     With coeffs = bilaplacian(), p* = |xi| and d is the Euclidean distance.
     """
@@ -285,26 +266,22 @@ def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
     d[...] = np.where(mask.interior, _FAR, 0.0)
     iy, ix, vals = _seed_boundary_layer(domain, grid, mask, coeffs.M)
     d[iy, ix] = vals
-    active = mask.interior.copy()
-    active[iy, ix] = False
+    free = np.pad(mask.interior, 1)
+    free[iy + 1, ix + 1] = False
+    free = free.reshape(-1)
     C = tuple(coeffs.M[_VOIGT_ROWS, _VOIGT_COLS])
-    orders = [_diagonal_groups(active, sy, sx) for sy, sx in _SWEEP_ORDERS]
-
-    sweeps = 0
-    converged = False
-    while sweeps < _MAX_SWEEPS and not converged:
-        cycle_change = 0.0
-        for diagonals in orders:
-            cycle_change = max(cycle_change,
-                               _sweep_once(dp, diagonals, C, h, step))
-            sweeps += 1
-            if sweeps >= _MAX_SWEEPS:
-                break
-        converged = cycle_change < _SWEEP_TOL
-    if not converged:
-        raise NoConvergence(
-            f"fast sweeping: max update {cycle_change:.3e} > tol "
-            f"{_SWEEP_TOL:.3e} after {sweeps} sweeps")
+    row = dp.shape[1]
+    active = np.flatnonzero(free)
+    max_passes = 4 * (grid.nx + grid.ny)
+    for _ in range(max_passes):
+        if not active.size:
+            break
+        down = _sweep_once(dp, active, C, h, step)
+        nb = np.concatenate([down - 1, down + 1, down - row, down + row])
+        active = np.unique(nb[free[nb]])
+    if active.size:
+        raise NoConvergence(f"eikonal: {active.size} nodes still active "
+                            f"after {max_passes} passes")
     return _distance_field(grid, np.where(mask.interior, d, 0.0))
 
 

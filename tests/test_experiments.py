@@ -461,6 +461,28 @@ def test_cli_palpha_builds_perturbation_once(tmp_path, monkeypatch):
     assert all("perturbed" in entry for entry in payload.values())
 
 
+def test_cli_palpha_non_elliptic_perturbation_exit_2(tmp_path, capsys,
+                                                    monkeypatch):
+    # at seed 42 the delta = 2.5 perturbation of the bilaplacian loses
+    # ellipticity (at seed 1 it does not); it is checked before any eigensolve
+    calls = []
+    for mod in (cli, spectral):
+        solve = mod.lowest_eigenpairs
+        monkeypatch.setattr(mod, "lowest_eigenpairs",
+                            lambda *a, _solve=solve, **k:
+                            calls.append(1) or _solve(*a, **k))
+    text = BASE_CFG + "\n[perturbation]\ndelta = 2.5\n"
+    out = tmp_path / "out"
+    code = cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "delta=2.5" in err["message"]
+    assert calls == []
+    assert not (out / "palpha.json").exists()
+
+
 def test_cli_hardy_writes_three_pencils(tmp_path):
     text = BASE_CFG.replace("eps = 0.25", "eps = 0.25\nn_sweep = 4 8")
     out = tmp_path / "out"

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import platelab as pl
 from platelab import finsler
-from platelab.errors import NegativeQuartic
+from platelab.errors import NegativeQuartic, NoConvergence
+from test_spectral import _callers
 
 
 def test_tensor_symmetries_hold():
@@ -184,9 +187,12 @@ def test_refinement_contracts_distance_error():
     assert errs[1] <= 0.7 * errs[0]
 
 
+_REFERENCE_ORDERS = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+
+
 def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
-    """Scalar fast sweeping: row-major Gauss-Seidel, one node at a time, each
-    upwind pair solved by 60 bisection steps.  Returns (d, sweeps)."""
+    """Scalar fast sweeping: row-major Gauss-Seidel in the four orders, one
+    node at a time, each upwind pair solved by 60 bisection steps."""
     M = coeffs.M
     h = grid.h
     step = 1.5 * h / finsler._axis_pstar_min(M)
@@ -223,10 +229,10 @@ def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
         return best
 
     ny, nx = grid.ny, grid.nx
-    sweeps, change = 0, np.inf
+    change = np.inf
     while change >= tol:
         change = 0.0
-        for sy, sx in finsler._SWEEP_ORDERS:
+        for sy, sx in _REFERENCE_ORDERS:
             for y in (range(ny) if sy > 0 else range(ny - 1, -1, -1)):
                 for x in (range(nx) if sx > 0 else range(nx - 1, -1, -1)):
                     if free[y, x]:
@@ -234,8 +240,7 @@ def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
                         if t < d[y + 1, x + 1]:
                             change = max(change, d[y + 1, x + 1] - t)
                             d[y + 1, x + 1] = t
-            sweeps += 1
-    return np.where(mask.interior, d[1:-1, 1:-1], 0.0), sweeps
+    return np.where(mask.interior, d[1:-1, 1:-1], 0.0)
 
 
 @pytest.mark.parametrize("dom, coeffs", [
@@ -245,14 +250,33 @@ def _reference_distance(dom, grid, mask, coeffs, tol=1e-9):
 ], ids=["disk_bilaplacian", "rect_aniso", "rect_product"])
 def test_diagonal_sweep_matches_scalar_reference(dom, coeffs, monkeypatch):
     grid, mask = pl.build_grid(dom, 1.0 / 8)
-    d_ref, sweeps_ref = _reference_distance(dom, grid, mask, coeffs)
+    d_ref = _reference_distance(dom, grid, mask, coeffs)
     calls = []
     sweep = finsler._sweep_once
     monkeypatch.setattr(finsler, "_sweep_once",
                         lambda *a: calls.append(1) or sweep(*a))
     dist = pl.finsler_distance(dom, grid, mask, coeffs)
-    assert len(calls) == sweeps_ref
     assert np.max(np.abs(dist.d - d_ref)) <= 1e-12
+    assert len(calls) < 4 * (grid.nx + grid.ny)
+    # a fixed point: one more pass over every free node decreases none
+    dp = np.pad(dist.d, 1, constant_values=finsler._FAR)
+    free = np.pad(mask.interior, 1)
+    iy, ix, _ = finsler._seed_boundary_layer(dom, grid, mask, coeffs.M)
+    free[iy + 1, ix + 1] = False
+    C = tuple(coeffs.M[finsler._VOIGT_ROWS, finsler._VOIGT_COLS])
+    step = 1.5 * grid.h / finsler._axis_pstar_min(coeffs.M)
+    down = sweep(dp, np.flatnonzero(free), C, grid.h, step)
+    assert down.size == 0
+    assert np.array_equal(dp[1:-1, 1:-1], dist.d)
+
+
+def test_pass_cap_raises_no_convergence(monkeypatch):
+    # a pass that reports every active node as decreased never settles
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 1.0 / 8)
+    monkeypatch.setattr(finsler, "_sweep_once", lambda dp, active, *a: active)
+    with pytest.raises(NoConvergence, match="nodes still active"):
+        pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
 
 
 def test_distance_when_every_node_is_seeded():
@@ -298,3 +322,33 @@ def test_local_solve_one_sided(coeffs):
                                      np.array([-sg]), h, 1.5 * h)
             assert t[0] == pytest.approx(nv + h / px, rel=1e-15)
 
+
+@pytest.mark.parametrize("dom, h, coeffs", [
+    (pl.rectangle(2.0, 1.0), 1.0 / 32,
+     pl.product(np.array([[4.0, 1.0], [1.0, 2.0]]))),
+    (pl.disk(1.0), 1.0 / 64, pl.bilaplacian()),
+], ids=["rect_product", "disk"])
+def test_local_solve_is_elementwise(dom, h, coeffs, monkeypatch):
+    # a node's value must not depend on which other candidates share its
+    # batch: the largest batches of a solve, each candidate solved alone
+    batches = []
+    solve = finsler._local_solve
+    monkeypatch.setattr(finsler, "_local_solve",
+                        lambda *a: batches.append(a) or solve(*a))
+    grid, mask = pl.build_grid(dom, h)
+    pl.finsler_distance(dom, grid, mask, coeffs)
+    batches.sort(key=lambda a: len(a[1]))
+    for C, nvx, sgx, nvy, sgy, hh, step in batches[-3:]:
+        full = solve(C, nvx, sgx, nvy, sgy, hh, step)
+        alone = [solve(C, nvx[i:i + 1], sgx[i:i + 1], nvy[i:i + 1],
+                       sgy[i:i + 1], hh, step)[0] for i in range(len(nvx))]
+        assert np.array_equal(full, alone)
+
+
+def test_every_local_solve_goes_through_sweep_once():
+    # perfbench counts _sweep_once as finsler.sweeps: every batch of local
+    # solves is one counted pass
+    src = Path(finsler.__file__).resolve().parent
+    found = [c for p in sorted(src.glob("*.py"))
+             for c in _callers(p, "_local_solve")]
+    assert found == [("finsler", "_sweep_once")]
