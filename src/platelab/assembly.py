@@ -14,8 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EllipticityLost, NotElliptic
-from .finsler import (_BILAPLACIAN_M, CoefficientField, DistanceField,
-                      quartic_symbol)
+from .finsler import _BILAPLACIAN_M, CoefficientField, DistanceField
 from .geometry import Grid, GridMask, difference_ops
 
 
@@ -25,6 +24,7 @@ class FormMatrix:
 
     matrix: sp.csr_matrix
     h: float
+    M: Optional[np.ndarray] = None   # Voigt matrix of a zero-extended Q or Q0
 
     def __call__(self, u, v=None) -> float:
         """Q(u) or the bilinear Q(u, v)."""
@@ -43,39 +43,30 @@ def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
     return ((A + A.T) * 0.5).tocsr()
 
 
-def _ritz_probe(A: sp.csr_matrix) -> float:
-    """Smallest Ritz value over a seeded random subspace of at most eight
-    vectors (cheap PD probe)."""
-    rng = np.random.default_rng(0)
-    V = rng.standard_normal((A.shape[0], min(8, A.shape[0])))
-    V, _ = np.linalg.qr(V)
-    H = V.T @ (A @ V)
-    return float(np.linalg.eigvalsh((H + H.T) / 2).min())
-
-
 def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
     """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point form)."""
     Dxx, Dyy, _, _, _ = dof_difference_ops(grid, mask)
     L = Dxx + Dyy
     Q0 = _symmetrize((L.T @ L) * grid.h**2)
-    return FormMatrix(Q0, grid.h)
+    return FormMatrix(Q0, grid.h, _BILAPLACIAN_M)
 
 
 def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatrix:
     """Q(u) = h^2 * sum_nodes s(u)^T M s(u), s = (u_xx, u_yy, u_xy).
 
     For the bilaplacian tensor the assembly routes through Lap_h^T Lap_h so
-    that Q equals Q0 entrywise.
+    that Q equals Q0 entrywise.  Raises NotElliptic unless the lattice
+    symbol of M is positive on theta != 0 (``ellipticity_window``).
     """
     M = coeffs.M
     if np.allclose(M, _BILAPLACIAN_M, atol=0.0):
         return assemble_Q0(grid, mask)
+    if _symbol_ratio_min(M) <= 0.0:
+        raise NotElliptic("the lattice symbol of the form is not positive")
     B = sp.vstack(dof_difference_ops(grid, mask)[:3], format="csr")
     A = sp.kron(M, sp.identity(grid.n_nodes), format="csr")
     Q = _symmetrize((B.T @ (A @ B)) * grid.h**2)
-    if _ritz_probe(Q) <= 0.0:
-        raise NotElliptic("assembled form has a nonpositive Ritz value")
-    return FormMatrix(Q, grid.h)
+    return FormMatrix(Q, grid.h, M)
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
@@ -133,22 +124,42 @@ def principal_submatrix(form: FormMatrix, mask: GridMask,
     return FormMatrix(form.matrix[keep][:, keep].tocsr(), form.h)
 
 
-# Lanczos vectors for the window's solve.  The spectrum of (Q, Q0)
-# fills a band (about [0.94, 16] for diag(16, 1)), so its lower end sits in
-# a dense cluster; ARPACK's default of 20 vectors for one eigenpair discards
-# most of the Krylov space at each restart (3962 LU solves against 922 on
-# rect_aniso at h = 1/32).
-WINDOW_NCV = 80
+def _symbol_ratio_min(M) -> float:
+    """inf over theta != 0 of q_h / q0_h, q0_h the bilaplacian's symbol.
+
+    q_h = s_h^T M s_h / h^4 with s_h = (X^2, Y^2, kappa X Y),
+    X = 2 sin(theta_x / 2), Y = 2 sin(theta_y / 2) and
+    kappa = cos(theta_x / 2) cos(theta_y / 2).  With (X, Y) = rho (c, s),
+    c = cos phi and s = sin phi, q0_h = rho^4 / h^4 and s_h = rho^2 (P +
+    kappa R), P = (c^2, s^2, 0), R = (0, 0, c s); along each ray kappa falls
+    from 1 (theta -> 0, the continuum ratio) to 0.  So the ratio is
+    a + 2 b kappa + e kappa^2 with a = P^T M P, b = P^T M R, e = R^T M R,
+    least at kappa = 0, 1 or -b / e, and phi (period pi) is taken on 3601
+    points, then twice on 201 points around the minimum.
+    """
+    def ratio_min(phi):
+        c, s = np.cos(phi), np.sin(phi)
+        PR = np.array([[c * c, s * s, 0 * c], [0 * c, 0 * c, c * s]])
+        (a, b), (_, e) = np.einsum("ikn,kl,jln->ijn", PR, M, PR)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.clip(np.nan_to_num(-b / e), 0, 1)
+        return np.minimum.reduce([a, a + 2 * b + e, a + 2 * b * k + e * k * k])
+
+    phi, dphi = np.linspace(0.0, np.pi, 3601, retstep=True)
+    for _ in range(2):
+        mid = phi[np.argmin(ratio_min(phi))]
+        phi, dphi = np.linspace(mid - dphi, mid + dphi, 201, retstep=True)
+    return float(ratio_min(phi).min())
 
 
-def ellipticity_window(Q: FormMatrix, Q0: FormMatrix,
-                       seed: int = 42) -> EllipticityWindow:
-    """Lowest generalized eigenvalue of the pencil (Q, Q0): the lower end
-    lambda_ell of the ellipticity window Q >= lambda_ell Q0."""
-    from .spectral import lowest_eigenpairs
-
-    lo = lowest_eigenpairs(Q, Q0, m=1, seed=seed, ncv=WINDOW_NCV)
-    return EllipticityWindow(lambda_ell=float(lo.values[0]))
+def ellipticity_window(Q: FormMatrix, Q0: FormMatrix) -> EllipticityWindow:
+    """lambda_ell = inf over theta != 0 of q_h / q0_h.  By Parseval on the
+    lattice a zero-extended constant form is Q(u) = int q_h |u^|^2 dtheta, so
+    Q >= lambda_ell Q0 on every mask, O(h) below the pencil's minimum."""
+    if Q.M is None or not np.array_equal(Q0.M, _BILAPLACIAN_M):
+        raise ValueError("Q needs its Voigt matrix M and Q0 must be the "
+                         "bilaplacian form (assemble_Q, assemble_Q0)")
+    return EllipticityWindow(_symbol_ratio_min(Q.M))
 
 
 def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
@@ -157,8 +168,8 @@ def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
 
     The perturbation has operator norm exactly ``delta_magnitude`` in the
     orthonormal Hessian basis; symmetries a_ijkl = a_jikl = a_ijlk = a_klij
-    hold by construction.  Raises EllipticityLost if the perturbed quartic
-    symbol loses positivity on 64 sampled directions.
+    hold by construction.  Raises EllipticityLost unless the lattice symbol
+    of the perturbed tensor is positive, as ``assemble_Q`` requires.
     """
     delta_magnitude = float(delta_magnitude)
     if delta_magnitude < 0:
@@ -174,10 +185,9 @@ def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
 
     field = CoefficientField("perturbed", base.M + dM,
                              delta_norm=delta_magnitude)
-    thetas = np.linspace(0.0, np.pi, 64, endpoint=False)
-    q = quartic_symbol(field.M, np.cos(thetas), np.sin(thetas))
-    if np.min(q) <= 1e-12:
+    r = _symbol_ratio_min(field.M)
+    if r <= 1e-12:
         raise EllipticityLost(
-            f"quartic symbol nonpositive (min {np.min(q):.3e}) after "
-            f"perturbation of magnitude {delta_magnitude}")
+            f"lattice symbol nonpositive (min ratio {r:.3e} to the "
+            f"bilaplacian) after perturbation of magnitude {delta_magnitude}")
     return field

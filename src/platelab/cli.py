@@ -181,7 +181,7 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
     if cfg.delta > 0.0:
         Qt = assembly.assemble_Q(grid, mask, tilde)
         Q0 = assembly.assemble_Q0(grid, mask)
-        win = assembly.ellipticity_window(Qt, Q0, seed=cfg.seed)
+        win = assembly.ellipticity_window(Qt, Q0)
     payload = {}
     for a in cfg.alphas:
         rep = verifier.probe_P_alpha(Q, mass, dist, a, witnesses,

@@ -33,11 +33,11 @@ class NoConvergence(PlatelabError):
 
 
 class NotElliptic(PlatelabError):
-    """Assembled quadratic form has a nonpositive Ritz value."""
+    """The lattice symbol of a quadratic form is not positive."""
 
 
 class EllipticityLost(PlatelabError):
-    """A coefficient perturbation destroyed positivity of the quartic symbol."""
+    """A coefficient perturbation made the lattice symbol nonpositive."""
 
 
 class MassNotPD(PlatelabError):

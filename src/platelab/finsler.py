@@ -223,8 +223,6 @@ def _seed_boundary_layer(domain, grid, mask, M):
     On the medial axis the central difference of the sdf cancels; there a
     one-sided (forward) difference picks one of the nearest boundaries.
     """
-    X, Y = grid.meshgrid()
-    sd = domain.sdf(X, Y)
     interior = mask.interior
     nb_ext = np.zeros_like(interior)
     nb_ext[:, 1:] |= ~interior[:, :-1]
@@ -232,7 +230,8 @@ def _seed_boundary_layer(domain, grid, mask, M):
     nb_ext[1:, :] |= ~interior[:-1, :]
     nb_ext[:-1, :] |= ~interior[1:, :]
     iy, ix = np.nonzero(interior & nb_ext)
-    x, y, s0 = X[iy, ix], Y[iy, ix], sd[iy, ix]
+    x, y = grid.xs()[ix], grid.ys()[iy]
+    s0 = domain.sdf(x, y)
     dq = 1e-4 * grid.h
     sxp, syp = domain.sdf(x + dq, y), domain.sdf(x, y + dq)
     gx = (sxp - domain.sdf(x - dq, y)) / (2 * dq)

@@ -63,17 +63,15 @@ def _residuals(Am, Bm, vals, vecs) -> np.ndarray:
 
 def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
                       seed: int = DEFAULT_SEED,
-                      OPinv: Optional[spla.LinearOperator] = None,
-                      ncv: Optional[int] = None) -> Spectrum:
+                      OPinv: Optional[spla.LinearOperator] = None) -> Spectrum:
     """The m algebraically smallest generalized eigenvalues of (A, B).
 
     Shift-invert at sigma = 0 (A is positive definite for all pencils used
-    here).  Deterministic for fixed (A, B, m, tol, seed, ncv).  ``OPinv``
+    here).  Deterministic for fixed (A, B, m, tol, seed).  ``OPinv``
     lets a caller reuse one ``factor(A)`` across a sweep of mass matrices.
-    ``ncv`` is the number of Lanczos vectors (capped at the dimension);
-    None keeps ARPACK's default.  ARPACK stops at ``tol *
-    LANCZOS_TOL_RATIO`` for m = 1 and at machine precision for m >= 2;
-    either way every pair returned has a residual <= ``tol``.
+    ARPACK stops at ``tol * LANCZOS_TOL_RATIO`` for m = 1 and at machine
+    precision for m >= 2; either way every pair returned has a residual
+    <= ``tol``.
     """
     Am = _as_matrix(A)
     Bm = _as_matrix(B)
@@ -96,7 +94,6 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
     try:
         vals, vecs = spla.eigsh(Am, k=m, M=Bm, sigma=0.0, which="LM",
                                 v0=v0, OPinv=OPinv,
-                                ncv=None if ncv is None else min(ncv, n),
                                 tol=tol * LANCZOS_TOL_RATIO if m == 1 else 0)
     except spla.ArpackNoConvergence as exc:
         partial = None

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import platelab as pl
 from platelab import assembly, finsler, spectral
-from platelab.errors import EllipticityLost
+from platelab.errors import EllipticityLost, NotElliptic
 from platelab.geometry import difference_ops
 from test_spectral import _callers
 
@@ -156,9 +156,16 @@ def test_principal_submatrix_is_form_restriction():
 def test_ellipticity_window_identity_and_scaling(disk32):
     win = assembly.ellipticity_window(disk32.Q0, disk32.Q0)
     assert win.lambda_ell == pytest.approx(1.0, abs=1e-8)
-    Q3 = assembly.FormMatrix((3.0 * disk32.Q0.matrix).tocsr(), disk32.Q0.h)
+    Q3 = assembly.FormMatrix((3.0 * disk32.Q0.matrix).tocsr(), disk32.Q0.h,
+                             3.0 * finsler._BILAPLACIAN_M)
     win3 = assembly.ellipticity_window(Q3, disk32.Q0)
     assert win3.lambda_ell == pytest.approx(3.0, rel=1e-8)
+    # a form without its Voigt matrix has no symbol, and no eigensolve
+    # stands in for it; the reference form must be the bilaplacian's
+    bare = assembly.FormMatrix(Q3.matrix, Q3.h)
+    for Q, Q0 in ((bare, disk32.Q0), (disk32.Q0, Q3)):
+        with pytest.raises(ValueError):
+            assembly.ellipticity_window(Q, Q0)
 
 
 def test_ellipticity_window_product_tensor(disk32):
@@ -169,38 +176,88 @@ def test_ellipticity_window_product_tensor(disk32):
     assert win.lambda_ell == pytest.approx(1.0, rel=0.05)
 
 
-def _rect_aniso_window_pencil(h):
-    grid, mask = pl.build_grid(pl.rectangle(2.0, 1.0), h)
-    tilde = assembly.perturb_coeffs(pl.diagonal([[16.0, 0.0], [0.0, 1.0]]),
-                                    0.01, seed=42)
+# (domain, base operator, delta, seed) of the window's perturbed pencils
+_WINDOW_CASES = {
+    "rect_aniso": (pl.rectangle(2.0, 1.0),
+                   pl.diagonal([[16.0, 0.0], [0.0, 1.0]]), 0.01, 42),
+    "disk": (pl.disk(1.0), pl.bilaplacian(), 0.1, 0),
+}
+
+
+def _window_pencil(case, h):
+    domain, base, delta, seed = _WINDOW_CASES[case]
+    grid, mask = pl.build_grid(domain, h)
+    tilde = assembly.perturb_coeffs(base, delta, seed=seed)
     return (assembly.assemble_Q(grid, mask, tilde),
             assembly.assemble_Q0(grid, mask))
 
 
 def test_ellipticity_window_matches_dense_pencil():
-    Qt, Q0 = _rect_aniso_window_pencil(1.0 / 12)
-    ref = sla.eigh(Qt.matrix.toarray(), Q0.matrix.toarray(), eigvals_only=True)
-    win = assembly.ellipticity_window(Qt, Q0)
-    assert win.lambda_ell == pytest.approx(ref[0], rel=1e-9)
+    # the symbol bound holds on every mask, and the pencil's lowest
+    # eigenvalue comes down to it at first order in h (gaps 2.2e-2, 1.15e-2,
+    # 8.6e-3 on rect_aniso and 2.1e-2, 1.5e-2, 1.1e-2 on the disk)
+    for case in _WINDOW_CASES:
+        for h in (1.0 / 8, 1.0 / 12, 1.0 / 16):
+            Qt, Q0 = _window_pencil(case, h)
+            ref = sla.eigh(Qt.matrix.toarray(), Q0.matrix.toarray(),
+                           eigvals_only=True)[0]
+            gap = ref - assembly.ellipticity_window(Qt, Q0).lambda_ell
+            assert 0.1 * h < gap < 0.2 * h
 
 
 def test_ellipticity_window_solve_count(monkeypatch):
-    # the lower end of a dense band: 3962 solves with ARPACK's default 20
-    # Lanczos vectors, 922 with WINDOW_NCV
-    solves = [0]
-    factor = spectral.factor
+    calls = []
+    for mod, name in ((spectral, "factor"), (spla, "splu"), (spla, "eigsh")):
+        monkeypatch.setattr(mod, name, lambda *a, **k: calls.append(name))
+    assembly.ellipticity_window(*_window_pencil("rect_aniso", 1.0 / 32))
+    assert calls == []
 
-    def counting_factor(A):
-        op = factor(A)
 
-        def solve(x):
-            solves[0] += 1
-            return op.matvec(x)
-        return spla.LinearOperator(op.shape, matvec=solve)
+def _continuum_window(M):
+    """min over |xi| = 1 of q(xi) / |xi|^4 on 200001 directions."""
+    t = np.linspace(0.0, np.pi, 200001)
+    return float(finsler.quartic_symbol(M, np.cos(t), np.sin(t)).min())
 
-    monkeypatch.setattr(spectral, "factor", counting_factor)
-    assembly.ellipticity_window(*_rect_aniso_window_pencil(1.0 / 32))
-    assert 0 < solves[0] <= 3000
+
+def test_ellipticity_window_is_the_continuum_symbol_minimum():
+    # for these perturbations the infimum sits at the ray limit theta -> 0,
+    # so it is the continuum window, for every h
+    for case, (_, base, delta, seed) in _WINDOW_CASES.items():
+        r = _continuum_window(assembly.perturb_coeffs(base, delta, seed).M)
+        for h in (1.0 / 8, 1.0 / 16):
+            win = assembly.ellipticity_window(*_window_pencil(case, h))
+            assert win.lambda_ell == pytest.approx(r, abs=1e-6)
+
+
+def test_ellipticity_window_follows_the_lattice_below_the_continuum():
+    # bilaplacian + delta = 0.1 at seed 25: the lattice symbol ratio dips to
+    # 0.97749 at a grid-scale theta, below the continuum window 0.99924, and
+    # the pencil's lowest eigenvalue (0.97756 at h = 1/16) follows it
+    tilde = assembly.perturb_coeffs(pl.bilaplacian(), 0.1, seed=25)
+    grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 16)
+    Qt = assembly.assemble_Q(grid, mask, tilde)
+    Q0 = assembly.assemble_Q0(grid, mask)
+    win = assembly.ellipticity_window(Qt, Q0)
+    assert win.lambda_ell < _continuum_window(tilde.M) - 0.02
+    ref = sla.eigh(Qt.matrix.toarray(), Q0.matrix.toarray(),
+                   eigvals_only=True)[0]
+    assert win.lambda_ell <= ref <= win.lambda_ell + 1e-4
+
+
+def test_lattice_symbol_rejects_a_continuum_elliptic_tensor():
+    # s^T M s = x^4 + y^4 on the continuum, but at theta = (pi, pi) the
+    # lattice symbol is s_h = (4, 4, 0) / h^2 and q_h = -32 / h^4 (c = 2),
+    # or -6.4 / h^4 (c = 1.2: the form on the h = 1/8 disk has the
+    # eigenvalue -400, which eight random Ritz vectors do not find)
+    t = np.linspace(0.0, np.pi, 1001)
+    grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 8)
+    for c in (2.0, 1.2):
+        M = np.array([[1.0, -c, 0.0], [-c, 1.0, 0.0], [0.0, 0.0, 2 * c]])
+        q = finsler.quartic_symbol(M, np.cos(t), np.sin(t))
+        assert np.allclose(q, np.cos(t) ** 4 + np.sin(t) ** 4)
+        with pytest.raises(NotElliptic):
+            assembly.assemble_Q(grid, mask,
+                                finsler.CoefficientField("custom", M))
 
 
 def test_perturbation_norm_is_delta():
@@ -224,10 +281,13 @@ def test_perturbed_field_keeps_symmetries():
 
 
 def test_perturbed_window_close_to_identity(disk32):
-    pert = assembly.perturb_coeffs(pl.bilaplacian(), 0.1, seed=0)
-    Q = assembly.assemble_Q(disk32.grid, disk32.mask, pert)
-    win = assembly.ellipticity_window(Q, disk32.Q0)
-    assert 0.9 - 1e-9 <= win.lambda_ell <= 1.1 + 1e-9
+    # |s_h^T dM s_h| <= delta |T^-1 s_h|^2 <= delta (X^2 + Y^2)^2 = delta q0_h
+    for delta in (0.01, 0.1, 0.5):
+        for seed in range(8):
+            pert = assembly.perturb_coeffs(pl.bilaplacian(), delta, seed=seed)
+            Q = assembly.assemble_Q(disk32.grid, disk32.mask, pert)
+            win = assembly.ellipticity_window(Q, disk32.Q0)
+            assert 1 - delta - 1e-12 <= win.lambda_ell <= 1 + delta + 1e-12
 
 
 def test_perturb_zero_is_identity():
@@ -244,4 +304,13 @@ def test_perturb_ellipticity_lost():
             killed = True
             break
     assert killed
+
+
+def test_perturb_rejects_a_lattice_nonpositive_symbol():
+    # diag(16, 1) + delta = 1.5 at seed 30 keeps a positive continuum
+    # symbol, but its lattice symbol ratio dips to -1.7e-3: assemble_Q would
+    # refuse the form, so the perturbation is refused when it is drawn
+    with pytest.raises(EllipticityLost):
+        assembly.perturb_coeffs(pl.diagonal([[16.0, 0.0], [0.0, 1.0]]), 1.5,
+                                seed=30)
 

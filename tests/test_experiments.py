@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +222,18 @@ def test_only_cli_writes_files():
     src = Path(cli.__file__).resolve().parent
     found = {u for p in sorted(src.glob("*.py")) for u in _file_writes(p)}
     assert found == {("cli", "open"), ("cli", "dump")}
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # its import costs more than the ellipticity window it could polish
+    probe = "import sys, platelab.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_spectrum_success(tmp_path, capsys):

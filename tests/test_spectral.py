@@ -59,12 +59,6 @@ def test_determinism():
     assert np.max(np.abs(np.abs(s1.vectors) - np.abs(s2.vectors))) < 1e-9
 
 
-def test_ncv_is_capped_at_the_dimension():
-    A, B = _diag_pencil()
-    spec = pl.lowest_eigenpairs(A, B, m=1, ncv=80)
-    assert spec.values[0] == pytest.approx(1.0, rel=1e-10)
-
-
 def _raise_no_convergence(values, vectors):
     def eigsh(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", values, vectors)
