@@ -64,6 +64,9 @@ def rectangle(width: float, height: float) -> AnalyticDomain:
 def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
     """|x/a|^p + |y/b|^p = 1 boundary; distance via a 4096-vertex boundary
     polyline."""
+    # imported here: scipy.spatial adds about 80 ms to ``import platelab``
+    from scipy.spatial import cKDTree
+
     a, b, p = float(a), float(b), float(p)
     if a <= 0 or b <= 0 or p < 2:
         raise ValueError("superellipse needs a, b > 0 and exponent p >= 2")
@@ -76,6 +79,8 @@ def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
     seg_b = np.roll(pts, -1, axis=0)
     seg_d = seg_b - seg_a
     seg_len2 = np.maximum(np.sum(seg_d**2, axis=1), 1e-300)
+    seg_len = np.sqrt(seg_len2)
+    tree = cKDTree(seg_a)
 
     def sdf(x, y):
         x = np.asarray(x, dtype=float)
@@ -83,15 +88,23 @@ def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
         shp = np.broadcast(x, y).shape
         q = np.column_stack([np.ravel(np.broadcast_to(x, shp)),
                              np.ravel(np.broadcast_to(y, shp))])
-        dist = np.empty(q.shape[0])
-        # chunked point-to-polyline distance
-        for lo in range(0, q.shape[0], 2048):
-            qc = q[lo:lo + 2048]
-            w = qc[:, None, :] - seg_a[None, :, :]
-            s = np.clip(np.einsum("qsk,sk->qs", w, seg_d) / seg_len2, 0.0, 1.0)
-            proj = seg_a[None, :, :] + s[..., None] * seg_d[None, :, :]
-            d2 = np.sum((qc[:, None, :] - proj) ** 2, axis=2)
-            dist[lo:lo + 2048] = np.sqrt(d2.min(axis=1))
+        # The nearest vertex is r away, and segment k is no nearer than
+        # |q - a_k| - |seg_k|, so only segments with |q - a_k| <= r + |seg_k|
+        # can hold the nearest point (the 1e-9 covers rounding in r).
+        r = tree.query(q)[0] * (1.0 + 1e-9)
+        near = tree.query_ball_point(q, r + seg_len.max())
+        qi = np.repeat(np.arange(len(q)), [len(k) for k in near])
+        k = np.concatenate(near)
+        w = q[qi] - seg_a[k]
+        keep = np.hypot(w[:, 0], w[:, 1]) <= r[qi] + seg_len[k]
+        qi, k, w = qi[keep], k[keep], w[keep]
+        s = np.clip(np.einsum("ck,ck->c", w, seg_d[k]) / seg_len2[k], 0.0, 1.0)
+        proj = seg_a[k] + s[:, None] * seg_d[k]
+        d2 = np.sum((q[qi] - proj) ** 2, axis=1)
+        # qi is sorted and holds every point (its nearest vertex starts a
+        # segment that is always kept)
+        starts = np.flatnonzero(np.diff(qi, prepend=-1))
+        dist = np.sqrt(np.minimum.reduceat(d2, starts))
         lvl = (np.abs(q[:, 0] / a) ** p + np.abs(q[:, 1] / b) ** p) - 1.0
         out = np.where(lvl < 0.0, -dist, dist)
         return out.reshape(shp) if shp else float(out[0])

@@ -23,6 +23,9 @@ from .spectral import Spectrum, factor, lowest_eigenpairs
 
 STABILIZATION_INCREMENT = 0.05  # top-two-n relative increment threshold
 WEAK_STABILITY_TOL = 0.02  # weak pair: top-two-n relative difference
+# eta of the weak scan's rule-out test: a relative margin far above the
+# Lanczos stop, so rounding in a solved value cannot rule a shift out
+WEAK_RULE_OUT_MARGIN = 1e-6
 
 
 def k_alpha_ref(alpha: float) -> float:
@@ -79,7 +82,7 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
                             dist: DistanceField, kind: str,
                             n_sweep: Optional[Sequence[int]] = None, *,
                             mass: FormMatrix,
-                            shift_exponents: range = range(0, 11),
+                            shift_exponents: Sequence[int] = range(0, 11),
                             seed: int = 42) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
 
@@ -90,37 +93,79 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     with weak_stabilized False; it is then no estimate of the weak
     constant.  Since A + s M >= A, a weak value is never below the plain
     constant at the largest n.
+
+    c_n(s) = min_u (A + s M)(u) / W_n(u) is concave and nondecreasing in s.
+    The cap is solved first; a shift below it is solved only when two
+    bounds cannot rule it out.  The Rayleigh quotients of every eigenvector
+    found so far bound c_hi(s) above, and the chord between the nearest
+    solved shifts (the plain sweep is shift 0) bounds c_lo(s) below.  A
+    shift is ruled out when (1 + WEAK_STABILITY_TOL) upper < (1 - eta) lower
+    with eta = WEAK_RULE_OUT_MARGIN; it would fail the test, so the reported
+    values are those of solving every shift in turn.
     """
     if kind not in _HARDY_POWERS:
         raise ValueError(f"unknown Hardy kind {kind!r}")
+    exps = list(shift_exponents)
+    if not exps or any(b <= a for a, b in zip(exps, exps[1:])):
+        raise ValueError(f"shift_exponents {exps} must be non-empty and "
+                         "strictly increasing")
     order, power = _HARDY_POWERS[kind]
     n_sweep = _n_levels(n_sweep, grid.h)
 
     op = factor(A)
     sweep = []
     weights = {}
+    probes = []
     for n in n_sweep:
         weights[n] = assemble_weighted(grid, mask, dist, order, power, n)
         spec = lowest_eigenpairs(A, weights[n], m=1, seed=seed, OPinv=op)
         sweep.append((n, float(spec.values[0])))
+        probes.append(spec.vectors[:, 0])
 
     weak_pair = None
     weak_sweep = ()
     weak_stabilized = False
     if len(n_sweep) >= 2:
         n_hi, n_lo = n_sweep[-1], n_sweep[-2]
-        for j in shift_exponents:
-            shift = 2.0**j
+        # (A(v), M(v), W_hi(v)) of each eigenvector: c_hi(s) <= min over v
+        # of (A(v) + s M(v)) / W_hi(v)
+        forms = [(A(v), mass(v), weights[n_hi](v)) for v in probes]
+
+        def solve(shift):
             As = FormMatrix((A.matrix + shift * mass.matrix).tocsr(), A.h)
             ops = factor(As)
-            c_hi = float(lowest_eigenpairs(As, weights[n_hi], m=1, seed=seed,
-                                           OPinv=ops).values[0])
-            c_lo = float(lowest_eigenpairs(As, weights[n_lo], m=1, seed=seed,
-                                           OPinv=ops).values[0])
-            weak_sweep = ((n_lo, c_lo), (n_hi, c_hi))
-            weak_stabilized = abs(c_lo - c_hi) <= WEAK_STABILITY_TOL * abs(c_hi)
-            if weak_stabilized:
+            values = {}
+            for n in (n_hi, n_lo):
+                spec = lowest_eigenpairs(As, weights[n], m=1, seed=seed,
+                                         OPinv=ops)
+                v = spec.vectors[:, 0]
+                forms.append((A(v), mass(v), weights[n_hi](v)))
+                values[n] = float(spec.values[0])
+            return values[n_lo], values[n_hi]
+
+        def stable(c_lo, c_hi):
+            return abs(c_lo - c_hi) <= WEAK_STABILITY_TOL * abs(c_hi)
+
+        shifts = [2.0**j for j in exps]
+        cap = shifts[-1]
+        cap_pair = solve(cap)
+        left = (0.0, sweep[-2][1])
+        for shift in shifts[:-1]:
+            s0, c0 = left
+            lower = c0 + (cap_pair[0] - c0) * (shift - s0) / (cap - s0)
+            a, m, w = np.array(forms).T
+            upper = float(np.min((a + shift * m) / w))
+            if ((1.0 + WEAK_STABILITY_TOL) * upper
+                    < (1.0 - WEAK_RULE_OUT_MARGIN) * lower):
+                continue
+            c_lo, c_hi = solve(shift)
+            if stable(c_lo, c_hi):
                 break
+            left = (shift, c_lo)
+        else:
+            shift, (c_lo, c_hi) = cap, cap_pair
+        weak_sweep = ((n_lo, c_lo), (n_hi, c_hi))
+        weak_stabilized = stable(c_lo, c_hi)
         weak_pair = (c_hi, shift)
     return HardyReport(kind=kind, constant_hat=sweep[-1][1],
                        n_sweep=tuple(sweep), weak_pair=weak_pair,

@@ -41,6 +41,38 @@ def test_superellipse_sdf_is_signed_and_lipschitz():
     assert np.all(np.abs(dp - dq) <= gap + 1e-9)
 
 
+def _polyline_sdf(a, b, p, x, y):
+    """Reference: the distance from each point to every segment of the
+    4096-vertex polyline, signed by the level set."""
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    ct, st = np.cos(t), np.sin(t)
+    seg_a = np.column_stack([a * np.sign(ct) * np.abs(ct) ** (2.0 / p),
+                             b * np.sign(st) * np.abs(st) ** (2.0 / p)])
+    seg_d = np.roll(seg_a, -1, axis=0) - seg_a
+    seg_len2 = np.maximum(np.sum(seg_d**2, axis=1), 1e-300)
+    dist = np.empty(len(x))
+    for lo in range(0, len(x), 256):
+        q = np.column_stack([x[lo:lo + 256], y[lo:lo + 256]])
+        w = q[:, None, :] - seg_a[None, :, :]
+        s = np.clip(np.einsum("qsk,sk->qs", w, seg_d) / seg_len2, 0.0, 1.0)
+        proj = seg_a[None, :, :] + s[..., None] * seg_d[None, :, :]
+        d2 = np.sum((q[:, None, :] - proj) ** 2, axis=2)
+        dist[lo:lo + 256] = np.sqrt(d2.min(axis=1))
+    lvl = np.abs(x / a) ** p + np.abs(y / b) ** p - 1.0
+    return np.where(lvl < 0.0, -dist, dist)
+
+
+@pytest.mark.parametrize("a,b,p", [(1.0, 1.0, 4.0), (2.0, 1.0, 3.0)])
+def test_superellipse_sdf_matches_every_segment(a, b, p):
+    s = pl.superellipse(a, b, p)
+    grid, _ = pl.build_grid(s, 1 / 16)
+    X, Y = (c.ravel() for c in grid.meshgrid())
+    rng = np.random.default_rng(1)
+    x = np.concatenate([X, rng.uniform(-2 * a, 2 * a, 500)])
+    y = np.concatenate([Y, rng.uniform(-2 * b, 2 * b, 500)])
+    assert np.array_equal(s.sdf(x, y), _polyline_sdf(a, b, p, x, y))
+
+
 def test_erode_disk_and_rectangle():
     assert pl.erode(pl.disk(1.0), 0.1).params["radius"] == pytest.approx(0.9)
     r = pl.erode(pl.rectangle(2.0, 1.0), 0.25)

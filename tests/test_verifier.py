@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import platelab as pl
-from platelab import assembly, verifier
+from platelab import assembly, spectral, verifier
 from platelab.errors import AlphaOutOfRange, BoundViolated
 
 from conftest import disk_setup
@@ -101,6 +101,134 @@ def test_hardy_weak_stabilized_flag(disk32):
         n_sweep=(2**20, 2**21), mass=disk32.mass)
     assert rep.weak_pair[1] == 1.0
     assert rep.weak_stabilized
+
+
+def test_hardy_shift_exponents_checked(disk32):
+    for exps in (range(0), [3, 1], [2, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            verifier.estimate_hardy_constant(
+                disk32.Q0, disk32.grid, disk32.mask, disk32.dist,
+                "rellich_mass", n_sweep=(8, 16), mass=disk32.mass,
+                shift_exponents=exps)
+
+
+def _scan_every_shift(A, grid, mask, dist, kind, n_sweep=None, *, mass,
+                      shift_exponents=range(0, 11), seed=42):
+    """Reference weak scan: factor and solve each shift in ascending order
+    until the first one that meets the stability test."""
+    order, power = verifier._HARDY_POWERS[kind]
+    n_sweep = verifier._n_levels(n_sweep, grid.h)
+    op = spectral.factor(A)
+    sweep = []
+    weights = {}
+    for n in n_sweep:
+        weights[n] = assembly.assemble_weighted(grid, mask, dist, order,
+                                                power, n)
+        spec = pl.lowest_eigenpairs(A, weights[n], m=1, seed=seed, OPinv=op)
+        sweep.append((n, float(spec.values[0])))
+    n_hi, n_lo = n_sweep[-1], n_sweep[-2]
+    for j in shift_exponents:
+        shift = 2.0**j
+        As = assembly.FormMatrix((A.matrix + shift * mass.matrix).tocsr(),
+                                 A.h)
+        ops = spectral.factor(As)
+        c_hi = float(pl.lowest_eigenpairs(As, weights[n_hi], m=1, seed=seed,
+                                          OPinv=ops).values[0])
+        c_lo = float(pl.lowest_eigenpairs(As, weights[n_lo], m=1, seed=seed,
+                                          OPinv=ops).values[0])
+        weak_stabilized = (abs(c_lo - c_hi)
+                           <= verifier.WEAK_STABILITY_TOL * abs(c_hi))
+        if weak_stabilized:
+            break
+    return verifier.HardyReport(
+        kind=kind, constant_hat=sweep[-1][1], n_sweep=tuple(sweep),
+        weak_pair=(c_hi, shift), weak_sweep=((n_lo, c_lo), (n_hi, c_hi)),
+        weak_stabilized=weak_stabilized)
+
+
+def _hardy_setup(domain, h):
+    grid, mask = pl.build_grid(domain, h)
+    dist = pl.euclidean_from_sdf(domain, grid, mask)
+    Q0 = assembly.assemble_Q0(grid, mask)
+    grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
+    mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+    pencils = {"hardy_grad": grad, "rellich_mass": Q0, "rellich_grad": Q0}
+    return grid, mask, dist, pencils, mass
+
+
+@pytest.mark.parametrize("domain,h", [(pl.disk(1.0), 1 / 16),
+                                      (pl.disk(1.0), 1 / 32),
+                                      (pl.rectangle(2.0, 1.0), 1 / 20)],
+                         ids=["disk16", "disk32", "rect20"])
+def test_hardy_weak_scan_matches_every_shift(domain, h):
+    grid, mask, dist, pencils, mass = _hardy_setup(domain, h)
+    for kind, A in pencils.items():
+        rep = verifier.estimate_hardy_constant(A, grid, mask, dist, kind,
+                                               mass=mass)
+        assert rep == _scan_every_shift(A, grid, mask, dist, kind, mass=mass)
+
+
+def test_hardy_weak_scan_stops_at_a_middle_shift():
+    # With the lattice mass the top-two ratio grows with the shift on the
+    # shipped domains, so a scan stops at its first shift or never.  A
+    # shift by Q0, whose minimizers vanish like d^2 at the boundary, makes
+    # the ratio fall with the shift instead.
+    grid, mask, dist, pencils, _ = _hardy_setup(pl.disk(1.0), 1 / 16)
+    A, Q0 = pencils["hardy_grad"], pencils["rellich_mass"]
+    kw = dict(n_sweep=(512, 1024), mass=Q0, shift_exponents=range(-12, 1))
+    rep = verifier.estimate_hardy_constant(A, grid, mask, dist,
+                                           "hardy_grad", **kw)
+    assert rep.weak_stabilized
+    assert 2.0**-12 < rep.weak_pair[1] < 1.0
+    assert rep == _scan_every_shift(A, grid, mask, dist, "hardy_grad", **kw)
+
+
+def test_hardy_weak_scan_bounds_hold():
+    # every shift solved: c_hi lies below the Rayleigh quotients of the
+    # other solves' eigenvectors, and c_lo above the chord from shift 0 to
+    # the cap, as concavity in the shift promises
+    grid, mask, dist, pencils, mass = _hardy_setup(pl.disk(1.0), 1 / 16)
+    shifts = [2.0**j for j in range(0, 11)]
+    eta = verifier.WEAK_RULE_OUT_MARGIN
+    for kind in ("rellich_mass", "hardy_grad"):
+        A = pencils[kind]
+        order, power = verifier._HARDY_POWERS[kind]
+        W = [assembly.assemble_weighted(grid, mask, dist, order, power, n)
+             for n in verifier.default_n_sweep(grid.h)[-2:]]
+        solves = {}   # shift -> ((c_lo, v_lo), (c_hi, v_hi))
+        for s in [0.0] + shifts:
+            As = assembly.FormMatrix((A.matrix + s * mass.matrix).tocsr(),
+                                     A.h)
+            ops = spectral.factor(As)
+            solves[s] = [
+                (float(spec.values[0]), spec.vectors[:, 0]) for spec in
+                (pl.lowest_eigenpairs(As, Wn, m=1, OPinv=ops) for Wn in W)]
+        (c_lo0, _), _ = solves[0.0]
+        (c_lo_cap, _), _ = solves[shifts[-1]]
+        for s in shifts:
+            (c_lo, _), (c_hi, _) = solves[s]
+            upper = min((A(v) + s * mass(v)) / W[1](v)
+                        for t, pair in solves.items() if t != s
+                        for _, v in pair)
+            chord = c_lo0 + (c_lo_cap - c_lo0) * s / shifts[-1]
+            assert c_hi <= upper
+            assert c_lo >= (1.0 - eta) * chord
+
+
+def test_hardy_weak_scan_factors_few_shifts(disk32, monkeypatch):
+    # on the h = 1/32 disk the bounds rule out every shift below the cap
+    calls = []
+    factor = verifier.factor
+    monkeypatch.setattr(verifier, "factor",
+                        lambda A: calls.append(1) or factor(A))
+    grad = assembly.assemble_weighted(disk32.grid, disk32.mask, None,
+                                      "grad", 0.0, 1)
+    for kind, A in (("hardy_grad", grad), ("rellich_mass", disk32.Q0),
+                    ("rellich_grad", disk32.Q0)):
+        calls.clear()
+        verifier.estimate_hardy_constant(A, disk32.grid, disk32.mask,
+                                         disk32.dist, kind, mass=disk32.mass)
+        assert len(calls) <= 3
 
 
 def test_decay_lhs_monotone_in_n(disk32):
