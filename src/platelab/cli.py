@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 configuration/usage error, 3 solver failure.
 Errors are emitted as machine-readable JSON on stderr.
+
+The commands that factor a form import ``assembly``, ``spectral`` and
+``verifier`` when they run, so ``distance`` runs without scipy.
 """
 from __future__ import annotations
 
@@ -13,12 +16,11 @@ import sys
 
 import numpy as np
 
-from . import assembly, finsler, verifier
+from . import finsler
 from .errors import ConfigError, EllipticityLost, PlatelabError
 from .experiments import (RunConfig, load_config, make_coeffs, make_domain,
-                          run_erosion_study, validate_config)
+                          validate_config)
 from .geometry import build_grid
-from .spectral import lowest_eigenpairs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,13 +72,15 @@ def _build_common(cfg: RunConfig):
 def _build_pencil(cfg: RunConfig, m: int):
     """The common setup plus the operator form Q, the mass form and the
     lowest m eigenpairs of the pencil (Q, mass)."""
+    from . import assembly, spectral
+
     domain, coeffs, grid, mask = _build_common(cfg)
     if m >= mask.count:
         raise ConfigError(f"m={m} eigenpairs need more than the "
                           f"{mask.count} grid unknowns")
     Q = assembly.assemble_Q(grid, mask, coeffs)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
-    spec = lowest_eigenpairs(Q, mass, m=m, tol=cfg.tol, seed=cfg.seed)
+    spec = spectral.lowest_eigenpairs(Q, mass, m=m, tol=cfg.tol, seed=cfg.seed)
     return domain, coeffs, grid, mask, Q, mass, spec
 
 
@@ -118,6 +122,8 @@ def _cmd_hardy(cfg: RunConfig, out: str) -> int:
     if cfg.operator_kind != "bilaplacian":  # the pencils use Q0 and d_euclid
         raise ConfigError(f"hardy measures the bilaplacian's constants, not "
                           f"those of operator kind {cfg.operator_kind!r}")
+    from . import assembly, verifier
+
     domain, _, grid, mask = _build_common(cfg)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
@@ -145,6 +151,8 @@ def _check_alphas(cfg: RunConfig) -> None:
 
 
 def _cmd_decay(cfg: RunConfig, out: str) -> int:
+    from . import assembly, verifier
+
     if not cfg.allow_blowup:
         _check_alphas(cfg)
     domain, _, grid, mask, _, _, spec = _build_pencil(cfg, cfg.m)
@@ -163,6 +171,8 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_palpha(cfg: RunConfig, out: str) -> int:
+    from . import assembly, verifier
+
     _check_alphas(cfg)
     # the perturbation depends only on (operator, delta, seed), so a delta
     # that breaks ellipticity is refused before any assembly
@@ -208,6 +218,8 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
 def _cmd_erode(cfg: RunConfig, out: str) -> int:
     if not cfg.eps_list:
         raise ConfigError("erode requires a nonempty eps list")
+    from .experiments import run_erosion_study
+
     domain, coeffs, grid, mask = _build_common(cfg)
     # run_erosion_study checks the eroded grids before the full solve
     report = run_erosion_study(domain, coeffs, cfg.h, cfg.m, cfg.eps_list,

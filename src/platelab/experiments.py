@@ -1,23 +1,28 @@
 """Orchestration: the boundary-erosion stability study, cutoff Rayleigh
 bounds and run configuration.  Results are returned as data; the CLI writes
-them out."""
+them out.
+
+The configuration half imports no scipy; the study and the bound import the
+sparse and dense solvers when they are called."""
 from __future__ import annotations
 
 import configparser
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import finsler, geometry, verifier
-from .assembly import FormMatrix, assemble_Q, assemble_weighted, principal_submatrix
+from . import finsler, geometry
 from .errors import ConfigError
 from .finsler import CoefficientField
 from .geometry import (AnalyticDomain, build_cutoff, build_grid,
                        lattice_derivative_norms)
-from .spectral import Spectrum, lowest_eigenpairs
+
+if TYPE_CHECKING:
+    from .assembly import FormMatrix
+    from .spectral import Spectrum
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,6 +68,13 @@ def make_coeffs(kind: str, params: dict) -> CoefficientField:
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
+def default_n_sweep(h: float) -> list:
+    """{8, 16, 32, 64, round(1/h)} capped at round(1/h)."""
+    cap = max(1, int(round(1.0 / h)))
+    ns = sorted({min(n, cap) for n in (8, 16, 32, 64, cap)})
+    return ns
+
+
 def load_config(path: str) -> RunConfig:
     """Flat key-value sections (INI grammar, UTF-8); see README for the keys."""
     if not os.path.exists(path):
@@ -100,7 +112,7 @@ def load_config(path: str) -> RunConfig:
                     delta=delta)
     validate_config(cfg)
     if not n_sweep:  # the default needs an h that passed validation
-        cfg = replace(cfg, n_sweep=tuple(verifier.default_n_sweep(h)))
+        cfg = replace(cfg, n_sweep=tuple(default_n_sweep(h)))
     return cfg
 
 
@@ -165,6 +177,8 @@ def cutoff_rayleigh_bound(spec: Spectrum, tau: np.ndarray,
     Returns one bound per n = 1..m via the dense generalized eigenproblem in
     the transplanted subspace.
     """
+    import scipy.linalg as sla
+
     U = mask.restrict(tau)[:, None] * spec.vectors
     S = U.T @ (Q.matrix @ U)
     T = U.T @ (mass.matrix @ U)
@@ -245,6 +259,9 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
                       spec=None) -> StabilityReport:
     """Eigenvalue drift under boundary erosion via principal-submatrix
     restriction of the operator form on a fixed grid."""
+    from .assembly import assemble_Q, assemble_weighted, principal_submatrix
+    from .spectral import lowest_eigenpairs
+
     if grid is None or mask is None:
         grid, mask = build_grid(domain, h)
     interiors = _eroded_interiors(domain, grid, mask, m, eps_list)

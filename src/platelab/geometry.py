@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BandUnresolved, EmptyErosion, GridTooCoarse
 
@@ -167,7 +166,12 @@ class Grid:
 def difference_ops(grid: Grid):
     """Centered difference operators (Dxx, Dyy, Dxy, Gx, Gy), n_nodes x n_nodes
     CSR on raveled (iy, ix) lattice vectors; the one place the stencils are
-    written.  Reads past the lattice edge are zero."""
+    written.  Reads past the lattice edge are zero.
+
+    scipy.sparse is imported here, on the first call: ``geometry`` itself
+    loads no scipy, so the distance and config paths start without it."""
+    import scipy.sparse as sp
+
     h = grid.h
     ex = np.ones(grid.nx)
     ey = np.ones(grid.ny)

@@ -17,6 +17,7 @@ import numpy as np
 from .assembly import (FormMatrix, assemble_weighted,
                        interior_difference_ops)
 from .errors import AlphaOutOfRange, BoundViolated
+from .experiments import default_n_sweep
 from .finsler import DistanceField
 from .geometry import Grid, GridMask, derivative_norms2, smoothstep
 from .spectral import Spectrum, factor, lowest_eigenpairs
@@ -43,13 +44,6 @@ def gamma_alpha(alpha: float) -> float:
 def cross_term_bound(c2: float, A: float, B: float) -> float:
     """Closed-form bound 3 (1 + c2^2/A + (9/16) c2^4/B) on the cross constant."""
     return 3.0 * (1.0 + c2**2 / A + (9.0 / 16.0) * c2**4 / B)
-
-
-def default_n_sweep(h: float) -> list:
-    """{8, 16, 32, 64, round(1/h)} capped at round(1/h)."""
-    cap = max(1, int(round(1.0 / h)))
-    ns = sorted({min(n, cap) for n in (8, 16, 32, 64, cap)})
-    return ns
 
 
 def _n_levels(n_sweep: Optional[Sequence[int]], h: float) -> list:

@@ -236,6 +236,29 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert done.stdout.strip() == "False"
 
 
+SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+
+
+@pytest.mark.parametrize("probe", [
+    "import sys\nfrom platelab.cli import cli_main\n"
+    "assert cli_main(['distance', '--config', sys.argv[1],"
+    " '--out', sys.argv[2]]) == 0\n",
+    "import sys, platelab\nplatelab.load_config(sys.argv[1])\n",
+], ids=["distance", "load_config"])
+def test_distance_and_config_loading_leave_scipy_out(tmp_path, probe):
+    # neither builds a sparse matrix, so neither pays for importing scipy
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe + SCIPY_LOADED, _write_cfg(tmp_path),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_spectrum_success(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -445,7 +468,7 @@ def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys,
     # eroding the h = 1/16 disk by eps = 0.25 leaves 437 of 793 unknowns;
     # the eroded grids are checked before any eigensolve
     calls = []
-    for mod in (cli, experiments, spectral):
+    for mod in (spectral,):
         solve = mod.lowest_eigenpairs
         monkeypatch.setattr(mod, "lowest_eigenpairs",
                             lambda *a, _solve=solve, **k:
@@ -481,7 +504,7 @@ def test_cli_palpha_non_elliptic_perturbation_exit_2(tmp_path, capsys,
     # at seed 42 the delta = 2.5 perturbation of the bilaplacian loses
     # ellipticity (at seed 1 it does not); it is checked before any eigensolve
     calls = []
-    for mod in (cli, spectral):
+    for mod in (spectral,):
         solve = mod.lowest_eigenpairs
         monkeypatch.setattr(mod, "lowest_eigenpairs",
                             lambda *a, _solve=solve, **k:
@@ -528,7 +551,7 @@ def test_cli_hardy_non_bilaplacian_exit_2(tmp_path, capsys, monkeypatch):
     # hardy's pencils use Q0 and the Euclidean distance whatever the
     # operator, so another operator is refused before any eigensolve
     calls = []
-    for mod in (cli, verifier, spectral):
+    for mod in (verifier, spectral):
         solve = mod.lowest_eigenpairs
         monkeypatch.setattr(mod, "lowest_eigenpairs",
                             lambda *a, _solve=solve, **k:
