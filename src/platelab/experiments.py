@@ -16,8 +16,8 @@ import numpy as np
 from . import finsler, geometry
 from .errors import ConfigError
 from .finsler import CoefficientField
-from .geometry import (AnalyticDomain, build_cutoff, build_grid,
-                       lattice_derivative_norms)
+from .geometry import (INTERIOR_TOL, AnalyticDomain, build_cutoff,
+                       build_grid, lattice_derivative_norms)
 
 if TYPE_CHECKING:
     from .assembly import FormMatrix
@@ -231,7 +231,8 @@ def measure_eroded_hessian_bound(domain: AnalyticDomain, grid, mask,
 
 def _eroded_interiors(domain: AnalyticDomain, grid, mask, m: int,
                       eps_list: Sequence[float]) -> list:
-    """The node sets {sdf < -eps}, one per eps.
+    """The node sets {sdf < -eps}, one per eps, with ``build_grid``'s
+    rounding tolerance.
 
     Raises ConfigError when an eps is below 4h or leaves no more than m
     unknowns.  Both depend only on the grid and the sdf, so they are checked
@@ -243,7 +244,7 @@ def _eroded_interiors(domain: AnalyticDomain, grid, mask, m: int,
     for eps in eps_list:
         if not eps >= 4.0 * grid.h:
             raise ConfigError(f"eps={eps} < 4h={4 * grid.h}")
-        sub_int = sd < -eps
+        sub_int = sd < -eps - INTERIOR_TOL * grid.h
         count = int(np.count_nonzero(sub_int & mask.interior))
         if m >= count:
             raise ConfigError(f"m={m} eigenpairs need more than the {count} "

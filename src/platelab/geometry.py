@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import BandUnresolved, EmptyErosion, GridTooCoarse
 
+# A node is interior when sdf < -INTERIOR_TOL * h.  Node coordinates are
+# origin + h * arange, so a node on a grid-aligned boundary can come out
+# 1 ulp inside; the tolerance keeps it out, far below the genuine
+# near-boundary nodes (0.01h and more on the disk).
+INTERIOR_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class AnalyticDomain:
@@ -207,7 +213,7 @@ def lattice_derivative_norms(grid: Grid, f: np.ndarray):
 
 @dataclass(frozen=True)
 class GridMask:
-    """Strictly interior nodes (sdf < 0); they are the unknowns (dofs).
+    """Interior nodes (sdf < -INTERIOR_TOL * h); they are the unknowns (dofs).
 
     Dof k sits at lattice node ``nodes[k]``, the raveled index iy * nx + ix;
     dofs run in row-major lattice order.  ``restrict`` gathers a lattice
@@ -243,7 +249,7 @@ def build_grid(domain: AnalyticDomain, h: float, min_interior: int = 25):
         raise GridTooCoarse("fewer than 3 nodes per axis")
     grid = Grid(h=float(h), origin=(i0 * h, j0 * h), nx=nx, ny=ny)
     X, Y = grid.meshgrid()
-    interior = domain.sdf(X, Y) < 0.0
+    interior = domain.sdf(X, Y) < -INTERIOR_TOL * grid.h
     mask = GridMask(interior)
     if mask.count < min_interior:
         raise GridTooCoarse(

@@ -118,6 +118,35 @@ def test_build_grid_count_tracks_area():
     assert abs(mask.count - expect) / expect < 0.01
 
 
+@pytest.mark.parametrize("n", [40, 48, 96])
+def test_rectangle_boundary_nodes_are_not_dofs(n):
+    # at these h the nodes on x = +-1 or y = +-1/2 come out 1 ulp inside
+    _, mask = pl.build_grid(pl.rectangle(2.0, 1.0), 1.0 / n)
+    assert mask.count == (2 * n - 1) * (n - 1)
+
+
+@pytest.mark.parametrize("n", [40, 48, 96])
+def test_disk_has_no_dof_on_the_circle(n):
+    # the axis nodes (+-1, 0) and (0, +-1) lie on the circle
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 1.0 / n)
+    d = -mask.restrict(dom.sdf(*grid.meshgrid()))
+    assert d.min() >= 1e-6 * grid.h
+
+
+def test_rectangle_lambda1_increases_under_refinement():
+    # zero extension puts the clamped wall outside the boundary, so the
+    # bilaplacian's lowest eigenvalue rises to the continuum value in h;
+    # boundary rows taken as dofs at N = 48 and 96 broke the order
+    lam = []
+    for n in (32, 48, 64, 96):
+        grid, mask = pl.build_grid(pl.rectangle(2.0, 1.0), 1.0 / n)
+        Q0 = pl.assemble_Q0(grid, mask)
+        mass = pl.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+        lam.append(pl.lowest_eigenpairs(Q0, mass, m=1).values[0])
+    assert np.all(np.diff(lam) > 0.0), lam
+
+
 def test_dof_index_is_row_major():
     grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 16)
     assert [f.name for f in dataclasses.fields(GridMask)] == ["interior"]
