@@ -12,12 +12,12 @@ import importlib
 _SUBMODULE = {
     **dict.fromkeys((
         "AlphaOutOfRange", "BandUnresolved", "BoundViolated", "ConfigError",
-        "EllipticityLost", "EmptyErosion", "GridTooCoarse", "MassNotPD",
+        "EllipticityLost", "GridTooCoarse", "MassNotPD",
         "NegativeQuartic", "NoConvergence", "NotElliptic", "PlatelabError"),
         "errors"),
     **dict.fromkeys((
         "AnalyticDomain", "Grid", "GridMask", "build_cutoff", "build_grid",
-        "disk", "erode", "rectangle", "smoothstep", "superellipse"),
+        "disk", "rectangle", "smoothstep", "superellipse"),
         "geometry"),
     **dict.fromkeys((
         "CoefficientField", "DistanceField", "bilaplacian", "diagonal",

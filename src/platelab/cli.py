@@ -155,7 +155,8 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
 
     if not cfg.allow_blowup:
         _check_alphas(cfg)
-    domain, _, grid, mask, _, _, spec = _build_pencil(cfg, cfg.m)
+    # verify_decay reads eigenpair 0 only, so m from the config is not used
+    domain, _, grid, mask, _, _, spec = _build_pencil(cfg, 1)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     ops = assembly.interior_difference_ops(grid, mask)
     rows = []
@@ -256,7 +257,8 @@ def cli_main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--allow-blowup", action="store_true")
+        if name == "decay":
+            p.add_argument("--allow-blowup", action="store_true")
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -266,13 +268,17 @@ def cli_main(argv=None) -> int:
         updates = {}
         if args.seed is not None:
             updates["seed"] = args.seed
-        if args.allow_blowup:
+        if getattr(args, "allow_blowup", False):
             updates["allow_blowup"] = True
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
             validate_config(cfg)
         out = args.out if args.out is not None else cfg.out_dir
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {out}: "
+                              f"{exc}") from exc
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         return _emit_error(2, "ConfigError", str(exc))

@@ -9,10 +9,6 @@ class GridTooCoarse(PlatelabError):
     """The grid does not resolve the domain (too few interior unknowns)."""
 
 
-class EmptyErosion(PlatelabError):
-    """Erosion width meets or exceeds the inradius; the eroded set is empty."""
-
-
 class BandUnresolved(PlatelabError):
     """Cutoff transition band is narrower than 4 grid cells."""
 

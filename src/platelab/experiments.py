@@ -77,12 +77,12 @@ def default_n_sweep(h: float) -> list:
 
 def load_config(path: str) -> RunConfig:
     """Flat key-value sections (INI grammar, UTF-8); see README for the keys."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
         cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     try:
         dom = dict(cp["domain"])
@@ -216,36 +216,33 @@ def fit_drift_exponent(eps: np.ndarray, drift: np.ndarray,
     return float(intercept)
 
 
-def measure_eroded_hessian_bound(domain: AnalyticDomain, grid, mask,
-                                 eps: float) -> float:
-    """Measured sup |hess d_eps| on the transition band {d < 2 eps}."""
-    X, Y = grid.meshgrid()
-    sd = domain.sdf(X, Y)
-    deps = -(sd + eps)  # distance to the eroded boundary
-    d = -sd[1:-1, 1:-1]
+def measure_eroded_hessian_bound(dist, grid, mask, eps: float) -> float:
+    """Measured sup |hess d_eps| on the transition band {d < 2 eps}, for
+    the Euclidean distance ``dist`` of ``euclidean_from_sdf``.  The band's
+    stencils read interior nodes only, where d_eps = d - eps."""
+    deps = dist.d - eps  # distance to the eroded boundary
+    d = dist.d[1:-1, 1:-1]
     band = mask.interior[1:-1, 1:-1] & (d > eps + 2 * grid.h) & (d < 2 * eps)
     if band.sum() == 0:
         return float("nan")
     return float(lattice_derivative_norms(grid, deps)[1][band].max())
 
 
-def _eroded_interiors(domain: AnalyticDomain, grid, mask, m: int,
+def _eroded_interiors(dist, grid, mask, m: int,
                       eps_list: Sequence[float]) -> list:
-    """The node sets {sdf < -eps}, one per eps, with ``build_grid``'s
-    rounding tolerance.
+    """The node sets {d > eps}, one per eps, with ``build_grid``'s
+    rounding tolerance, for the Euclidean distance ``dist``.
 
     Raises ConfigError when an eps is below 4h or leaves no more than m
     unknowns.  Both depend only on the grid and the sdf, so they are checked
     before any eigensolve.
     """
-    X, Y = grid.meshgrid()
-    sd = domain.sdf(X, Y)
     interiors = []
     for eps in eps_list:
         if not eps >= 4.0 * grid.h:
             raise ConfigError(f"eps={eps} < 4h={4 * grid.h}")
-        sub_int = sd < -eps - INTERIOR_TOL * grid.h
-        count = int(np.count_nonzero(sub_int & mask.interior))
+        sub_int = dist.d > eps + INTERIOR_TOL * grid.h
+        count = int(np.count_nonzero(sub_int))  # d is 0 off the mask
         if m >= count:
             raise ConfigError(f"m={m} eigenpairs need more than the {count} "
                               f"unknowns left of {mask.count} at eps={eps}")
@@ -265,14 +262,14 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
 
     if grid is None or mask is None:
         grid, mask = build_grid(domain, h)
-    interiors = _eroded_interiors(domain, grid, mask, m, eps_list)
+    dist_sdf = finsler.euclidean_from_sdf(domain, grid, mask)
+    interiors = _eroded_interiors(dist_sdf, grid, mask, m, eps_list)
     if Q is None:
         Q = assemble_Q(grid, mask, coeffs)
     if mass is None:
         mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     if spec is None:
         spec = lowest_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
-    dist_sdf = finsler.euclidean_from_sdf(domain, grid, mask)
 
     rows = []
     hess_deps = {}
@@ -282,7 +279,8 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
         spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
         tau = build_cutoff(grid, dist_sdf, eps)
         bounds = cutoff_rayleigh_bound(spec, tau, Q, mass, mask)
-        hess_deps[eps] = measure_eroded_hessian_bound(domain, grid, mask, eps)
+        hess_deps[eps] = measure_eroded_hessian_bound(dist_sdf, grid, mask,
+                                                      eps)
         for n in range(m):
             lam = float(spec.values[n])
             lam_t = float(spec_t.values[n])

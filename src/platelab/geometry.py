@@ -1,4 +1,4 @@
-"""Analytic domains, uniform grids, interior masks, erosion and C2 cutoffs.
+"""Analytic domains, uniform grids, interior masks and C2 cutoffs.
 
 Domains carry an exact signed Euclidean distance function (negative inside).
 Clamped boundary conditions are realized downstream by zero extension: every
@@ -13,13 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BandUnresolved, EmptyErosion, GridTooCoarse
+from .errors import BandUnresolved, GridTooCoarse
 
 # A node is interior when sdf < -INTERIOR_TOL * h.  Node coordinates are
 # origin + h * arange, so a node on a grid-aligned boundary can come out
 # 1 ulp inside; the tolerance keeps it out, far below the genuine
 # near-boundary nodes (0.01h and more on the disk).
 INTERIOR_TOL = 1e-9
+# build_grid refuses a grid with fewer interior nodes than this
+MIN_INTERIOR = 25
 
 
 @dataclass(frozen=True)
@@ -119,33 +121,6 @@ def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
     )
 
 
-def _offset(base: AnalyticDomain, eps: float) -> AnalyticDomain:
-    xmin, xmax, ymin, ymax = base.bbox
-
-    def sdf(x, y):
-        return base.sdf(x, y) + eps
-
-    return AnalyticDomain(
-        "offset", {"base": base.kind, "eps": eps, **base.params}, sdf,
-        (xmin + eps, xmax - eps, ymin + eps, ymax - eps), base.inradius - eps
-    )
-
-
-def erode(domain: AnalyticDomain, eps: float) -> AnalyticDomain:
-    """Erosion {d > eps}; for these convex/star kinds the sdf shifts by eps."""
-    eps = float(eps)
-    if not eps > 0:
-        raise ValueError("erosion width must be positive")
-    if eps >= domain.inradius:
-        raise EmptyErosion(f"eps={eps} >= inradius={domain.inradius}")
-    if domain.kind == "disk":
-        return disk(domain.params["radius"] - eps)
-    if domain.kind == "rectangle":
-        return rectangle(domain.params["width"] - 2 * eps,
-                         domain.params["height"] - 2 * eps)
-    return _offset(domain, eps)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform node lattice: node(i, j) = origin + (j*h, i*h)."""
@@ -235,7 +210,7 @@ class GridMask:
         return a.reshape((self.interior.size,) + a.shape[2:])[self.nodes]
 
 
-def build_grid(domain: AnalyticDomain, h: float, min_interior: int = 25):
+def build_grid(domain: AnalyticDomain, h: float):
     """Lattice covering the bbox (one halo ring) plus the interior mask."""
     if h <= 0:
         raise ValueError("grid spacing must be positive")
@@ -251,9 +226,9 @@ def build_grid(domain: AnalyticDomain, h: float, min_interior: int = 25):
     X, Y = grid.meshgrid()
     interior = domain.sdf(X, Y) < -INTERIOR_TOL * grid.h
     mask = GridMask(interior)
-    if mask.count < min_interior:
+    if mask.count < MIN_INTERIOR:
         raise GridTooCoarse(
-            f"only {mask.count} interior nodes (need {min_interior})")
+            f"only {mask.count} interior nodes (need {MIN_INTERIOR})")
     return grid, mask
 
 

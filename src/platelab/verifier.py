@@ -27,6 +27,8 @@ WEAK_STABILITY_TOL = 0.02  # weak pair: top-two-n relative difference
 # eta of the weak scan's rule-out test: a relative margin far above the
 # Lanczos stop, so rounding in a solved value cannot rule a shift out
 WEAK_RULE_OUT_MARGIN = 1e-6
+# the weak scan's shifts, in multiples of the mass: 2^0 ... 2^10
+WEAK_SHIFTS = tuple(2.0**j for j in range(0, 11))
 
 
 def k_alpha_ref(alpha: float) -> float:
@@ -76,12 +78,11 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
                             dist: DistanceField, kind: str,
                             n_sweep: Optional[Sequence[int]] = None, *,
                             mass: FormMatrix,
-                            shift_exponents: Sequence[int] = range(0, 11),
                             seed: int = 42) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
 
     constant_hat(n) = min generalized eigenvalue of (A, W_n); the weak pair
-    shifts A by the smallest power-of-two multiple of the mass making the
+    shifts A by the smallest multiple in WEAK_SHIFTS of the mass making the
     estimate stable across the top two regularization levels.  When no
     shift up to the cap meets that test, the value at the cap is reported
     with weak_stabilized False; it is then no estimate of the weak
@@ -99,10 +100,6 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     """
     if kind not in _HARDY_POWERS:
         raise ValueError(f"unknown Hardy kind {kind!r}")
-    exps = list(shift_exponents)
-    if not exps or any(b <= a for a, b in zip(exps, exps[1:])):
-        raise ValueError(f"shift_exponents {exps} must be non-empty and "
-                         "strictly increasing")
     order, power = _HARDY_POWERS[kind]
     n_sweep = _n_levels(n_sweep, grid.h)
 
@@ -140,11 +137,10 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
         def stable(c_lo, c_hi):
             return abs(c_lo - c_hi) <= WEAK_STABILITY_TOL * abs(c_hi)
 
-        shifts = [2.0**j for j in exps]
-        cap = shifts[-1]
+        cap = WEAK_SHIFTS[-1]
         cap_pair = solve(cap)
         left = (0.0, sweep[-2][1])
-        for shift in shifts[:-1]:
+        for shift in WEAK_SHIFTS[:-1]:
             s0, c0 = left
             lower = c0 + (cap_pair[0] - c0) * (shift - s0) / (cap - s0)
             a, m, w = np.array(forms).T
@@ -262,7 +258,7 @@ def make_witnesses(spec: Spectrum, dist: DistanceField, grid: Grid,
 
 def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
                   alpha: float, witnesses, labels=None,
-                  k: Optional[float] = None, kprime: Optional[float] = None,
+                  k: Optional[float] = None,
                   n_sweep: Optional[Sequence[int]] = None, *,
                   mask: GridMask) -> PAlphaReport:
     """Check Q(w_n u) <= k Q(u, w_n^2 u) + k' ||u||^2 over witnesses and n.
@@ -290,10 +286,8 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
             lhs_all.append(lhs)
             mid_all.append(mid)
     needs = np.array(needs)
-    if kprime is None:
-        need = float(needs.max())
-        j = max(0, int(math.ceil(math.log2(need)))) if need > 1.0 else 0
-        kprime = 2.0**j
+    need = float(needs.max())
+    kprime = 2.0**math.ceil(math.log2(need)) if need > 1.0 else 1.0
     margins = kprime - needs
     per_witness = margins.reshape(len(witnesses), len(n_sweep)).min(axis=1)
     worst = int(np.argmin(margins))

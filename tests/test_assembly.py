@@ -14,11 +14,12 @@ from test_spectral import _callers
 
 
 def _single_node_setup():
-    # 3x3 interior lattice patch with exactly one interior node
-    dom = pl.disk(0.4)
-    grid, mask = pl.build_grid(dom, 0.5, min_interior=1)
-    assert mask.count == 1
-    return grid, mask
+    # a 5x5 lattice whose one interior node has a full ring of exterior
+    # nodes around it
+    grid = pl.Grid(h=0.5, origin=(-1.0, -1.0), nx=5, ny=5)
+    interior = np.zeros((5, 5), dtype=bool)
+    interior[2, 2] = True
+    return grid, pl.GridMask(interior)
 
 
 def test_q0_isolated_node_value():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -132,8 +133,7 @@ def test_cutoff_rayleigh_identity_when_tau_is_one():
     # spectrum on a small concentric disk, cutoff band of the big disk:
     # tau = 1 at every interior node, so the bound is the eigenvalue itself
     outer = pl.disk(1.0)
-    inner = pl.erode(outer, 0.6)
-    grid, mask = pl.build_grid(inner, 1.0 / 32)
+    grid, mask = pl.build_grid(pl.disk(0.4), 1.0 / 32)
     dist = pl.euclidean_from_sdf(outer, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
@@ -149,8 +149,9 @@ def test_eroded_hessian_bound_disk_closed_form():
     dom = pl.disk(1.0)
     for h in (1.0 / 48, 1.0 / 64, 1.0 / 96):
         grid, mask = pl.build_grid(dom, h)
+        dist = pl.euclidean_from_sdf(dom, grid, mask)
         for eps in (0.1, 0.2):
-            got = experiments.measure_eroded_hessian_bound(dom, grid, mask,
+            got = experiments.measure_eroded_hessian_bound(dist, grid, mask,
                                                            eps)
             assert got == pytest.approx(1.0 / (1.0 - 2.0 * eps), rel=5e-3)
 
@@ -165,6 +166,21 @@ def test_erosion_study_rows_and_ball_law(disk32):
         assert r.lam_tilde <= r.rayleigh_upper * (1 + 1e-10)
         assert np.isfinite(r.ball_law_error)
     assert set(report.fitted_exponent) == {1, 2}
+
+
+def test_erosion_study_samples_the_sdf_once(disk32):
+    # the eroded node sets, the cutoffs and the Hessian bounds all read the
+    # one Euclidean distance built from the sdf
+    lattice = (disk32.grid.ny, disk32.grid.nx)
+    calls = []
+    sdf = disk32.domain.sdf
+    domain = dataclasses.replace(
+        disk32.domain,
+        sdf=lambda x, y: calls.append(np.shape(x) == lattice) or sdf(x, y))
+    experiments.run_erosion_study(
+        domain, pl.bilaplacian(), disk32.h, 2, [0.125, 0.25, 0.375],
+        grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
+    assert calls == [True]
 
 
 def test_erosion_study_rejects_thin_eps(disk32):
@@ -322,6 +338,52 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "missing.cfg" in err["message"]
 
 
+def _config_error(capsys):
+    """The message of the one JSON ConfigError line on stderr."""
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    return payload["message"]
+
+
+def test_cli_out_names_a_file_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(taken)])
+    assert code == 2
+    assert str(taken) in _config_error(capsys)
+
+
+def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE_CFG.replace("[run]", "[run]\n; caf\xe9")
+                     .encode("latin-1"))
+    code = cli_main(["spectrum", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "utf-8" in _config_error(capsys)
+
+
+def test_cli_config_directory_exit_2(tmp_path, capsys):
+    code = cli_main(["spectrum", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert _config_error(capsys) == f"config file not found: {tmp_path}"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "distance", "hardy",
+                                     "palpha", "erode"])
+def test_cli_allow_blowup_belongs_to_decay(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = cli_main([command, "--config", _write_cfg(tmp_path),
+                     "--out", str(out), "--allow-blowup"])
+    assert code == 2
+    assert "--allow-blowup" in _config_error(capsys)
+    assert not out.exists()
+
+
 _DISK = "kind = disk\nradius = 1.0"
 _PERTURB = "[perturbation]\ndelta = {}\n\n[run]"
 
@@ -437,24 +499,33 @@ def test_cli_erode_outputs(tmp_path):
 
 
 def test_cli_palpha_rejects_blowup_alphas(tmp_path, capsys):
-    # --allow-blowup belongs to decay; palpha has no blow-up demonstration
+    # palpha has no blow-up demonstration (nor an --allow-blowup flag)
     cfg = _write_cfg(tmp_path, BASE_CFG.replace("alphas = 0.25",
                                                 "alphas = 0.6"))
     out = tmp_path / "out"
-    for extra in ([], ["--allow-blowup"]):
-        code = cli_main(["palpha", "--config", cfg, "--out", str(out)]
-                        + extra)
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert "0.6" in err["message"]
+    code = cli_main(["palpha", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "0.6" in _config_error(capsys)
     assert not (out / "palpha.json").exists()
+
+
+def test_cli_decay_solves_one_eigenpair(tmp_path, monkeypatch):
+    # verify_decay reads eigenpair 0 only, so decay ignores m, even one
+    # above the 793 unknowns of the h = 1/16 disk
+    calls = []
+    solve = spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda *a, **k: calls.append(k["m"]) or solve(*a, **k))
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 5000"))
+    assert cli_main(["decay", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == [1]
 
 
 def test_cli_m_not_below_dof_count_exit_2(tmp_path, capsys):
     # the h = 1/16 disk has 793 unknowns
     cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 5000"))
-    for command in ("spectrum", "decay", "erode"):
+    for command in ("spectrum", "erode"):
         code = cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / "out")])
         assert code == 2

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import platelab as pl
-from platelab.errors import BandUnresolved, EmptyErosion, GridTooCoarse
-from platelab.geometry import GridMask, smoothstep, build_cutoff
+from platelab.errors import BandUnresolved, GridTooCoarse
+from platelab.geometry import (INTERIOR_TOL, Grid, GridMask, smoothstep,
+                               build_cutoff)
 
 
 def test_disk_sdf_values():
@@ -73,36 +74,18 @@ def test_superellipse_sdf_matches_every_segment(a, b, p):
     assert np.array_equal(s.sdf(x, y), _polyline_sdf(a, b, p, x, y))
 
 
-def test_erode_disk_and_rectangle():
-    assert pl.erode(pl.disk(1.0), 0.1).params["radius"] == pytest.approx(0.9)
-    r = pl.erode(pl.rectangle(2.0, 1.0), 0.25)
-    assert r.params["width"] == pytest.approx(1.5)
-    assert r.params["height"] == pytest.approx(0.5)
-
-
-def test_erode_superellipse_shifts_sdf():
-    s = pl.superellipse(1.0, 1.0, 4.0)
-    e = pl.erode(s, 0.2)
-    x = np.array([0.0, 0.3, 0.5])
-    y = np.array([0.1, 0.0, 0.5])
-    assert np.allclose(e.sdf(x, y), s.sdf(x, y) + 0.2)
-
-
-def test_erode_empty():
-    with pytest.raises(EmptyErosion):
-        pl.erode(pl.disk(1.0), 1.5)
-
-
-def test_erode_nan_width():
-    with pytest.raises(ValueError):
-        pl.erode(pl.disk(1.0), float("nan"))
-
-
 def test_build_grid_disk_h_half_count_nine():
-    grid, mask = pl.build_grid(pl.disk(1.0), 0.5, min_interior=1)
+    # build_grid's lattice for the unit disk at h = 1/2 (bbox plus a halo
+    # ring) holds 9 interior nodes, below the 25 that build_grid accepts
+    dom = pl.disk(1.0)
+    grid = Grid(h=0.5, origin=(-1.5, -1.5), nx=7, ny=7)
+    X, Y = grid.meshgrid()
+    mask = GridMask(dom.sdf(X, Y) < -INTERIOR_TOL * grid.h)
     assert mask.count == 9
     xs, ys = (mask.restrict(c) for c in grid.meshgrid())
     assert np.all(xs**2 + ys**2 < 1.0)
+    with pytest.raises(GridTooCoarse, match="only 9 interior nodes"):
+        pl.build_grid(dom, 0.5)
 
 
 def test_build_grid_too_coarse():
@@ -188,12 +171,11 @@ def test_only_geometry_knows_the_dof_layout():
 
 
 def test_mask_monotone_under_erosion():
-    dom = pl.disk(1.0)
-    grid, mask1 = pl.build_grid(pl.erode(dom, 0.1), 1.0 / 32)
-    grid2, mask2 = pl.build_grid(pl.erode(dom, 0.2), 1.0 / 32)
+    grid, mask1 = pl.build_grid(pl.disk(0.9), 1.0 / 32)
+    grid2, mask2 = pl.build_grid(pl.disk(0.8), 1.0 / 32)
     # same anchored lattice covers both; compare on the overlap
     X1, Y1 = grid.meshgrid()
-    inner2 = pl.erode(dom, 0.2).sdf(X1, Y1) < 0
+    inner2 = pl.disk(0.8).sdf(X1, Y1) < 0
     assert np.all(mask1.interior[inner2])
 
 

@@ -1,6 +1,8 @@
 """The package namespace: ``platelab.<name>`` loads its submodule on first
-use and exports the same names as before the loading became lazy."""
+use, and every exported name is read by the package or a demo."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -9,15 +11,15 @@ import platelab as pl
 EXPORTED = [
     "AlphaOutOfRange", "AnalyticDomain", "BandUnresolved", "BoundViolated",
     "CoefficientField", "ConfigError", "DecayReport", "DistanceField",
-    "EllipticityLost", "EllipticityWindow", "EmptyErosion", "FormMatrix",
-    "Grid", "GridMask", "GridTooCoarse", "HardyReport", "MassNotPD",
+    "EllipticityLost", "EllipticityWindow", "FormMatrix", "Grid",
+    "GridMask", "GridTooCoarse", "HardyReport", "MassNotPD",
     "NegativeQuartic", "NoConvergence", "NotElliptic", "PAlphaReport",
     "PlatelabError", "RunConfig", "Spectrum", "StabilityReport",
     "StabilityRow", "assemble_Q", "assemble_Q0", "assemble_weighted",
     "bilaplacian", "build_cutoff", "build_grid", "cross_term_bound",
     "cutoff_rayleigh_bound", "default_n_sweep", "diagonal", "disk",
     "dual_metric", "eikonal_residual", "ellipticity_window",
-    "equivalence_constants", "erode", "estimate_hardy_constant",
+    "equivalence_constants", "estimate_hardy_constant",
     "euclidean_from_sdf", "finsler_distance", "fit_drift_exponent",
     "gamma_alpha", "interior_difference_ops", "k_alpha_ref", "load_config",
     "lowest_eigenpairs", "make_coeffs", "make_domain", "make_witnesses",
@@ -29,7 +31,7 @@ EXPORTED = [
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 66
+    assert len(EXPORTED) == 64
     assert pl.__all__ == EXPORTED
     assert set(EXPORTED) <= set(dir(pl))
     assert pl.__version__ == "0.1.0"
@@ -54,3 +56,26 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         pl.no_such_name
     assert not hasattr(pl, "no_such_name")
+
+
+def _names_read(path):
+    """Every name and attribute read in one source file; a ``def`` or
+    ``class`` statement is not a read of the name it defines."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # an export that neither the package nor a demo reads is API that
+    # nothing uses
+    src = Path(pl.__file__).resolve().parent
+    files = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((Path(__file__).resolve().parents[1] / "demos")
+                    .glob("*.py"))
+    read = set().union(*(_names_read(p) for p in files))
+    assert [n for n in pl.__all__ if n not in read] == []

@@ -67,10 +67,10 @@ def test_hardy_unknown_kind(disk32):
 def test_hardy_weak_pair_reported(disk32):
     rep = verifier.estimate_hardy_constant(
         disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
-        n_sweep=(8, 16), mass=disk32.mass, shift_exponents=range(0, 4))
+        n_sweep=(8, 16), mass=disk32.mass)
     assert rep.weak_pair is not None
     c, shift = rep.weak_pair
-    assert c > 0 and shift in {1.0, 2.0, 4.0, 8.0}
+    assert c > 0 and shift in verifier.WEAK_SHIFTS
     assert len(rep.weak_sweep) == 2
 
 
@@ -82,7 +82,7 @@ def test_hardy_assembles_each_weight_once(disk32, monkeypatch):
                         lambda *a: calls.append(a[-1]) or weighted(*a))
     verifier.estimate_hardy_constant(
         disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "hardy_grad",
-        n_sweep=(4, 8, 16), mass=disk32.mass, shift_exponents=range(0, 2))
+        n_sweep=(4, 8, 16), mass=disk32.mass)
     assert calls == [4, 8, 16]
 
 
@@ -103,17 +103,8 @@ def test_hardy_weak_stabilized_flag(disk32):
     assert rep.weak_stabilized
 
 
-def test_hardy_shift_exponents_checked(disk32):
-    for exps in (range(0), [3, 1], [2, 2]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            verifier.estimate_hardy_constant(
-                disk32.Q0, disk32.grid, disk32.mask, disk32.dist,
-                "rellich_mass", n_sweep=(8, 16), mass=disk32.mass,
-                shift_exponents=exps)
-
-
 def _scan_every_shift(A, grid, mask, dist, kind, n_sweep=None, *, mass,
-                      shift_exponents=range(0, 11), seed=42):
+                      seed=42):
     """Reference weak scan: factor and solve each shift in ascending order
     until the first one that meets the stability test."""
     order, power = verifier._HARDY_POWERS[kind]
@@ -127,8 +118,7 @@ def _scan_every_shift(A, grid, mask, dist, kind, n_sweep=None, *, mass,
         spec = pl.lowest_eigenpairs(A, weights[n], m=1, seed=seed, OPinv=op)
         sweep.append((n, float(spec.values[0])))
     n_hi, n_lo = n_sweep[-1], n_sweep[-2]
-    for j in shift_exponents:
-        shift = 2.0**j
+    for shift in verifier.WEAK_SHIFTS:
         As = assembly.FormMatrix((A.matrix + shift * mass.matrix).tocsr(),
                                  A.h)
         ops = spectral.factor(As)
@@ -173,13 +163,16 @@ def test_hardy_weak_scan_stops_at_a_middle_shift():
     # shipped domains, so a scan stops at its first shift or never.  A
     # shift by Q0, whose minimizers vanish like d^2 at the boundary, makes
     # the ratio fall with the shift instead.
+    # Scaling Q0 by 2^-12 is exact, so the shifts 2^0 ... 2^10 of it are
+    # 2^-12 ... 2^-2 of Q0, bit for bit.
     grid, mask, dist, pencils, _ = _hardy_setup(pl.disk(1.0), 1 / 16)
     A, Q0 = pencils["hardy_grad"], pencils["rellich_mass"]
-    kw = dict(n_sweep=(512, 1024), mass=Q0, shift_exponents=range(-12, 1))
+    mass = assembly.FormMatrix(Q0.matrix * 2.0**-12, Q0.h)
+    kw = dict(n_sweep=(512, 1024), mass=mass)
     rep = verifier.estimate_hardy_constant(A, grid, mask, dist,
                                            "hardy_grad", **kw)
     assert rep.weak_stabilized
-    assert 2.0**-12 < rep.weak_pair[1] < 1.0
+    assert rep.weak_pair[1] == 2.0**9   # 2^-3 of Q0
     assert rep == _scan_every_shift(A, grid, mask, dist, "hardy_grad", **kw)
 
 
@@ -365,16 +358,6 @@ def test_every_probe_rejects_levels_below_one(disk32, n_sweep):
         verifier.estimate_hardy_constant(
             disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
             n_sweep=n_sweep, mass=disk32.mass)
-
-
-def test_probe_p_alpha_fixed_kprime(disk32):
-    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
-                                           disk32.grid, disk32.mask)
-    rep = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                 witnesses, kprime=0.0, mask=disk32.mask)
-    # with k' forced to zero the margin may go negative, but it is reported
-    assert rep.kprime_used == 0.0
-    assert np.isfinite(rep.margin)
 
 
 def test_cross_term_constant_in_theory_window(disk32):
