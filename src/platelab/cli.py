@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 configuration/usage error, 3 solver failure.
 Errors are emitted as machine-readable JSON on stderr.
 
 The commands that factor a form import ``assembly``, ``spectral`` and
-``verifier`` when they run, so ``distance`` runs without scipy.
+``verifier`` when they run, so ``distance`` runs without scipy.  Imported
+before numpy, the module sets ``OMP_NUM_THREADS=1`` unless it is already set.
 """
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ import dataclasses
 import json
 import os
 import sys
+
+# extra BLAS threads only spin between SuperLU's small BLAS-2 calls
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -141,10 +146,13 @@ def _cmd_hardy(cfg: RunConfig, out: str) -> int:
 
 
 def _check_alphas(cfg: RunConfig) -> None:
-    """The decay integrals diverge for alpha >= 1/2, so only ``decay
-    --allow-blowup`` runs such alphas, as a demonstration."""
+    """The alphas list must be nonempty.  The decay integrals diverge for
+    alpha >= 1/2, so only ``decay --allow-blowup`` runs such alphas, as a
+    demonstration."""
+    if not cfg.alphas:
+        raise ConfigError("decay and palpha require a nonempty alphas list")
     bad = [a for a in cfg.alphas if not (0.0 < a < 0.5)]
-    if bad:
+    if bad and not cfg.allow_blowup:
         raise ConfigError(
             f"alpha values {bad} outside (0, 0.5); only decay runs them, "
             "with --allow-blowup, as the blow-up demonstration")
@@ -153,8 +161,7 @@ def _check_alphas(cfg: RunConfig) -> None:
 def _cmd_decay(cfg: RunConfig, out: str) -> int:
     from . import assembly, verifier
 
-    if not cfg.allow_blowup:
-        _check_alphas(cfg)
+    _check_alphas(cfg)
     # verify_decay reads eigenpair 0 only, so m from the config is not used
     domain, _, grid, mask, _, _, spec = _build_pencil(cfg, 1)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)

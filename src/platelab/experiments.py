@@ -136,6 +136,9 @@ def validate_config(cfg: RunConfig) -> None:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad or missing domain or operator parameter: "
                           f"{exc}") from exc
+    for name, values in (("eps", cfg.eps_list), ("alphas", cfg.alphas)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} {list(values)} repeats a value")
     for eps in cfg.eps_list:
         if not (4.0 * cfg.h <= eps < domain.inradius):
             raise ConfigError(f"eps={eps} outside [4h, inradius) = "

@@ -252,6 +252,30 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert done.stdout.strip() == "False"
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("first, preset, expected", [
+    ("", None, "1"),
+    ("", "3", "3"),
+    ("import numpy\n", None, "None"),
+], ids=["unset", "preset", "numpy_first"])
+def test_cli_import_defaults_blas_to_one_thread(first, preset, expected):
+    # a process that loaded numpy before the CLI keeps its BLAS threads
+    probe = (first + "import os, platelab.cli\n"
+             "print(os.environ.get('OMP_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")])
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
+
+
 SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
 
@@ -426,6 +450,17 @@ BAD_CONFIGS = {
     "product_singular": ("spectrum", {
         "kind = bilaplacian": "kind = product\nb00 = 1\nb11 = 1\nb01 = 1"},
         []),
+    # a repeated value solves the same problem twice: erode fits a NaN
+    # drift exponent, and decay.csv repeats its rows
+    "eps_repeated": ("erode", {"eps = 0.25": "eps = 0.25 0.25"}, []),
+    "alphas_repeated": ("decay", {"alphas = 0.25": "alphas = 0.25 0.25"},
+                        []),
+    # unchecked, an empty list would write an empty result
+    "eps_empty_erode": ("erode", {"eps = 0.25": "eps ="}, []),
+    "alphas_empty_decay": ("decay", {"alphas = 0.25": "alphas ="}, []),
+    "alphas_empty_decay_blowup": ("decay", {"alphas = 0.25": "alphas ="},
+                                  ["--allow-blowup"]),
+    "alphas_empty_palpha": ("palpha", {"alphas = 0.25": "alphas ="}, []),
 }
 
 
