@@ -1,11 +1,12 @@
 """Operator-induced Finsler distance to the boundary.
 
 The quartic symbol of a fourth-order tensor defines a dual metric
-p*(xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4); the induced distance to
-the boundary solves the eikonal equation p*(grad d) = 1 by the fast
-iterative method (Jacobi passes over the nodes whose neighbours changed).
-For the bilaplacian this is the ordinary Euclidean distance; anisotropic
-tensors stretch it directionally.
+p*(xi) = (sum a_ijkl xi_i xi_j xi_k xi_l)^(1/4).  On a convex domain the
+induced distance to the boundary is the minimum over unit normals nu of
+(h(nu) - nu . x) / p*(nu), h the domain's support function: the exact
+solution of the eikonal equation p*(grad d) = 1, which the upwind residual
+below checks on the grid.  For the bilaplacian this is the ordinary
+Euclidean distance; anisotropic tensors stretch it directionally.
 """
 import numpy as np
 

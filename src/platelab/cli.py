@@ -96,12 +96,21 @@ def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+def _check_convex_symbol(cfg: RunConfig) -> None:
+    """finsler_distance needs a convex unit ball {q <= 1}.  Scaled, a
+    diagonal q is c^4 + 2k c^2 s^2 + s^4, k = a01 / sqrt(a00 a11), convex
+    exactly for k <= 3; product has M01 = sqrt(M00 M11), always convex."""
+    M = make_coeffs(cfg.operator_kind, cfg.operator_params).M
+    if M[0, 1] > 3.0 * np.sqrt(M[0, 0] * M[1, 1]):
+        raise ConfigError(f"diagonal a01={M[0, 1]} > 3 sqrt(a00 a11): the "
+                          "unit ball {q <= 1} is not convex")
+
+
 def _cmd_distance(cfg: RunConfig, out: str) -> int:
+    _check_convex_symbol(cfg)
     domain, coeffs, grid, mask = _build_common(cfg)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
-    # p* is |xi| for the bilaplacian: the Euclidean solve would repeat this one
-    dist_e = (dist if coeffs.kind == "bilaplacian" else
-              finsler.finsler_distance(domain, grid, mask, finsler.bilaplacian()))
+    dist_e = finsler.euclidean_from_sdf(domain, grid, mask)
     c1_hat, c2_hat = finsler.equivalence_constants(dist, dist_e, mask)
     res = finsler.eikonal_residual(dist, coeffs, mask)
     d_e = dist_e.interior_values(mask)
@@ -182,6 +191,7 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
     from . import assembly, verifier
 
     _check_alphas(cfg)
+    _check_convex_symbol(cfg)
     # the perturbation depends only on (operator, delta, seed), so a delta
     # that breaks ellipticity is refused before any assembly
     if cfg.delta > 0.0:

@@ -5,15 +5,6 @@ matrix M acting on s(u) = (u_xx, u_yy, u_xy): sum_ijkl a_ijkl u_ij u_kl =
 s^T M s, with index multiplicities folded in (M[2,2] = 4 a_0101 etc.).  The
 dual metric is p*(xi) = (s(xi)^T M s(xi))^(1/4) with
 s(xi) = (xi_x^2, xi_y^2, xi_x xi_y).
-
-Distance to the boundary solves the eikonal identity p*(grad d) = 1 with
-upwind one-sided differences by the fast iterative method (Jeong &
-Whitaker, SIAM J. Sci. Comput. 30(5), 2008): Jacobi passes over an active
-set, each re-solving with numpy every node whose neighbours changed, until
-no node decreases.  That is the fixed point of the upwind scheme that fast
-sweeping (Zhao, Math. Comp. 74, 2005) also reaches.  The one-node quartic
-update has no closed form; it is solved by a safeguarded Newton iteration
-on p* - 1 inside a bisection bracket.
 """
 from __future__ import annotations
 
@@ -21,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeQuartic, NoConvergence
+from .errors import NegativeQuartic
 from .geometry import AnalyticDomain, Grid, GridMask
 
 _VOIGT_MULT = np.array([1.0, 1.0, 2.0])
@@ -88,10 +79,11 @@ def diagonal(a_ik) -> CoefficientField:
 def quartic_symbol(M, xi_x, xi_y) -> np.ndarray:
     """sum a_ijkl xi_i xi_j xi_k xi_l = s^T M s, s = (xi_x^2, xi_y^2, xi_x xi_y).
 
-    M is the (3, 3) Voigt matrix; the direction arrays broadcast.
+    M is the symmetric (3, 3) Voigt matrix; the direction arrays broadcast.
     """
-    s = np.stack([xi_x * xi_x, xi_y * xi_y, xi_x * xi_y], axis=-1)
-    return np.einsum("...ij,...i,...j->...", M, s, s)
+    xx, yy, xy = xi_x * xi_x, xi_y * xi_y, xi_x * xi_y
+    return (xx * (M[0, 0] * xx + 2.0 * M[0, 1] * yy + 2.0 * M[0, 2] * xy)
+            + yy * (M[1, 1] * yy + 2.0 * M[1, 2] * xy) + M[2, 2] * xy * xy)
 
 
 def dual_metric(coeffs: CoefficientField, xi) -> float:
@@ -119,169 +111,66 @@ def _distance_field(grid: Grid, d: np.ndarray) -> DistanceField:
     return DistanceField(grid=grid, d=d, n_reg=max(1, int(round(1.0 / grid.h))))
 
 
-_FAR = 1e100   # unvisited nodes and the ring around the lattice
-# The 4 upwind candidate pairs (x neighbour, y neighbour) are (W,S), (W,N),
-# (E,S), (E,N); W and S give differences +(t - nv)/h, E and N -(t - nv)/h.
-_SGX = np.array([1.0, 1.0, -1.0, -1.0])
-_SGY = np.array([1.0, -1.0, 1.0, -1.0])
-# the six distinct Voigt entries (M00, M11, M22, M01, M02, M12)
-_VOIGT_ROWS = [0, 1, 2, 0, 0, 1]
-_VOIGT_COLS = [0, 1, 2, 1, 2, 2]
+# _BLOCK bounds _minimize's (nodes, _SCAN) arrays; _R is the golden ratio - 1
+_SCAN, _GOLDEN, _Q_ZERO, _BLOCK, _R = 64, 40, 1e-12, 4096, (5 ** 0.5 - 1) / 2
 
 
-def _g_and_slope(C, nvx, sgx, nvy, sgy, h, t):
-    """g(t) = p*(grad) for the upwind gradient with value t, and dq/dt.
+def _golden(domain, M, x, y, t, best):
+    """min(best, the objective at (x, y) after golden steps beside t)."""
+    def f(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return ((domain.support(c, s) - c * x - s * y)
+                / np.sqrt(np.sqrt(quartic_symbol(M, c, s))))
 
-    C holds the Voigt entries (M00, M11, M22, M01, M02, M12).
-    A component whose neighbour value is above t does not flow in.
-    """
-    ax = t > nvx
-    ay = t > nvy
-    gx = sgx * np.where(ax, t - nvx, 0.0) / h
-    gy = sgy * np.where(ay, t - nvy, 0.0) / h
-    s0, s1, s2 = gx * gx, gy * gy, gx * gy
-    m00, m11, m22, m01, m02, m12 = C
-    q0 = m00 * s0 + m01 * s1 + m02 * s2     # q_i = (M s)_i, so q = s . (M s)
-    q1 = m01 * s0 + m11 * s1 + m12 * s2
-    q2 = m02 * s0 + m12 * s1 + m22 * s2
-    q = s0 * q0 + s1 * q1 + s2 * q2
-    dq_dgx = 2.0 * (2.0 * gx * q0 + gy * q2)
-    dq_dgy = 2.0 * (2.0 * gy * q1 + gx * q2)
-    dq = (np.where(ax, sgx, 0.0) * dq_dgx + np.where(ay, sgy, 0.0) * dq_dgy) / h
-    return np.maximum(q, 0.0) ** 0.25, dq
+    a, L = t - 2.0 * np.pi / _SCAN, 4.0 * np.pi / _SCAN   # bracket [a, a + L]
+    f1, f2 = f(a + (1.0 - _R) * L), f(a + _R * L)
+    for _ in range(_GOLDEN):
+        left = f1 < f2      # keep the lower point; all brackets shrink alike
+        a = np.where(left, a, a + (1.0 - _R) * L)
+        L *= _R
+        fn = f(a + np.where(left, 1.0 - _R, _R) * L)
+        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
+    return np.minimum(best, np.minimum(f1, f2))   # no dropped point was lower
 
 
-def _local_solve(C, nvx, sgx, nvy, sgy, h, step):
-    """Root of g(t) = 1 above lo = min(nvx, nvy), one per candidate.
-
-    The bracket [lo, hi] grows from hi = lo + step until g(hi) >= 1.  Then a
-    Newton iteration on f = g - 1 starts at hi; g = q^(1/4) is homogeneous
-    of degree one in the gradient, so f is close to linear past the kink
-    where the second component switches on (Newton on q - 1 stalls there).
-    A step that leaves the bracket is replaced by bisection.  A converged
-    entry stops moving, so each root is independent of the rest of the batch.
-    """
-    lo = np.minimum(nvx, nvy)
-    hi = lo + step
-    for _ in range(60):
-        short = _g_and_slope(C, nvx, sgx, nvy, sgy, h, hi)[0] < 1.0
-        if not short.any():
-            break
-        hi = np.where(short, lo + 2.0 * (hi - lo), hi)
-    t = hi
-    live = np.ones(t.shape, dtype=bool)
-    for _ in range(60):
-        g, dq = _g_and_slope(C, nvx, sgx, nvy, sgy, h, t)
-        below = g < 1.0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tn = t - 4.0 * g ** 3 * (g - 1.0) / dq   # dg/dt = dq / (4 g^3)
-        tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
-        done = np.abs(tn - t) <= 4.0 * np.spacing(t)
-        t = np.where(live, tn, t)
-        live &= ~done
-        if not live.any():
-            break
-    return t
-
-
-def _sweep_once(dp, active, C, h, step):
-    """One Jacobi pass: re-solve the nodes ``active`` (flat indices into the
-    padded distance ``dp``) from their current neighbours, in place, with the
-    Voigt entries C.  Returns the nodes whose value decreased."""
-    flat = dp.reshape(-1)
-    row = dp.shape[1]
-    dW, dE = flat[active - 1], flat[active + 1]
-    dS, dN = flat[active - row], flat[active + row]
-    nvx = np.stack([dW, dW, dE, dE])
-    nvy = np.stack([dS, dN, dS, dN])
-    pair, node = np.nonzero((nvx < 1e99) & (nvy < 1e99))
-    cand = np.full(nvx.shape, _FAR)
-    cand[pair, node] = _local_solve(C, nvx[pair, node], _SGX[pair],
-                                    nvy[pair, node], _SGY[pair], h, step)
-    new = cand.min(axis=0)
-    down = new < flat[active]
-    flat[active[down]] = new[down]
-    return active[down]
-
-
-def _axis_pstar_min(M):
-    """Min over 16 directions of p*(unit vector)."""
-    thetas = np.linspace(0.0, np.pi, 16, endpoint=False)
-    q = quartic_symbol(M, np.cos(thetas), np.sin(thetas))
-    pmin = float(np.min(np.maximum(q, 0.0)) ** 0.25)
-    if not np.isfinite(pmin) or pmin <= 0:
-        raise NegativeQuartic("dual metric degenerates")
-    return pmin
-
-
-def _seed_boundary_layer(domain, grid, mask, M):
-    """Interior nodes with an exterior 4-neighbor get the flat-boundary value
-    d0 = -sdf / p*(n) with n the outward sdf gradient direction.
-
-    On the medial axis the central difference of the sdf cancels; there a
-    one-sided (forward) difference picks one of the nearest boundaries.
-    """
-    interior = mask.interior
-    nb_ext = np.zeros_like(interior)
-    nb_ext[:, 1:] |= ~interior[:, :-1]
-    nb_ext[:, :-1] |= ~interior[:, 1:]
-    nb_ext[1:, :] |= ~interior[:-1, :]
-    nb_ext[:-1, :] |= ~interior[1:, :]
-    iy, ix = np.nonzero(interior & nb_ext)
-    x, y = grid.xs()[ix], grid.ys()[iy]
-    s0 = domain.sdf(x, y)
-    dq = 1e-4 * grid.h
-    sxp, syp = domain.sdf(x + dq, y), domain.sdf(x, y + dq)
-    gx = (sxp - domain.sdf(x - dq, y)) / (2 * dq)
-    gy = (syp - domain.sdf(x, y - dq)) / (2 * dq)
-    medial = np.hypot(gx, gy) < 0.5
-    gx = np.where(medial, (sxp - s0) / dq, gx)
-    gy = np.where(medial, (syp - s0) / dq, gy)
-    nrm = np.maximum(np.hypot(gx, gy), 1e-12)
-    q = np.maximum(quartic_symbol(M, gx / nrm, gy / nrm), 1e-300)
-    pstar = q ** 0.25
-    vals = np.maximum(-s0, 1e-3 * grid.h) / pstar
-    return iy, ix, vals
+def _minimize(domain, M, t, B, x, y):
+    """finsler_distance at (x, y), B = (support, c, s) / p* at the angles t.
+    Every objective value bounds d from above.  Golden-section steps follow
+    at the best scan sample, and at the second lowest local minimum of the
+    scan where it, less the largest step between samples, is below that."""
+    F = np.column_stack([np.ones_like(x), -x, -y]) @ B      # F[node, angle]
+    best = F.min(axis=1)
+    step = np.roll(F, -1, axis=1) - F          # F[k + 1] - F[k]
+    lows = (step >= 0.0) & np.roll(step <= 0.0, 1, axis=1)
+    F2 = np.where(lows & (F > best[:, None]), F, np.inf)   # the other minima
+    d = _golden(domain, M, x, y, t[F.argmin(axis=1)], best)
+    again = F2.min(axis=1) - np.abs(step).max(axis=1) < d
+    d[again] = _golden(domain, M, x[again], y[again],
+                       t[F2[again].argmin(axis=1)], d[again])
+    return d
 
 
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
                      coeffs: CoefficientField) -> DistanceField:
-    """Distance-to-boundary solving p*(grad d) = 1 by the fast iterative
-    method: every free node starts active, and after each pass the free
-    4-neighbours of the nodes that decreased are the next active set.  It
-    stops when a pass decreases no node, an exact fixed point.  The passes
-    are capped at 4 (nx + ny), four times a monotone path across the lattice.
-
-    With coeffs = bilaplacian(), p* = |xi| and d is the Euclidean distance.
-    """
-    pmin = _axis_pstar_min(coeffs.M)
-    h = grid.h
-    step = 1.5 * h / pmin
-
-    dp = np.full((grid.ny + 2, grid.nx + 2), _FAR)
-    d = dp[1:-1, 1:-1]
-    d[...] = np.where(mask.interior, _FAR, 0.0)
-    iy, ix, vals = _seed_boundary_layer(domain, grid, mask, coeffs.M)
-    d[iy, ix] = vals
-    free = np.pad(mask.interior, 1)
-    free[iy + 1, ix + 1] = False
-    free = free.reshape(-1)
-    C = tuple(coeffs.M[_VOIGT_ROWS, _VOIGT_COLS])
-    row = dp.shape[1]
-    active = np.flatnonzero(free)
-    max_passes = 4 * (grid.nx + grid.ny)
-    for _ in range(max_passes):
-        if not active.size:
-            break
-        down = _sweep_once(dp, active, C, h, step)
-        nb = np.concatenate([down - 1, down + 1, down - row, down + row])
-        active = np.unique(nb[free[nb]])
-    if active.size:
-        raise NoConvergence(f"eikonal: {active.size} nodes still active "
-                            f"after {max_passes} passes")
-    return _distance_field(grid, np.where(mask.interior, d, 0.0))
+    """d(x) = min over unit nu of (h(nu) - nu . x) / p*(nu) at every dof, h =
+    ``domain.support``: on a convex domain the nearest boundary point lies
+    on a supporting line, at its Euclidean offset over p*(normal).  Assumes
+    a convex unit ball {q <= 1} (the CLI refuses other operators), so that d
+    solves p*(grad d) = 1 (Bardi & Capuzzo-Dolcetta 1997).  Raises
+    NegativeQuartic when q <= _Q_ZERO * max q (cos(pi/2) is 6e-17, not 0)
+    at a scanned angle."""
+    t = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
+    c, s = np.cos(t), np.sin(t)
+    q = quartic_symbol(coeffs.M, c, s)
+    if not q.min() > _Q_ZERO * q.max():
+        raise NegativeQuartic(f"dual metric degenerates: q = {q.min()}")
+    B = np.stack([domain.support(c, s), c, s]) / np.sqrt(np.sqrt(q))
+    x, y = (mask.restrict(a) for a in grid.meshgrid())
+    d = np.zeros(mask.interior.shape)
+    d[mask.interior] = np.concatenate([
+        _minimize(domain, coeffs.M, t, B, x[i:i + _BLOCK], y[i:i + _BLOCK])
+        for i in range(0, len(x), _BLOCK)])
+    return _distance_field(grid, d)
 
 
 def euclidean_from_sdf(domain: AnalyticDomain, grid: Grid,

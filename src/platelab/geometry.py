@@ -26,15 +26,17 @@ MIN_INTERIOR = 25
 
 @dataclass(frozen=True)
 class AnalyticDomain:
-    """A 2D domain described by an exact signed distance function.
+    """A convex 2D domain described by an exact signed distance function.
 
     ``sdf`` is vectorized over coordinate arrays and 1-Lipschitz in the
-    Euclidean norm; ``bbox`` is (xmin, xmax, ymin, ymax) containing {sdf <= 0}.
+    Euclidean norm; ``support(c, s)`` = max over the domain of c x + s y for
+    unit (c, s); ``bbox`` is (xmin, xmax, ymin, ymax) containing {sdf <= 0}.
     """
 
     kind: str
     params: dict
     sdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    support: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bbox: tuple
     inradius: float
 
@@ -47,7 +49,8 @@ def disk(radius: float) -> AnalyticDomain:
     def sdf(x, y):
         return np.hypot(x, y) - r
 
-    return AnalyticDomain("disk", {"radius": r}, sdf, (-r, r, -r, r), r)
+    return AnalyticDomain("disk", {"radius": r}, sdf, lambda c, s: r + 0.0 * c,
+                          (-r, r, -r, r), r)
 
 
 def rectangle(width: float, height: float) -> AnalyticDomain:
@@ -63,14 +66,14 @@ def rectangle(width: float, height: float) -> AnalyticDomain:
         inside = np.minimum(np.maximum(qx, qy), 0.0)
         return outside + inside
 
-    return AnalyticDomain(
-        "rectangle", {"width": w, "height": ht}, sdf, (-hx, hx, -hy, hy), min(hx, hy)
-    )
+    return AnalyticDomain("rectangle", {"width": w, "height": ht}, sdf,
+                          lambda c, s: hx * np.abs(c) + hy * np.abs(s),
+                          (-hx, hx, -hy, hy), min(hx, hy))
 
 
 def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
     """|x/a|^p + |y/b|^p = 1 boundary; distance via a 4096-vertex boundary
-    polyline."""
+    polyline; support ||(a c, b s)||_q with 1/p + 1/q = 1 (Hoelder)."""
     # imported here: scipy.spatial adds about 80 ms to ``import platelab``
     from scipy.spatial import cKDTree
 
@@ -117,8 +120,9 @@ def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
         return out.reshape(shp) if shp else float(out[0])
 
     return AnalyticDomain(
-        "superellipse", {"a": a, "b": b, "p": p}, sdf, (-a, a, -b, b), min(a, b)
-    )
+        "superellipse", {"a": a, "b": b, "p": p}, sdf,
+        lambda c, s: np.linalg.norm([a * c, b * s], p / (p - 1.0), axis=0),
+        (-a, a, -b, b), min(a, b))
 
 
 @dataclass(frozen=True)
@@ -130,14 +134,9 @@ class Grid:
     nx: int
     ny: int
 
-    def xs(self) -> np.ndarray:
-        return self.origin[0] + self.h * np.arange(self.nx)
-
-    def ys(self) -> np.ndarray:
-        return self.origin[1] + self.h * np.arange(self.ny)
-
     def meshgrid(self):
-        return np.meshgrid(self.xs(), self.ys(), indexing="xy")
+        return np.meshgrid(self.origin[0] + self.h * np.arange(self.nx),
+                           self.origin[1] + self.h * np.arange(self.ny))
 
     @property
     def n_nodes(self) -> int:

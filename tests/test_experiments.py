@@ -309,30 +309,25 @@ def test_cli_spectrum_success(tmp_path, capsys):
     assert len(lines) == 4
 
 
-def test_cli_distance_bilaplacian_solves_once(tmp_path, monkeypatch):
-    # p* = |xi| for the bilaplacian, so the Finsler solve is the Euclidean one
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 0.0625)
-    df = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    calls = []
-    sweep = finsler._sweep_once
-    monkeypatch.setattr(finsler, "_sweep_once",
-                        lambda *a: calls.append(1) or sweep(*a))
-    pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    one_solve = len(calls)
+def test_cli_distance_bilaplacian_solves_once(tmp_path):
+    # p* = |xi| for the bilaplacian: the one Finsler solve is the Euclidean
+    # distance the sdf gives, to rounding
     out = tmp_path / "out"
     assert cli_main(["distance", "--config", _write_cfg(tmp_path),
                      "--out", str(out)]) == 0
-    assert len(calls) == 2 * one_solve
-    stats = json.loads((out / "distance.json").read_text())
-    assert (stats["c1_hat"], stats["c2_hat"]) == (1.0, 1.0)
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 0.0625)
     rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 2], rows[:, 3])
-    assert np.array_equal(rows[:, 2], df.interior_values(mask))
+    assert np.max(np.abs(rows[:, 2] - rows[:, 3])) <= 1e-15
+    assert np.array_equal(
+        rows[:, 3], pl.euclidean_from_sdf(dom, grid, mask).interior_values(mask))
+    stats = json.loads((out / "distance.json").read_text())
+    assert abs(stats["c1_hat"] - 1.0) <= 1e-12
+    assert abs(stats["c2_hat"] - 1.0) <= 1e-12
 
 
 def test_cli_distance_anisotropic_euclidean_column(tmp_path):
-    # rect_aniso at h = 1/16: the Euclidean column is the bilaplacian solve
+    # rect_aniso at h = 1/16: the Euclidean column comes from the sdf
     text = BASE_CFG.replace("kind = disk\nradius = 1.0",
                             "kind = rectangle\nwidth = 2.0\nheight = 1.0")
     text = text.replace("kind = bilaplacian",
@@ -344,7 +339,7 @@ def test_cli_distance_anisotropic_euclidean_column(tmp_path):
     grid, mask = pl.build_grid(dom, 0.0625)
     coeffs = pl.diagonal(np.array([[16.0, 0.0], [0.0, 1.0]]))
     df = pl.finsler_distance(dom, grid, mask, coeffs)
-    de = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
+    de = pl.euclidean_from_sdf(dom, grid, mask)
     rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 2], df.interior_values(mask))
     assert np.array_equal(rows[:, 3], de.interior_values(mask))
@@ -352,6 +347,44 @@ def test_cli_distance_anisotropic_euclidean_column(tmp_path):
     assert (stats["c1_hat"], stats["c2_hat"]) == \
         pl.equivalence_constants(df, de, mask)
     assert stats["c1_hat"] < stats["c2_hat"]
+
+
+def _diagonal_cfg(a01):
+    """BASE_CFG on the 2 x 1 rectangle with diagonal a00 = a11 = 1."""
+    text = BASE_CFG.replace("kind = disk\nradius = 1.0",
+                            "kind = rectangle\nwidth = 2.0\nheight = 1.0")
+    return text.replace("kind = bilaplacian",
+                        f"kind = diagonal\na00 = 1.0\na11 = 1.0\na01 = {a01}")
+
+
+@pytest.mark.parametrize("command", ["distance", "palpha"])
+def test_cli_nonconvex_symbol_exit_2(tmp_path, capsys, monkeypatch, command):
+    # {q <= 1} is convex for diagonal exactly when a01 <= 3 sqrt(a00 a11);
+    # the Finsler distance assumes it, so a01 = 7 is refused before any
+    # assembly or distance
+    calls = []
+    for mod, name in ((assembly, "assemble_Q"), (finsler, "finsler_distance")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **k:
+                            calls.append(1) or _fn(*a, **k))
+    text = _diagonal_cfg(7.0)
+    out = tmp_path / "out"
+    code = cli_main([command, "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)])
+    assert code == 2
+    assert "not convex" in _config_error(capsys)
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+def test_cli_convex_limit_symbol_runs(tmp_path):
+    # a01 = 3 sqrt(a00 a11) is the convex limit (l4 turned by 45 degrees)
+    text = _diagonal_cfg(3.0)
+    out = tmp_path / "out"
+    assert cli_main(["distance", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+    stats = json.loads((out / "distance.json").read_text())
+    assert 0.0 < stats["c1_hat"] < stats["c2_hat"]
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):
