@@ -43,7 +43,6 @@ class RunConfig:
 
 
 def make_domain(kind: str, params: dict) -> AnalyticDomain:
-    kind = kind.lower()
     if kind == "disk":
         return geometry.disk(params["radius"])
     if kind == "rectangle":
@@ -54,7 +53,6 @@ def make_domain(kind: str, params: dict) -> AnalyticDomain:
 
 
 def make_coeffs(kind: str, params: dict) -> CoefficientField:
-    kind = kind.lower()
     if kind == "bilaplacian":
         return finsler.bilaplacian()
     if kind == "product":
@@ -86,10 +84,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     try:
         dom = dict(cp["domain"])
-        kind = dom.pop("kind")
+        kind = dom.pop("kind").lower()
         domain_params = {k: float(v) for k, v in dom.items()}
         op = dict(cp["operator"]) if "operator" in cp else {"kind": "bilaplacian"}
-        op_kind = op.pop("kind")
+        op_kind = op.pop("kind").lower()
         op_params = {k: float(v) for k, v in op.items()}
         h = float(cp["grid"]["h"])
         m = int(cp.get("spectral", "m", fallback="3"))

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeQuartic
-from .geometry import AnalyticDomain, Grid, GridMask
+from .geometry import (_SCAN, AnalyticDomain, Grid, GridMask,
+                       _support_distance)
 
 _VOIGT_MULT = np.array([1.0, 1.0, 2.0])
 _IDX = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
+_Q_ZERO = 1e-12     # finsler_distance's floor on q / max q
 
 
 @dataclass(frozen=True)
@@ -111,65 +113,25 @@ def _distance_field(grid: Grid, d: np.ndarray) -> DistanceField:
     return DistanceField(grid=grid, d=d, n_reg=max(1, int(round(1.0 / grid.h))))
 
 
-# _BLOCK bounds _minimize's (nodes, _SCAN) arrays; _R is the golden ratio - 1
-_SCAN, _GOLDEN, _Q_ZERO, _BLOCK, _R = 64, 40, 1e-12, 4096, (5 ** 0.5 - 1) / 2
-
-
-def _golden(domain, M, x, y, t, best):
-    """min(best, the objective at (x, y) after golden steps beside t)."""
-    def f(theta):
-        c, s = np.cos(theta), np.sin(theta)
-        return ((domain.support(c, s) - c * x - s * y)
-                / np.sqrt(np.sqrt(quartic_symbol(M, c, s))))
-
-    a, L = t - 2.0 * np.pi / _SCAN, 4.0 * np.pi / _SCAN   # bracket [a, a + L]
-    f1, f2 = f(a + (1.0 - _R) * L), f(a + _R * L)
-    for _ in range(_GOLDEN):
-        left = f1 < f2      # keep the lower point; all brackets shrink alike
-        a = np.where(left, a, a + (1.0 - _R) * L)
-        L *= _R
-        fn = f(a + np.where(left, 1.0 - _R, _R) * L)
-        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
-    return np.minimum(best, np.minimum(f1, f2))   # no dropped point was lower
-
-
-def _minimize(domain, M, t, B, x, y):
-    """finsler_distance at (x, y), B = (support, c, s) / p* at the angles t.
-    Every objective value bounds d from above.  Golden-section steps follow
-    at the best scan sample, and at the second lowest local minimum of the
-    scan where it, less the largest step between samples, is below that."""
-    F = np.column_stack([np.ones_like(x), -x, -y]) @ B      # F[node, angle]
-    best = F.min(axis=1)
-    step = np.roll(F, -1, axis=1) - F          # F[k + 1] - F[k]
-    lows = (step >= 0.0) & np.roll(step <= 0.0, 1, axis=1)
-    F2 = np.where(lows & (F > best[:, None]), F, np.inf)   # the other minima
-    d = _golden(domain, M, x, y, t[F.argmin(axis=1)], best)
-    again = F2.min(axis=1) - np.abs(step).max(axis=1) < d
-    d[again] = _golden(domain, M, x[again], y[again],
-                       t[F2[again].argmin(axis=1)], d[again])
-    return d
-
-
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
                      coeffs: CoefficientField) -> DistanceField:
     """d(x) = min over unit nu of (h(nu) - nu . x) / p*(nu) at every dof, h =
-    ``domain.support``: on a convex domain the nearest boundary point lies
-    on a supporting line, at its Euclidean offset over p*(normal).  Assumes
-    a convex unit ball {q <= 1} (the CLI refuses other operators), so that d
-    solves p*(grad d) = 1 (Bardi & Capuzzo-Dolcetta 1997).  Raises
-    NegativeQuartic when q <= _Q_ZERO * max q (cos(pi/2) is 6e-17, not 0)
-    at a scanned angle."""
+    ``domain.support``, by ``geometry._support_distance`` (the superellipse's
+    sdf is the same minimum with p* = 1): on a convex domain the nearest
+    boundary point lies on a supporting line, at its Euclidean offset over
+    p*(normal).  Assumes a convex unit ball {q <= 1} (the CLI refuses other
+    operators), so that d solves p*(grad d) = 1 (Bardi & Capuzzo-Dolcetta
+    1997).  Raises NegativeQuartic when q <= _Q_ZERO * max q (cos(pi/2) is
+    6e-17, not 0) at one of the _SCAN scanned angles."""
     t = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
-    c, s = np.cos(t), np.sin(t)
-    q = quartic_symbol(coeffs.M, c, s)
+    q = quartic_symbol(coeffs.M, np.cos(t), np.sin(t))
     if not q.min() > _Q_ZERO * q.max():
         raise NegativeQuartic(f"dual metric degenerates: q = {q.min()}")
-    B = np.stack([domain.support(c, s), c, s]) / np.sqrt(np.sqrt(q))
     x, y = (mask.restrict(a) for a in grid.meshgrid())
     d = np.zeros(mask.interior.shape)
-    d[mask.interior] = np.concatenate([
-        _minimize(domain, coeffs.M, t, B, x[i:i + _BLOCK], y[i:i + _BLOCK])
-        for i in range(0, len(x), _BLOCK)])
+    d[mask.interior] = _support_distance(
+        domain.support,
+        lambda c, s: np.sqrt(np.sqrt(quartic_symbol(coeffs.M, c, s))), x, y)
     return _distance_field(grid, d)
 
 

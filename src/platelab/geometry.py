@@ -1,6 +1,8 @@
 """Analytic domains, uniform grids, interior masks and C2 cutoffs.
 
-Domains carry an exact signed Euclidean distance function (negative inside).
+Domains carry an exact signed Euclidean distance function (negative inside)
+and a support function; ``_support_distance``, the minimum over the normal
+behind the superellipse's sdf and ``finsler_distance``, needs no scipy.
 Clamped boundary conditions are realized downstream by zero extension: every
 stencil read outside the interior mask returns 0, which enforces u = 0 and,
 at stencil order, du/dn = 0 on the boundary.
@@ -72,57 +74,69 @@ def rectangle(width: float, height: float) -> AnalyticDomain:
 
 
 def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
-    """|x/a|^p + |y/b|^p = 1 boundary; distance via a 4096-vertex boundary
-    polyline; support ||(a c, b s)||_q with 1/p + 1/q = 1 (Hoelder)."""
-    # imported here: scipy.spatial adds about 80 ms to ``import platelab``
-    from scipy.spatial import cKDTree
-
+    """|x/a|^p + |y/b|^p = 1 boundary; support ||(a c, b s)||_q with
+    1/p + 1/q = 1 (Hoelder); sdf from the support, by ``_support_distance``."""
     a, b, p = float(a), float(b), float(p)
     if a <= 0 or b <= 0 or p < 2:
         raise ValueError("superellipse needs a, b > 0 and exponent p >= 2")
-    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    ct, st = np.cos(t), np.sin(t)
-    bx = a * np.sign(ct) * np.abs(ct) ** (2.0 / p)
-    by = b * np.sign(st) * np.abs(st) ** (2.0 / p)
-    pts = np.column_stack([bx, by])
-    seg_a = pts
-    seg_b = np.roll(pts, -1, axis=0)
-    seg_d = seg_b - seg_a
-    seg_len2 = np.maximum(np.sum(seg_d**2, axis=1), 1e-300)
-    seg_len = np.sqrt(seg_len2)
-    tree = cKDTree(seg_a)
+
+    def support(c, s):
+        return np.linalg.norm([a * c, b * s], p / (p - 1.0), axis=0)
 
     def sdf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shp = np.broadcast(x, y).shape
-        q = np.column_stack([np.ravel(np.broadcast_to(x, shp)),
-                             np.ravel(np.broadcast_to(y, shp))])
-        # The nearest vertex is r away, and segment k is no nearer than
-        # |q - a_k| - |seg_k|, so only segments with |q - a_k| <= r + |seg_k|
-        # can hold the nearest point (the 1e-9 covers rounding in r).
-        r = tree.query(q)[0] * (1.0 + 1e-9)
-        near = tree.query_ball_point(q, r + seg_len.max())
-        qi = np.repeat(np.arange(len(q)), [len(k) for k in near])
-        k = np.concatenate(near)
-        w = q[qi] - seg_a[k]
-        keep = np.hypot(w[:, 0], w[:, 1]) <= r[qi] + seg_len[k]
-        qi, k, w = qi[keep], k[keep], w[keep]
-        s = np.clip(np.einsum("ck,ck->c", w, seg_d[k]) / seg_len2[k], 0.0, 1.0)
-        proj = seg_a[k] + s[:, None] * seg_d[k]
-        d2 = np.sum((q[qi] - proj) ** 2, axis=1)
-        # qi is sorted and holds every point (its nearest vertex starts a
-        # segment that is always kept)
-        starts = np.flatnonzero(np.diff(qi, prepend=-1))
-        dist = np.sqrt(np.minimum.reduceat(d2, starts))
-        lvl = (np.abs(q[:, 0] / a) ** p + np.abs(q[:, 1] / b) ** p) - 1.0
-        out = np.where(lvl < 0.0, -dist, dist)
-        return out.reshape(shp) if shp else float(out[0])
+        return -_support_distance(support, lambda c, s: 1.0, x, y)
 
-    return AnalyticDomain(
-        "superellipse", {"a": a, "b": b, "p": p}, sdf,
-        lambda c, s: np.linalg.norm([a * c, b * s], p / (p - 1.0), axis=0),
-        (-a, a, -b, b), min(a, b))
+    return AnalyticDomain("superellipse", {"a": a, "b": b, "p": p}, sdf,
+                          support, (-a, a, -b, b), min(a, b))
+
+
+# _BLOCK bounds the (points, _SCAN) scan arrays; _R is the golden ratio - 1
+_SCAN, _GOLDEN, _BLOCK, _R = 64, 40, 4096, (5 ** 0.5 - 1) / 2
+
+
+def _golden(support, pstar, x, y, t, best):
+    """min(best, the objective at (x, y) after golden steps beside t)."""
+    def f(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return (support(c, s) - c * x - s * y) / pstar(c, s)
+
+    a, L = t - 2.0 * np.pi / _SCAN, 4.0 * np.pi / _SCAN   # bracket [a, a + L]
+    f1, f2 = f(a + (1.0 - _R) * L), f(a + _R * L)
+    for _ in range(_GOLDEN):
+        left = f1 < f2      # keep the lower point; all brackets shrink alike
+        a = np.where(left, a, a + (1.0 - _R) * L)
+        L *= _R
+        fn = f(a + np.where(left, 1.0 - _R, _R) * L)
+        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
+    return np.minimum(best, np.minimum(f1, f2))   # no dropped point was lower
+
+
+def _support_distance(support, pstar, x, y):
+    """min over unit nu of (support(nu) - nu . (x, y)) / pstar(nu) at arrays
+    of any broadcast shape; with pstar = 1, minus the sdf of the convex set
+    with that support, inside and outside (Schneider, Convex Bodies, 1.7).
+    Per block of _BLOCK points: a scan of _SCAN angles, then golden-section
+    steps at the best sample and at the second lowest local minimum of the
+    scan where it, less the largest step between samples, is below that."""
+    shape = np.broadcast(x, y).shape
+    x, y = (np.broadcast_to(a, shape).ravel() for a in (x, y))
+    t = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
+    c, s = np.cos(t), np.sin(t)
+    B = np.stack([support(c, s), c, s]) / pstar(c, s)
+    d = np.empty(x.size)
+    for i in range(0, x.size, _BLOCK):
+        xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
+        F = np.column_stack([np.ones_like(xb), -xb, -yb]) @ B  # [point, angle]
+        best = F.min(axis=1)
+        step = np.roll(F, -1, axis=1) - F          # F[k + 1] - F[k]
+        lows = (step >= 0.0) & np.roll(step <= 0.0, 1, axis=1)
+        F2 = np.where(lows & (F > best[:, None]), F, np.inf)  # other minima
+        db = _golden(support, pstar, xb, yb, t[F.argmin(axis=1)], best)
+        again = F2.min(axis=1) - np.abs(step).max(axis=1) < db
+        db[again] = _golden(support, pstar, xb[again], yb[again],
+                            t[F2[again].argmin(axis=1)], db[again])
+        d[i:i + _BLOCK] = db
+    return d.reshape(shape)
 
 
 @dataclass(frozen=True)

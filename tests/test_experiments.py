@@ -280,20 +280,26 @@ SCIPY_LOADED = ("print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
 
 
-@pytest.mark.parametrize("probe", [
-    "import sys\nfrom platelab.cli import cli_main\n"
-    "assert cli_main(['distance', '--config', sys.argv[1],"
-    " '--out', sys.argv[2]]) == 0\n",
-    "import sys, platelab\nplatelab.load_config(sys.argv[1])\n",
-], ids=["distance", "load_config"])
-def test_distance_and_config_loading_leave_scipy_out(tmp_path, probe):
+_DISTANCE_PROBE = ("import sys\nfrom platelab.cli import cli_main\n"
+                   "assert cli_main(['distance', '--config', sys.argv[1],"
+                   " '--out', sys.argv[2]]) == 0\n")
+
+
+@pytest.mark.parametrize("probe, text", [
+    (_DISTANCE_PROBE, BASE_CFG),
+    ("import sys, platelab\nplatelab.load_config(sys.argv[1])\n", BASE_CFG),
+    (_DISTANCE_PROBE, BASE_CFG.replace("kind = disk\nradius = 1.0",
+                                       "kind = superellipse\na = 1\nb = 0.7\n"
+                                       "p = 4")),
+], ids=["distance", "load_config", "distance_superellipse"])
+def test_distance_and_config_loading_leave_scipy_out(tmp_path, probe, text):
     # neither builds a sparse matrix, so neither pays for importing scipy
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]),
          os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe + SCIPY_LOADED, _write_cfg(tmp_path),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", probe + SCIPY_LOADED,
+         _write_cfg(tmp_path, text), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -667,6 +673,20 @@ def test_cli_hardy_writes_three_pencils(tmp_path):
                      "--out", str(out)]) == 0
     reports = json.loads((out / "hardy.json").read_text())
     assert sorted(reports) == ["hardy_grad", "rellich_grad", "rellich_mass"]
+
+
+def test_cli_hardy_reads_kinds_in_any_case(tmp_path):
+    # load_config lower-cases both kinds, so hardy's operator check and
+    # make_domain / make_coeffs read the same name
+    text = (BASE_CFG.replace("eps = 0.25", "eps = 0.25\nn_sweep = 4 8")
+            .replace("kind = disk", "kind = Disk")
+            .replace("kind = bilaplacian", "kind = Bilaplacian"))
+    cfg = _write_cfg(tmp_path, text)
+    assert cli_main(["hardy", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+    loaded = experiments.load_config(cfg)
+    assert (loaded.domain_kind, loaded.operator_kind) == ("disk",
+                                                          "bilaplacian")
 
 
 def test_cli_decay_builds_difference_ops_once(tmp_path, monkeypatch):

@@ -182,12 +182,23 @@ def test_refinement_contracts_distance_error():
 
 
 def test_distance_superellipse_matches_sdf():
-    # the sdf is a distance to a 4096-vertex polyline, 2.6e-7 off the curve
     dom = pl.superellipse(1.0, 1.0, 4.0)
     grid, mask = pl.build_grid(dom, 1.0 / 32)
     d = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
     de = pl.euclidean_from_sdf(dom, grid, mask)
-    assert np.max(np.abs(d.d - de.d)) <= 1e-6
+    assert np.max(np.abs(d.d - de.d)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_bilaplacian_equivalence_constants_are_one_on_superellipse(n):
+    # p* = |xi|, so d / d_Euclid = 1 at every dof, even the nearest to the
+    # boundary (8.4e-4 and 7.5e-4 away), where rounding weighs most
+    dom = pl.superellipse(1.0, 0.7, 4.0)
+    grid, mask = pl.build_grid(dom, 1.0 / n)
+    c1, c2 = pl.equivalence_constants(
+        pl.finsler_distance(dom, grid, mask, pl.bilaplacian()),
+        pl.euclidean_from_sdf(dom, grid, mask), mask)
+    assert abs(c1 - 1.0) <= 1e-12 and abs(c2 - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("dom", [pl.disk(1.0), pl.rectangle(2.0, 1.0),
