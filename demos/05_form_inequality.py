@@ -36,10 +36,10 @@ def main():
     delta = 0.01
     tilde = assembly.perturb_coeffs(pl.bilaplacian(), delta, seed=42)
     Qt = assembly.assemble_Q(grid, mask, tilde)
-    win = assembly.ellipticity_window(Qt, Q0)
+    lambda_tilde = assembly.ellipticity_window(tilde)
     print(f"\nperturbed tensor, ||a~ - a|| = {delta}")
     print(f"lower ellipticity constant of the perturbed form: "
-          f"lambda~ = {win.lambda_ell:.4f}")
+          f"lambda~ = {lambda_tilde:.4f}")
     a = 0.25
     c_hat = verifier.measure_cross_term_constant(dist, a, witnesses,
                                                  grid, mask, Q0=Q0)
@@ -47,7 +47,7 @@ def main():
           f"(closed-form ceiling at (1, 1/4, 9/16): "
           f"{verifier.cross_term_bound(1.0, 0.25, 9.0 / 16.0):.0f})")
     rep = verifier.probe_perturbation(base[a], Qt, mass, dist, delta,
-                                      win.lambda_ell, c_hat, witnesses,
+                                      lambda_tilde, c_hat, witnesses,
                                       labels=labels, mask=mask)
     print(f"inflated k~ = {rep.k_used:.4f} (was {base[a].k_used:.4f}); "
           f"min margin = {rep.margin:.4f}")

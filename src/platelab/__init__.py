@@ -24,9 +24,9 @@ _SUBMODULE = {
         "dual_metric", "eikonal_residual", "equivalence_constants",
         "euclidean_from_sdf", "finsler_distance", "product"), "finsler"),
     **dict.fromkeys((
-        "EllipticityWindow", "FormMatrix", "assemble_Q", "assemble_Q0",
-        "assemble_weighted", "ellipticity_window", "interior_difference_ops",
-        "perturb_coeffs", "principal_submatrix"), "assembly"),
+        "FormMatrix", "assemble_Q", "assemble_Q0", "assemble_weighted",
+        "ellipticity_window", "interior_difference_ops", "perturb_coeffs",
+        "principal_submatrix"), "assembly"),
     **dict.fromkeys(("Spectrum", "lowest_eigenpairs"), "spectral"),
     **dict.fromkeys((
         "DecayReport", "HardyReport", "PAlphaReport", "cross_term_bound",

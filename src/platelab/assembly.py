@@ -2,8 +2,9 @@
 
 ``dof_difference_ops`` is the clamped closure, zero extension: difference
 rows at every lattice node acting on the dof columns only.  Q, Q0 and the
-unweighted grad form sum all those rows with weight h^2, which enforces
-du/dn = 0 at stencil order; singular weights d_n^-p sum the dof rows only.
+unweighted grad form sum all those rows with weight h^2 (``_lattice_form``),
+which enforces du/dn = 0 at stencil order; singular weights d_n^-p sum the
+dof rows only.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EllipticityLost, NotElliptic
-from .finsler import _BILAPLACIAN_M, CoefficientField, DistanceField
+from .finsler import CoefficientField, DistanceField, bilaplacian
 from .geometry import Grid, GridMask, difference_ops
 
 
@@ -23,8 +24,6 @@ class FormMatrix:
     """Sparse symmetric quadratic form on the masked unknowns."""
 
     matrix: sp.csr_matrix
-    h: float
-    M: Optional[np.ndarray] = None   # Voigt matrix of a zero-extended Q or Q0
 
     def __call__(self, u, v=None) -> float:
         """Q(u) or the bilinear Q(u, v)."""
@@ -33,40 +32,34 @@ class FormMatrix:
         return float(u @ (self.matrix @ v))
 
 
-@dataclass(frozen=True)
-class EllipticityWindow:
-    lambda_ell: float
-
-
 def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
     A = A.tocsr()
     return ((A + A.T) * 0.5).tocsr()
 
 
+def _lattice_form(ops, M, h: float) -> FormMatrix:
+    """h^2 * sum over every lattice row of s^T M s, s = the rows of the
+    stacked ``ops``: the one assembly of the forms with no singular weight."""
+    B = sp.vstack(ops, format="csr")
+    A = sp.kron(M, sp.identity(ops[0].shape[0]), format="csr")
+    return FormMatrix(_symmetrize((B.T @ (A @ B)) * h**2))
+
+
 def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
-    """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point form)."""
-    Dxx, Dyy, _, _, _ = dof_difference_ops(grid, mask)
-    L = Dxx + Dyy
-    Q0 = _symmetrize((L.T @ L) * grid.h**2)
-    return FormMatrix(Q0, grid.h, _BILAPLACIAN_M)
+    """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point
+    form): ``assemble_Q`` of the bilaplacian."""
+    return assemble_Q(grid, mask, bilaplacian())
 
 
 def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatrix:
     """Q(u) = h^2 * sum_nodes s(u)^T M s(u), s = (u_xx, u_yy, u_xy).
 
-    For the bilaplacian tensor the assembly routes through Lap_h^T Lap_h so
-    that Q equals Q0 entrywise.  Raises NotElliptic unless the lattice
-    symbol of M is positive on theta != 0 (``ellipticity_window``).
+    Raises NotElliptic unless the lattice symbol of M is positive on
+    theta != 0 (``ellipticity_window``).
     """
-    M = coeffs.M
-    if np.allclose(M, _BILAPLACIAN_M, atol=0.0):
-        return assemble_Q0(grid, mask)
-    if _symbol_ratio_min(M) <= 0.0:
+    if ellipticity_window(coeffs) <= 0.0:
         raise NotElliptic("the lattice symbol of the form is not positive")
-    B = sp.vstack(dof_difference_ops(grid, mask)[:3], format="csr")
-    A = sp.kron(M, sp.identity(grid.n_nodes), format="csr")
-    Q = _symmetrize((B.T @ (A @ B)) * grid.h**2)
-    return FormMatrix(Q, grid.h, M)
+    return _lattice_form(dof_difference_ops(grid, mask)[:3], coeffs.M, grid.h)
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
@@ -88,17 +81,16 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         w = dn ** (-float(power))
     W = sp.diags(grid.h**2 * w).tocsr()
     if order == "mass":
-        return FormMatrix(W, grid.h)
+        return FormMatrix(W)
     if order != "grad":
         raise ValueError(f"unknown weighted order {order!r}")
-    # power 0 keeps every lattice row, as Q0 does, so the form is coercive
-    _, _, _, Gx, Gy = dof_difference_ops(grid, mask)
+    # power 0 keeps every lattice row, as Q0 does, so the form is coercive;
+    # h^2 sits in M to weight each row before the product, as W does below
+    Gx, Gy = dof_difference_ops(grid, mask)[3:]
     if power == 0.0:
-        W = sp.diags(np.full(grid.n_nodes, grid.h**2))
-    else:
-        Gx, Gy = Gx[mask.nodes], Gy[mask.nodes]
-    A = sum(G.T @ (W @ G) for G in (Gx, Gy))
-    return FormMatrix(_symmetrize(A), grid.h)
+        return _lattice_form((Gx, Gy), grid.h**2 * np.identity(2), 1.0)
+    A = sum(G.T @ (W @ G) for G in (Gx[mask.nodes], Gy[mask.nodes]))
+    return FormMatrix(_symmetrize(A))
 
 
 def dof_difference_ops(grid: Grid, mask: GridMask):
@@ -121,11 +113,14 @@ def principal_submatrix(form: FormMatrix, mask: GridMask,
     eroded subdomain.
     """
     keep = np.flatnonzero(mask.restrict(sub_interior))
-    return FormMatrix(form.matrix[keep][:, keep].tocsr(), form.h)
+    return FormMatrix(form.matrix[keep][:, keep].tocsr())
 
 
-def _symbol_ratio_min(M) -> float:
-    """inf over theta != 0 of q_h / q0_h, q0_h the bilaplacian's symbol.
+def ellipticity_window(coeffs: CoefficientField) -> float:
+    """lambda_ell = inf over theta != 0 of q_h / q0_h, q_h the lattice symbol
+    of ``coeffs`` and q0_h the bilaplacian's.  By Parseval on the lattice a
+    zero-extended constant form is Q(u) = int q_h |u^|^2 dtheta, so
+    Q >= lambda_ell Q0 on every mask, O(h) below the pencil's minimum.
 
     q_h = s_h^T M s_h / h^4 with s_h = (X^2, Y^2, kappa X Y),
     X = 2 sin(theta_x / 2), Y = 2 sin(theta_y / 2) and
@@ -140,7 +135,7 @@ def _symbol_ratio_min(M) -> float:
     def ratio_min(phi):
         c, s = np.cos(phi), np.sin(phi)
         PR = np.array([[c * c, s * s, 0 * c], [0 * c, 0 * c, c * s]])
-        (a, b), (_, e) = np.einsum("ikn,kl,jln->ijn", PR, M, PR)
+        (a, b), (_, e) = np.einsum("ikn,kl,jln->ijn", PR, coeffs.M, PR)
         with np.errstate(divide="ignore", invalid="ignore"):
             k = np.clip(np.nan_to_num(-b / e), 0, 1)
         return np.minimum.reduce([a, a + 2 * b + e, a + 2 * b * k + e * k * k])
@@ -150,16 +145,6 @@ def _symbol_ratio_min(M) -> float:
         mid = phi[np.argmin(ratio_min(phi))]
         phi, dphi = np.linspace(mid - dphi, mid + dphi, 201, retstep=True)
     return float(ratio_min(phi).min())
-
-
-def ellipticity_window(Q: FormMatrix, Q0: FormMatrix) -> EllipticityWindow:
-    """lambda_ell = inf over theta != 0 of q_h / q0_h.  By Parseval on the
-    lattice a zero-extended constant form is Q(u) = int q_h |u^|^2 dtheta, so
-    Q >= lambda_ell Q0 on every mask, O(h) below the pencil's minimum."""
-    if Q.M is None or not np.array_equal(Q0.M, _BILAPLACIAN_M):
-        raise ValueError("Q needs its Voigt matrix M and Q0 must be the "
-                         "bilaplacian form (assemble_Q, assemble_Q0)")
-    return EllipticityWindow(_symbol_ratio_min(Q.M))
 
 
 def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
@@ -185,7 +170,7 @@ def perturb_coeffs(base: CoefficientField, delta_magnitude: float,
 
     field = CoefficientField("perturbed", base.M + dM,
                              delta_norm=delta_magnitude)
-    r = _symbol_ratio_min(field.M)
+    r = ellipticity_window(field)
     if r <= 1e-12:
         raise EllipticityLost(
             f"lattice symbol nonpositive (min ratio {r:.3e} to the "

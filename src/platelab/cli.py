@@ -33,16 +33,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def write_json(path: str, payload) -> None:
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(type(o))
+def _plain(o):
+    """The payload in JSON types: numpy values as Python ones, and a
+    non-finite float as None, since NaN and Infinity are not JSON."""
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in o]
+    if isinstance(o, (float, np.floating)):
+        return float(o) if np.isfinite(o) else None
+    if isinstance(o, np.integer):
+        return int(o)
+    return o
 
+
+def write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=default)
+        json.dump(_plain(payload), f, indent=2, sort_keys=True,
+                  allow_nan=False)
         f.write("\n")
 
 
@@ -209,7 +217,7 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
     if cfg.delta > 0.0:
         Qt = assembly.assemble_Q(grid, mask, tilde)
         Q0 = assembly.assemble_Q0(grid, mask)
-        win = assembly.ellipticity_window(Qt, Q0)
+        lambda_tilde = assembly.ellipticity_window(tilde)
     payload = {}
     for a in cfg.alphas:
         rep = verifier.probe_P_alpha(Q, mass, dist, a, witnesses,
@@ -221,7 +229,7 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
                 dist, a, witnesses, grid, mask, Q0=Q0)
             try:
                 rep_t = verifier.probe_perturbation(
-                    rep, Qt, mass, dist, tilde.delta_norm, win.lambda_ell,
+                    rep, Qt, mass, dist, tilde.delta_norm, lambda_tilde,
                     c_hat, witnesses, labels=labels, n_sweep=cfg.n_sweep,
                     mask=mask)
                 entry["perturbed"] = dataclasses.asdict(rep_t)

@@ -73,11 +73,40 @@ def default_n_sweep(h: float) -> list:
     return ns
 
 
+# the keys read, per section and, in [domain] and [operator], per kind
+_KEYS = {("grid", None): "h", ("spectral", None): "m tol",
+         ("sweeps", None): "alphas eps n_sweep", ("run", None): "seed out",
+         ("perturbation", None): "delta", ("domain", "disk"): "kind radius",
+         ("domain", "rectangle"): "kind width height",
+         ("domain", "superellipse"): "kind a b p",
+         ("operator", "bilaplacian"): "kind",
+         ("operator", "product"): "kind b00 b11 b01",
+         ("operator", "diagonal"): "kind a00 a11 a01"}
+
+
+def _check_keys(cp: configparser.ConfigParser, kinds: dict) -> None:
+    """Refuse a section or key that is not read: a misspelt key would leave
+    its default in force.  An unknown kind is left to ``validate_config``."""
+    for section in cp.sections():
+        kind = kinds.get(section)
+        if (section, kind) not in _KEYS:
+            if kind is None:
+                raise ConfigError(f"unknown config section [{section}]")
+            continue
+        extra = sorted(set(cp[section]) - set(_KEYS[section, kind].split()))
+        if extra:
+            where = f" for kind {kind!r}" if kind else ""
+            raise ConfigError(f"unknown config key {extra[0]!r} in "
+                              f"[{section}]{where}")
+
+
 def load_config(path: str) -> RunConfig:
-    """Flat key-value sections (INI grammar, UTF-8); see README for the keys."""
+    """Flat key-value sections (INI grammar, UTF-8, ``;`` comments, also
+    after a value); see README for the keys.  A section or key that is not
+    read is an error."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -85,9 +114,10 @@ def load_config(path: str) -> RunConfig:
     try:
         dom = dict(cp["domain"])
         kind = dom.pop("kind").lower()
-        domain_params = {k: float(v) for k, v in dom.items()}
         op = dict(cp["operator"]) if "operator" in cp else {"kind": "bilaplacian"}
         op_kind = op.pop("kind").lower()
+        _check_keys(cp, {"domain": kind, "operator": op_kind})
+        domain_params = {k: float(v) for k, v in dom.items()}
         op_params = {k: float(v) for k, v in op.items()}
         h = float(cp["grid"]["h"])
         m = int(cp.get("spectral", "m", fallback="3"))

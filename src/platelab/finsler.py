@@ -40,12 +40,10 @@ class CoefficientField:
         return self.M[m, n] / (_VOIGT_MULT[m] * _VOIGT_MULT[n])
 
 
-_BILAPLACIAN_M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-
-
 def bilaplacian() -> CoefficientField:
     """a_ijkl = delta_ij delta_kl, the form of the bilaplacian."""
-    return CoefficientField("bilaplacian", _BILAPLACIAN_M.copy())
+    return CoefficientField("bilaplacian", np.array(
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def product(b) -> CoefficientField:

@@ -123,7 +123,7 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
         forms = [(A(v), mass(v), weights[n_hi](v)) for v in probes]
 
         def solve(shift):
-            As = FormMatrix((A.matrix + shift * mass.matrix).tocsr(), A.h)
+            As = FormMatrix((A.matrix + shift * mass.matrix).tocsr())
             ops = factor(As)
             values = {}
             for n in (n_hi, n_lo):
@@ -268,7 +268,7 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
     """
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    n_sweep = _n_levels(n_sweep, Q.h)
+    n_sweep = _n_levels(n_sweep, dist.grid.h)
     if k is None:
         k = 1.05 * k_alpha_ref(alpha)
     dvals = dist.interior_values(mask)

@@ -136,11 +136,11 @@ def test_acceptance_08_perturbation_chain(disk64):
                                   witnesses, labels=labels, mask=disk64.mask)
     tilde = assembly.perturb_coeffs(pl.bilaplacian(), 0.01, seed=42)
     Qt = assembly.assemble_Q(disk64.grid, disk64.mask, tilde)
-    win = assembly.ellipticity_window(Qt, disk64.Q0)
+    lambda_tilde = assembly.ellipticity_window(tilde)
     c_hat = verifier.measure_cross_term_constant(
         disk64.dist, 0.25, witnesses, disk64.grid, disk64.mask, Q0=disk64.Q0)
     rep = verifier.probe_perturbation(
-        base, Qt, disk64.mass, disk64.dist, tilde.delta_norm, win.lambda_ell,
+        base, Qt, disk64.mass, disk64.dist, tilde.delta_norm, lambda_tilde,
         c_hat, witnesses, labels=labels, mask=disk64.mask)
     assert rep.k_used > base.k_used
     assert rep.margin >= 0.0
@@ -149,8 +149,8 @@ def test_acceptance_08_perturbation_chain(disk64):
     with pytest.raises(BoundViolated):
         verifier.probe_perturbation(
             base, Qt, disk64.mass, disk64.dist,
-            2.0 * win.lambda_ell / (1.0 + c_hat * base.k_used),
-            win.lambda_ell, c_hat, witnesses, mask=disk64.mask)
+            2.0 * lambda_tilde / (1.0 + c_hat * base.k_used),
+            lambda_tilde, c_hat, witnesses, mask=disk64.mask)
 
 
 def test_acceptance_09_eikonal_residual_certificate(disk64):

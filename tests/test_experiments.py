@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,15 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.eps_list == (0.25,)
     assert cfg.seed == 42
     assert cfg.n_sweep == (8, 16)
+
+
+def test_load_config_reads_the_readme_example(tmp_path):
+    # the README's example, with a comment after most values, is disk.cfg
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert experiments.load_config(_write_cfg(tmp_path, block)) == \
+        experiments.load_config(str(root / "configs" / "disk.cfg"))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -500,6 +510,15 @@ BAD_CONFIGS = {
     "alphas_empty_decay_blowup": ("decay", {"alphas = 0.25": "alphas ="},
                                   ["--allow-blowup"]),
     "alphas_empty_palpha": ("palpha", {"alphas = 0.25": "alphas ="}, []),
+    # a key or section that is not read would leave its default in force
+    "diagonal_b01": ("palpha", {
+        "kind = bilaplacian": "kind = diagonal\na00 = 16\na11 = 1\nb01 = 3"},
+        []),
+    "alpha_misspelt": ("palpha", {"alphas = 0.25": "alpha = 0.1 0.4"}, []),
+    "tolerance_misspelt": ("palpha", {"tol = 1e-8": "tolerance = 1e-3"}, []),
+    "sed_misspelt": ("palpha", {"seed = 42": "sed = 7"}, []),
+    "perturbations_section": ("palpha", {
+        "[run]": "[perturbations]\ndelta = 0.01\n\n[run]"}, []),
 }
 
 
@@ -517,6 +536,25 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, edits,
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == "ConfigError"
+
+
+# BAD_CONFIGS id: what the error names
+UNREAD = {
+    "diagonal_b01": "'b01' in [operator] for kind 'diagonal'",
+    "alpha_misspelt": "'alpha' in [sweeps]",
+    "tolerance_misspelt": "'tolerance' in [spectral]",
+    "sed_misspelt": "'sed' in [run]",
+    "perturbations_section": "section [perturbations]",
+}
+
+
+@pytest.mark.parametrize("case, named", UNREAD.items(), ids=UNREAD.keys())
+def test_load_config_names_what_it_does_not_read(tmp_path, case, named):
+    text = BASE_CFG
+    for old, new in BAD_CONFIGS[case][1].items():
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        experiments.load_config(_write_cfg(tmp_path, text))
 
 
 def test_cli_n_sweep_below_one_exit_2(tmp_path, capsys):
@@ -564,8 +602,15 @@ def test_cli_erode_outputs(tmp_path):
     out = tmp_path / "out"
     code = cli_main(["erode", "--config", cfg, "--out", str(out)])
     assert code == 0
-    payload = json.loads((out / "stability.json").read_text())
+
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    # one eps fits no exponent: NaN, written as null
+    payload = json.loads((out / "stability.json").read_text(),
+                         parse_constant=not_json)
     assert "fitted_exponent" in payload and "hess_deps_bound" in payload
+    assert set(payload["fitted_exponent"].values()) == {None}
     lines = (out / "stability.csv").read_text().strip().split("\n")
     assert lines[0] == \
         "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error"
@@ -629,16 +674,22 @@ def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys,
 
 
 def test_cli_palpha_builds_perturbation_once(tmp_path, monkeypatch):
-    calls = []
+    # the perturbed tensor's window is read as often for two alphas as for
+    # one: the tensor and its form are built once, outside the alpha loop
+    kinds = []
     window = assembly.ellipticity_window
     monkeypatch.setattr(assembly, "ellipticity_window",
-                        lambda *a, **k: calls.append(1) or window(*a, **k))
-    text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25") \
-        + "\n[perturbation]\ndelta = 0.01\n"
-    out = tmp_path / "out"
-    assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
-                     "--out", str(out)]) == 0
-    assert len(calls) == 1
+                        lambda c: kinds.append(c.kind) or window(c))
+    counts = []
+    for alphas in ("0.25", "0.1 0.25"):
+        text = BASE_CFG.replace("alphas = 0.25", f"alphas = {alphas}") \
+            + "\n[perturbation]\ndelta = 0.01\n"
+        out = tmp_path / "out"
+        assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
+                         "--out", str(out)]) == 0
+        counts.append(kinds.count("perturbed"))
+        kinds.clear()
+    assert counts[0] == counts[1] > 0
     payload = json.loads((out / "palpha.json").read_text())
     assert sorted(payload) == ["0.1", "0.25"]
     assert all("perturbed" in entry for entry in payload.values())

@@ -11,27 +11,26 @@ import platelab as pl
 EXPORTED = [
     "AlphaOutOfRange", "AnalyticDomain", "BandUnresolved", "BoundViolated",
     "CoefficientField", "ConfigError", "DecayReport", "DistanceField",
-    "EllipticityLost", "EllipticityWindow", "FormMatrix", "Grid",
-    "GridMask", "GridTooCoarse", "HardyReport", "MassNotPD",
-    "NegativeQuartic", "NoConvergence", "NotElliptic", "PAlphaReport",
-    "PlatelabError", "RunConfig", "Spectrum", "StabilityReport",
-    "StabilityRow", "assemble_Q", "assemble_Q0", "assemble_weighted",
-    "bilaplacian", "build_cutoff", "build_grid", "cross_term_bound",
-    "cutoff_rayleigh_bound", "default_n_sweep", "diagonal", "disk",
-    "dual_metric", "eikonal_residual", "ellipticity_window",
-    "equivalence_constants", "estimate_hardy_constant",
-    "euclidean_from_sdf", "finsler_distance", "fit_drift_exponent",
-    "gamma_alpha", "interior_difference_ops", "k_alpha_ref", "load_config",
-    "lowest_eigenpairs", "make_coeffs", "make_domain", "make_witnesses",
-    "measure_cross_term_constant", "perturb_coeffs", "principal_submatrix",
-    "probe_P_alpha", "probe_perturbation", "product", "rectangle",
-    "run_erosion_study", "smoothstep", "superellipse", "validate_config",
-    "verify_decay",
+    "EllipticityLost", "FormMatrix", "Grid", "GridMask", "GridTooCoarse",
+    "HardyReport", "MassNotPD", "NegativeQuartic", "NoConvergence",
+    "NotElliptic", "PAlphaReport", "PlatelabError", "RunConfig", "Spectrum",
+    "StabilityReport", "StabilityRow", "assemble_Q", "assemble_Q0",
+    "assemble_weighted", "bilaplacian", "build_cutoff", "build_grid",
+    "cross_term_bound", "cutoff_rayleigh_bound", "default_n_sweep",
+    "diagonal", "disk", "dual_metric", "eikonal_residual",
+    "ellipticity_window", "equivalence_constants",
+    "estimate_hardy_constant", "euclidean_from_sdf", "finsler_distance",
+    "fit_drift_exponent", "gamma_alpha", "interior_difference_ops",
+    "k_alpha_ref", "load_config", "lowest_eigenpairs", "make_coeffs",
+    "make_domain", "make_witnesses", "measure_cross_term_constant",
+    "perturb_coeffs", "principal_submatrix", "probe_P_alpha",
+    "probe_perturbation", "product", "rectangle", "run_erosion_study",
+    "smoothstep", "superellipse", "validate_config", "verify_decay",
 ]
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 64
+    assert len(EXPORTED) == 63
     assert pl.__all__ == EXPORTED
     assert set(EXPORTED) <= set(dir(pl))
     assert pl.__version__ == "0.1.0"

@@ -185,8 +185,7 @@ def test_single_eigenpair_is_the_minimum_of_a_degenerate_pair():
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     W = assembly.assemble_weighted(grid, mask, dist, "mass", 2.0, 40)
-    A = assembly.FormMatrix((grad.matrix + 2.0**5 * mass.matrix).tocsr(),
-                            grad.h)
+    A = assembly.FormMatrix((grad.matrix + 2.0**5 * mass.matrix).tocsr())
     four = pl.lowest_eigenpairs(A, W, m=4).values
     assert four[1] == pytest.approx(four[0], rel=1e-9)
     assert four[0] == pytest.approx(0.7814344, rel=1e-6)

@@ -119,8 +119,7 @@ def _scan_every_shift(A, grid, mask, dist, kind, n_sweep=None, *, mass,
         sweep.append((n, float(spec.values[0])))
     n_hi, n_lo = n_sweep[-1], n_sweep[-2]
     for shift in verifier.WEAK_SHIFTS:
-        As = assembly.FormMatrix((A.matrix + shift * mass.matrix).tocsr(),
-                                 A.h)
+        As = assembly.FormMatrix((A.matrix + shift * mass.matrix).tocsr())
         ops = spectral.factor(As)
         c_hi = float(pl.lowest_eigenpairs(As, weights[n_hi], m=1, seed=seed,
                                           OPinv=ops).values[0])
@@ -167,7 +166,7 @@ def test_hardy_weak_scan_stops_at_a_middle_shift():
     # 2^-12 ... 2^-2 of Q0, bit for bit.
     grid, mask, dist, pencils, _ = _hardy_setup(pl.disk(1.0), 1 / 16)
     A, Q0 = pencils["hardy_grad"], pencils["rellich_mass"]
-    mass = assembly.FormMatrix(Q0.matrix * 2.0**-12, Q0.h)
+    mass = assembly.FormMatrix(Q0.matrix * 2.0**-12)
     kw = dict(n_sweep=(512, 1024), mass=mass)
     rep = verifier.estimate_hardy_constant(A, grid, mask, dist,
                                            "hardy_grad", **kw)
@@ -190,8 +189,7 @@ def test_hardy_weak_scan_bounds_hold():
              for n in verifier.default_n_sweep(grid.h)[-2:]]
         solves = {}   # shift -> ((c_lo, v_lo), (c_hi, v_hi))
         for s in [0.0] + shifts:
-            As = assembly.FormMatrix((A.matrix + s * mass.matrix).tocsr(),
-                                     A.h)
+            As = assembly.FormMatrix((A.matrix + s * mass.matrix).tocsr())
             ops = spectral.factor(As)
             solves[s] = [
                 (float(spec.values[0]), spec.vectors[:, 0]) for spec in
@@ -388,15 +386,15 @@ def test_probe_perturbation_inflates_k_and_keeps_margin(disk32):
                                   witnesses, labels=labels, mask=disk32.mask)
     tilde = assembly.perturb_coeffs(pl.bilaplacian(), 0.01, seed=42)
     Qt = assembly.assemble_Q(disk32.grid, disk32.mask, tilde)
-    win = assembly.ellipticity_window(Qt, disk32.Q0)
+    lam = assembly.ellipticity_window(tilde)
     c_hat = verifier.measure_cross_term_constant(
         disk32.dist, 0.25, witnesses, disk32.grid, disk32.mask, Q0=disk32.Q0)
     rep = verifier.probe_perturbation(base, Qt, disk32.mass, disk32.dist,
-                                      tilde.delta_norm, win.lambda_ell,
+                                      tilde.delta_norm, lam,
                                       c_hat, witnesses, labels=labels,
                                       mask=disk32.mask)
     expect_k = base.k_used / (1.0 - (1.0 + c_hat * base.k_used)
-                              * tilde.delta_norm / win.lambda_ell)
+                              * tilde.delta_norm / lam)
     assert rep.k_used == pytest.approx(expect_k, rel=1e-12)
     assert rep.k_used > base.k_used
     assert rep.margin > 0
