@@ -48,7 +48,8 @@ def factor(A) -> spla.LinearOperator:
     Am = _as_matrix(A)
     lu = spla.splu(Am.tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    return spla.LinearOperator(Am.shape, matvec=lu.solve)
+    # a LinearOperator without a dtype finds one by a throwaway solve
+    return spla.LinearOperator(Am.shape, matvec=lu.solve, dtype=Am.dtype)
 
 
 def _residuals(Am, Bm, vals, vecs) -> np.ndarray:

@@ -90,13 +90,16 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     constant at the largest n.
 
     c_n(s) = min_u (A + s M)(u) / W_n(u) is concave and nondecreasing in s.
-    The cap is solved first; a shift below it is solved only when two
-    bounds cannot rule it out.  The Rayleigh quotients of every eigenvector
-    found so far bound c_hi(s) above, and the chord between the nearest
-    solved shifts (the plain sweep is shift 0) bounds c_lo(s) below.  A
-    shift is ruled out when (1 + WEAK_STABILITY_TOL) upper < (1 - eta) lower
-    with eta = WEAK_RULE_OUT_MARGIN; it would fail the test, so the reported
-    values are those of solving every shift in turn.
+    The cap is solved first, at both levels: its pair is the output when
+    no shift stabilizes.  The Rayleigh quotients of every eigenvector found
+    so far bound c_hi(s) above, and the chord between the nearest solved
+    shifts (the plain sweep is shift 0) bounds c_lo(s) below.  A shift is
+    ruled out when (1 + WEAK_STABILITY_TOL) upper < (1 - eta) lower with
+    eta = WEAK_RULE_OUT_MARGIN.  A shift the chord cannot rule out is solved
+    at n_lo, and at n_hi only when c_lo(s) in place of the chord, with v_lo
+    among the Rayleigh vectors, cannot rule it out either.  A ruled-out
+    shift would fail the test, so the reported values are those of solving
+    every shift in turn.
     """
     if kind not in _HARDY_POWERS:
         raise ValueError(f"unknown Hardy kind {kind!r}")
@@ -112,44 +115,53 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
         spec = lowest_eigenpairs(A, weights[n], m=1, seed=seed, OPinv=op)
         sweep.append((n, float(spec.values[0])))
         probes.append(spec.vectors[:, 0])
+    del op  # the weak scan factors the shifted forms only
 
     weak_pair = None
     weak_sweep = ()
     weak_stabilized = False
     if len(n_sweep) >= 2:
         n_hi, n_lo = n_sweep[-1], n_sweep[-2]
+        cap = WEAK_SHIFTS[-1]
         # (A(v), M(v), W_hi(v)) of each eigenvector: c_hi(s) <= min over v
         # of (A(v) + s M(v)) / W_hi(v)
         forms = [(A(v), mass(v), weights[n_hi](v)) for v in probes]
 
+        def ruled_out(shift, lower):
+            a, m, w = np.array(forms).T
+            upper = float(np.min((a + shift * m) / w))
+            return ((1.0 + WEAK_STABILITY_TOL) * upper
+                    < (1.0 - WEAK_RULE_OUT_MARGIN) * lower)
+
         def solve(shift):
+            """(c_lo, c_hi); c_hi is None when c_lo rules the shift out."""
             As = FormMatrix((A.matrix + shift * mass.matrix).tocsr())
             ops = factor(As)
-            values = {}
-            for n in (n_hi, n_lo):
+
+            def level(n):
                 spec = lowest_eigenpairs(As, weights[n], m=1, seed=seed,
                                          OPinv=ops)
                 v = spec.vectors[:, 0]
                 forms.append((A(v), mass(v), weights[n_hi](v)))
-                values[n] = float(spec.values[0])
-            return values[n_lo], values[n_hi]
+                return float(spec.values[0])
+
+            c_lo = level(n_lo)
+            if shift < cap and ruled_out(shift, c_lo):
+                return c_lo, None
+            return c_lo, level(n_hi)
 
         def stable(c_lo, c_hi):
             return abs(c_lo - c_hi) <= WEAK_STABILITY_TOL * abs(c_hi)
 
-        cap = WEAK_SHIFTS[-1]
         cap_pair = solve(cap)
         left = (0.0, sweep[-2][1])
         for shift in WEAK_SHIFTS[:-1]:
             s0, c0 = left
-            lower = c0 + (cap_pair[0] - c0) * (shift - s0) / (cap - s0)
-            a, m, w = np.array(forms).T
-            upper = float(np.min((a + shift * m) / w))
-            if ((1.0 + WEAK_STABILITY_TOL) * upper
-                    < (1.0 - WEAK_RULE_OUT_MARGIN) * lower):
+            if ruled_out(shift,
+                         c0 + (cap_pair[0] - c0) * (shift - s0) / (cap - s0)):
                 continue
             c_lo, c_hi = solve(shift)
-            if stable(c_lo, c_hi):
+            if c_hi is not None and stable(c_lo, c_hi):
                 break
             left = (shift, c_lo)
         else:

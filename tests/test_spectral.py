@@ -130,6 +130,27 @@ def test_factor_solves_disk_forms(disk32):
         assert np.linalg.norm(form.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_factor_solves_only_when_applied(disk32, monkeypatch):
+    # a LinearOperator left to find its own dtype makes one throwaway solve
+    solves = []
+    splu = spla.splu
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **k: CountedLU(splu(*a, **k)))
+    op = spectral.factor(disk32.Q0)
+    assert solves == [] and op.dtype == disk32.Q0.matrix.dtype
+    op @ np.ones(disk32.mask.count)
+    assert solves == [1]
+
+
 def test_lowest_eigenpairs_matches_default_ordering_lu(disk32):
     A = disk32.Q0.matrix
     lu = spla.splu(A.tocsc())

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -145,10 +147,13 @@ def _hardy_setup(domain, h):
     return grid, mask, dist, pencils, mass
 
 
+# below h = 1/40 on these domains the bounds rule out every shift below the
+# cap; at h = 1/40 some are solved at n_lo and ruled out by that value
 @pytest.mark.parametrize("domain,h", [(pl.disk(1.0), 1 / 16),
                                       (pl.disk(1.0), 1 / 32),
+                                      (pl.disk(1.0), 1 / 40),
                                       (pl.rectangle(2.0, 1.0), 1 / 20)],
-                         ids=["disk16", "disk32", "rect20"])
+                         ids=["disk16", "disk32", "disk40", "rect20"])
 def test_hardy_weak_scan_matches_every_shift(domain, h):
     grid, mask, dist, pencils, mass = _hardy_setup(domain, h)
     for kind, A in pencils.items():
@@ -220,6 +225,22 @@ def test_hardy_weak_scan_factors_few_shifts(disk32, monkeypatch):
         verifier.estimate_hardy_constant(A, disk32.grid, disk32.mask,
                                          disk32.dist, kind, mass=disk32.mass)
         assert len(calls) <= 3
+
+
+def test_hardy_weak_scan_solves_n_hi_only_when_needed(monkeypatch):
+    # on the h = 1/40 disk each pencil makes 4 plain solves and 2 at the
+    # cap; 5 more shifts over the three pencils are solved at n_lo, and
+    # each c_lo rules its shift out without the n_hi solve
+    grid, mask, dist, pencils, mass = _hardy_setup(pl.disk(1.0), 1 / 40)
+    calls = collections.Counter()
+    for name in ("factor", "lowest_eigenpairs"):
+        fn = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda *a, fn=fn, name=name, **k:
+                            calls.update([name]) or fn(*a, **k))
+    for kind, A in pencils.items():
+        verifier.estimate_hardy_constant(A, grid, mask, dist, kind, mass=mass)
+    assert calls["lowest_eigenpairs"] == 23
+    assert calls["factor"] <= 11
 
 
 def test_decay_lhs_monotone_in_n(disk32):
