@@ -77,46 +77,45 @@ def _emit_error(code: int, kind: str, message: str) -> int:
 
 def _build_common(cfg: RunConfig):
     domain = make_domain(cfg.domain_kind, cfg.domain_params)
-    coeffs = make_coeffs(cfg.operator_kind, cfg.operator_params)
     grid, mask = build_grid(domain, cfg.h)
-    return domain, coeffs, grid, mask
+    return domain, grid, mask
 
 
-def _build_pencil(cfg: RunConfig, m: int):
-    """The common setup plus the operator form Q, the mass form and the
-    lowest m eigenpairs of the pencil (Q, mass)."""
+def _build_pencil(cfg: RunConfig, coeffs, m: int):
+    """The common setup plus the form Q of ``coeffs``, the mass form and
+    the lowest m eigenpairs of the pencil (Q, mass)."""
     from . import assembly, spectral
 
-    domain, coeffs, grid, mask = _build_common(cfg)
+    domain, grid, mask = _build_common(cfg)
     if m >= mask.count:
         raise ConfigError(f"m={m} eigenpairs need more than the "
                           f"{mask.count} grid unknowns")
     Q = assembly.assemble_Q(grid, mask, coeffs)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = spectral.lowest_eigenpairs(Q, mass, m=m, tol=cfg.tol, seed=cfg.seed)
-    return domain, coeffs, grid, mask, Q, mass, spec
+    return domain, grid, mask, Q, mass, spec
 
 
-def _cmd_spectrum(cfg: RunConfig, out: str) -> int:
-    *_, spec = _build_pencil(cfg, cfg.m)
+def _cmd_spectrum(cfg: RunConfig, coeffs, out: str) -> int:
+    *_, spec = _build_pencil(cfg, coeffs, cfg.m)
     _write_csv(os.path.join(out, "spectrum.csv"), "index,value,residual",
                zip(range(spec.m), spec.values, spec.residuals))
     return 0
 
 
-def _check_convex_symbol(cfg: RunConfig) -> None:
+def _check_convex_symbol(coeffs) -> None:
     """finsler_distance needs a convex unit ball {q <= 1}.  Scaled, a
     diagonal q is c^4 + 2k c^2 s^2 + s^4, k = a01 / sqrt(a00 a11), convex
     exactly for k <= 3; product has M01 = sqrt(M00 M11), always convex."""
-    M = make_coeffs(cfg.operator_kind, cfg.operator_params).M
+    M = coeffs.M
     if M[0, 1] > 3.0 * np.sqrt(M[0, 0] * M[1, 1]):
         raise ConfigError(f"diagonal a01={M[0, 1]} > 3 sqrt(a00 a11): the "
                           "unit ball {q <= 1} is not convex")
 
 
-def _cmd_distance(cfg: RunConfig, out: str) -> int:
-    _check_convex_symbol(cfg)
-    domain, coeffs, grid, mask = _build_common(cfg)
+def _cmd_distance(cfg: RunConfig, coeffs, out: str) -> int:
+    _check_convex_symbol(coeffs)
+    domain, grid, mask = _build_common(cfg)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
     dist_e = finsler.euclidean_from_sdf(domain, grid, mask)
     c1_hat, c2_hat = finsler.equivalence_constants(dist, dist_e, mask)
@@ -140,13 +139,13 @@ def _cmd_distance(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _cmd_hardy(cfg: RunConfig, out: str) -> int:
-    if cfg.operator_kind != "bilaplacian":  # the pencils use Q0 and d_euclid
+def _cmd_hardy(cfg: RunConfig, coeffs, out: str) -> int:
+    if coeffs.kind != "bilaplacian":  # the pencils use Q0 and d_euclid
         raise ConfigError(f"hardy measures the bilaplacian's constants, not "
-                          f"those of operator kind {cfg.operator_kind!r}")
+                          f"those of operator kind {coeffs.kind!r}")
     from . import assembly, verifier
 
-    domain, _, grid, mask = _build_common(cfg)
+    domain, grid, mask = _build_common(cfg)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
@@ -175,12 +174,12 @@ def _check_alphas(cfg: RunConfig) -> None:
             "with --allow-blowup, as the blow-up demonstration")
 
 
-def _cmd_decay(cfg: RunConfig, out: str) -> int:
+def _cmd_decay(cfg: RunConfig, coeffs, out: str) -> int:
     from . import assembly, verifier
 
     _check_alphas(cfg)
     # verify_decay reads eigenpair 0 only, so m from the config is not used
-    domain, _, grid, mask, _, _, spec = _build_pencil(cfg, 1)
+    domain, grid, mask, _, _, spec = _build_pencil(cfg, coeffs, 1)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     ops = assembly.interior_difference_ops(grid, mask)
     rows = []
@@ -195,22 +194,20 @@ def _cmd_decay(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _cmd_palpha(cfg: RunConfig, out: str) -> int:
+def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
     from . import assembly, verifier
 
     _check_alphas(cfg)
-    _check_convex_symbol(cfg)
+    _check_convex_symbol(coeffs)
     # the perturbation depends only on (operator, delta, seed), so a delta
     # that breaks ellipticity is refused before any assembly
     if cfg.delta > 0.0:
         try:
-            tilde = assembly.perturb_coeffs(
-                make_coeffs(cfg.operator_kind, cfg.operator_params),
-                cfg.delta, seed=cfg.seed)
+            tilde = assembly.perturb_coeffs(coeffs, cfg.delta, seed=cfg.seed)
         except EllipticityLost as exc:
             raise ConfigError(f"delta={cfg.delta} with seed {cfg.seed}: "
                               f"{exc}") from exc
-    domain, coeffs, grid, mask, Q, mass, spec = _build_pencil(cfg, 5)
+    domain, grid, mask, Q, mass, spec = _build_pencil(cfg, coeffs, 5)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
     witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask,
                                                 seed=cfg.seed)
@@ -241,12 +238,12 @@ def _cmd_palpha(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _cmd_erode(cfg: RunConfig, out: str) -> int:
+def _cmd_erode(cfg: RunConfig, coeffs, out: str) -> int:
     if not cfg.eps_list:
         raise ConfigError("erode requires a nonempty eps list")
     from .experiments import run_erosion_study
 
-    domain, coeffs, grid, mask = _build_common(cfg)
+    domain, grid, mask = _build_common(cfg)
     # run_erosion_study checks the eroded grids before the full solve
     report = run_erosion_study(domain, coeffs, cfg.h, cfg.m, cfg.eps_list,
                                tol=cfg.tol, seed=cfg.seed, grid=grid,
@@ -264,6 +261,7 @@ def _cmd_erode(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+# name -> command(cfg, coeffs, out), coeffs the one tensor cli_main builds
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "distance": _cmd_distance,
@@ -290,21 +288,19 @@ def cli_main(argv=None) -> int:
             raise ConfigError("missing subcommand; expected one of "
                               + ", ".join(sorted(_COMMANDS)))
         cfg = load_config(args.config)
-        updates = {}
         if args.seed is not None:
-            updates["seed"] = args.seed
-        if getattr(args, "allow_blowup", False):
-            updates["allow_blowup"] = True
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
             validate_config(cfg)
+        if getattr(args, "allow_blowup", False):
+            cfg = dataclasses.replace(cfg, allow_blowup=True)
         out = args.out if args.out is not None else cfg.out_dir
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot use output directory {out}: "
                               f"{exc}") from exc
-        return _COMMANDS[args.command](cfg, out)
+        coeffs = make_coeffs(cfg.operator_kind, cfg.operator_params)
+        return _COMMANDS[args.command](cfg, coeffs, out)
     except ConfigError as exc:
         return _emit_error(2, "ConfigError", str(exc))
     except PlatelabError as exc:

@@ -1,6 +1,6 @@
 """Orchestration: the boundary-erosion stability study, cutoff Rayleigh
-bounds and run configuration.  Results are returned as data; the CLI writes
-them out.
+bounds and run configuration, whose every section, key and kind ``_SCHEMA``
+declares.  Results are returned as data; the CLI writes them out.
 
 The configuration half imports no scipy; the study and the bound import the
 sparse and dense solvers when they are called."""
@@ -42,28 +42,49 @@ class RunConfig:
     delta: float = 0.0
 
 
+def _tuple(parse):
+    return lambda text: tuple(parse(v) for v in text.split())
+
+
+# [domain] and [operator] read ``kind`` and map each kind to a constructor
+# and the keys it takes in order, with defaults (None: required); every other
+# section maps each key to its RunConfig field, parser and default text.
+_SCHEMA = {
+    "domain": {
+        "disk": (geometry.disk, {"radius": None}),
+        "rectangle": (geometry.rectangle, {"width": None, "height": None}),
+        "superellipse": (geometry.superellipse,
+                         {"a": None, "b": None, "p": None})},
+    "operator": {
+        "bilaplacian": (finsler.bilaplacian, {}),
+        "product": (lambda x, y, z: finsler.product([[x, z], [z, y]]),
+                    {"b00": None, "b11": None, "b01": 0.0}),
+        "diagonal": (lambda x, y, z: finsler.diagonal([[x, z], [z, y]]),
+                     {"a00": None, "a11": None, "a01": 0.0})},
+    "grid": {"h": ("h", float, None)},
+    "spectral": {"m": ("m", int, "3"), "tol": ("tol", float, "1e-8")},
+    "sweeps": {"alphas": ("alphas", _tuple(float), "0.25"),
+               "eps": ("eps_list", _tuple(float), ""),
+               "n_sweep": ("n_sweep", _tuple(int), "")},
+    "run": {"seed": ("seed", int, "42"), "out": ("out_dir", str, ".")},
+    "perturbation": {"delta": ("delta", float, "0.0")},
+}
+
+
+def _make(section: str, kind: str, params: dict):
+    if kind not in _SCHEMA[section]:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    make, keys = _SCHEMA[section][kind]
+    return make(*(params[k] if default is None else params.get(k, default)
+                  for k, default in keys.items()))
+
+
 def make_domain(kind: str, params: dict) -> AnalyticDomain:
-    if kind == "disk":
-        return geometry.disk(params["radius"])
-    if kind == "rectangle":
-        return geometry.rectangle(params["width"], params["height"])
-    if kind == "superellipse":
-        return geometry.superellipse(params["a"], params["b"], params["p"])
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    return _make("domain", kind, params)
 
 
 def make_coeffs(kind: str, params: dict) -> CoefficientField:
-    if kind == "bilaplacian":
-        return finsler.bilaplacian()
-    if kind == "product":
-        b = np.array([[params["b00"], params.get("b01", 0.0)],
-                      [params.get("b01", 0.0), params["b11"]]])
-        return finsler.product(b)
-    if kind == "diagonal":
-        a = np.array([[params["a00"], params.get("a01", 0.0)],
-                      [params.get("a01", 0.0), params["a11"]]])
-        return finsler.diagonal(a)
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    return _make("operator", kind, params)
 
 
 def default_n_sweep(h: float) -> list:
@@ -73,37 +94,28 @@ def default_n_sweep(h: float) -> list:
     return ns
 
 
-# the keys read, per section and, in [domain] and [operator], per kind
-_KEYS = {("grid", None): "h", ("spectral", None): "m tol",
-         ("sweeps", None): "alphas eps n_sweep", ("run", None): "seed out",
-         ("perturbation", None): "delta", ("domain", "disk"): "kind radius",
-         ("domain", "rectangle"): "kind width height",
-         ("domain", "superellipse"): "kind a b p",
-         ("operator", "bilaplacian"): "kind",
-         ("operator", "product"): "kind b00 b11 b01",
-         ("operator", "diagonal"): "kind a00 a11 a01"}
-
-
 def _check_keys(cp: configparser.ConfigParser, kinds: dict) -> None:
     """Refuse a section or key that is not read: a misspelt key would leave
     its default in force.  An unknown kind is left to ``validate_config``."""
     for section in cp.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
         kind = kinds.get(section)
-        if (section, kind) not in _KEYS:
-            if kind is None:
-                raise ConfigError(f"unknown config section [{section}]")
+        if kind is not None and kind not in _SCHEMA[section]:
             continue
-        extra = sorted(set(cp[section]) - set(_KEYS[section, kind].split()))
+        keys = (_SCHEMA[section] if kind is None
+                else {"kind", *_SCHEMA[section][kind][1]})
+        extra = sorted(set(cp[section]) - set(keys))
         if extra:
-            where = f" for kind {kind!r}" if kind else ""
+            where = "" if kind is None else f" for kind {kind!r}"
             raise ConfigError(f"unknown config key {extra[0]!r} in "
                               f"[{section}]{where}")
 
 
 def load_config(path: str) -> RunConfig:
     """Flat key-value sections (INI grammar, UTF-8, ``;`` comments, also
-    after a value); see README for the keys.  A section or key that is not
-    read is an error."""
+    after a value), as ``_SCHEMA`` declares them; see README for the keys.
+    A section or key that is not read is an error."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -113,34 +125,24 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     try:
         dom = dict(cp["domain"])
-        kind = dom.pop("kind").lower()
         op = dict(cp["operator"]) if "operator" in cp else {"kind": "bilaplacian"}
-        op_kind = op.pop("kind").lower()
-        _check_keys(cp, {"domain": kind, "operator": op_kind})
+        kinds = {"domain": dom.pop("kind").lower(),
+                 "operator": op.pop("kind").lower()}
+        _check_keys(cp, kinds)
         domain_params = {k: float(v) for k, v in dom.items()}
         op_params = {k: float(v) for k, v in op.items()}
-        h = float(cp["grid"]["h"])
-        m = int(cp.get("spectral", "m", fallback="3"))
-        tol = float(cp.get("spectral", "tol", fallback="1e-8"))
-        alphas = tuple(float(a) for a in
-                       cp.get("sweeps", "alphas", fallback="0.25").split())
-        eps_list = tuple(float(e) for e in
-                         cp.get("sweeps", "eps", fallback="").split())
-        n_sweep = tuple(int(n) for n in
-                        cp.get("sweeps", "n_sweep", fallback="").split())
-        seed = int(cp.get("run", "seed", fallback="42"))
-        out_dir = cp.get("run", "out", fallback=".")
-        delta = float(cp.get("perturbation", "delta", fallback="0.0"))
+        fields = {field: parse(cp[section][key] if default is None
+                               else cp.get(section, key, fallback=default))
+                  for section, keys in _SCHEMA.items() if section not in kinds
+                  for key, (field, parse, default) in keys.items()}
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad or missing config key: {exc}") from exc
-    cfg = RunConfig(domain_kind=kind, domain_params=domain_params,
-                    operator_kind=op_kind, operator_params=op_params,
-                    h=h, m=m, alphas=alphas, eps_list=eps_list,
-                    n_sweep=n_sweep, seed=seed, tol=tol, out_dir=out_dir,
-                    delta=delta)
+    cfg = RunConfig(domain_kind=kinds["domain"], domain_params=domain_params,
+                    operator_kind=kinds["operator"], operator_params=op_params,
+                    **fields)
     validate_config(cfg)
-    if not n_sweep:  # the default needs an h that passed validation
-        cfg = replace(cfg, n_sweep=tuple(default_n_sweep(h)))
+    if not cfg.n_sweep:  # the default needs an h that passed validation
+        cfg = replace(cfg, n_sweep=tuple(default_n_sweep(cfg.h)))
     return cfg
 
 

@@ -124,6 +124,28 @@ def test_bilinear_consistency(disk32):
     assert disk32.Q0(u, v) == pytest.approx(direct, rel=1e-10)
 
 
+def test_grad_forms_split_into_four_parity_blocks():
+    # a characterization of today's centred gradient rows, not a property
+    # to keep: Gx and Gy read the nodes two apart, so every grad form couples
+    # only dofs whose (ix, iy) parities agree and splits into four 2h
+    # sub-lattice blocks (README limitation 7), while Q0 couples all four.
+    # The counts change when the grad stencil does.
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 1.0 / 40)
+    dist = pl.euclidean_from_sdf(dom, grid, mask)
+    iy, ix = np.divmod(mask.nodes, grid.nx)
+    parity = 2 * (iy % 2) + ix % 2
+
+    def cross_parity(form):
+        C = form.matrix.tocoo()
+        return np.count_nonzero(parity[C.row] != parity[C.col]), C.nnz
+
+    for power, n in ((0.0, 1), (2.0, 40)):
+        grad = assembly.assemble_weighted(grid, mask, dist, "grad", power, n)
+        assert cross_parity(grad) == (0, 24433)
+    assert cross_parity(assembly.assemble_Q0(grid, mask)) == (39336, 63769)
+
+
 def test_weighted_mass_power_values():
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 16)

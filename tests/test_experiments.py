@@ -777,3 +777,80 @@ def test_cli_hardy_non_bilaplacian_exit_2(tmp_path, capsys, monkeypatch):
     assert "diagonal" in err["message"]
     assert calls == []
     assert not (out / "hardy.json").exists()
+
+
+def _kind_cases():
+    """(section, kind, its keys with a value each, a key of another kind of
+    the same section) for every kind ``experiments._SCHEMA`` declares."""
+    cases = []
+    for section in ("domain", "operator"):
+        kinds = experiments._SCHEMA[section]
+        for kind, (_, keys) in kinds.items():
+            # 2 makes every domain kind a domain (a superellipse needs p >= 2)
+            # and every operator kind elliptic, off-diagonals at their 0
+            values = {k: 2.0 if d is None else d for k, d in keys.items()}
+            other = next(k for o in kinds.values() for k in o[1]
+                         if k not in keys)
+            cases.append((section, kind, values, other))
+    return cases
+
+
+def _kind_cfg(section, kind, values):
+    """BASE_CFG with [section] replaced by ``kind`` and ``values``."""
+    old = {"domain": _DISK, "operator": "kind = bilaplacian"}[section]
+    lines = [f"kind = {kind}"] + [f"{k} = {v}" for k, v in values.items()]
+    return BASE_CFG.replace(old, "\n".join(lines))
+
+
+KIND_CASES = _kind_cases()
+
+
+@pytest.mark.parametrize("section, kind, values, other", KIND_CASES,
+                         ids=[f"{s}-{k}" for s, k, _, _ in KIND_CASES])
+def test_every_declared_kind_reads_exactly_its_keys(tmp_path, capsys, section,
+                                                   kind, values, other):
+    cfg = experiments.load_config(_write_cfg(
+        tmp_path, _kind_cfg(section, kind, values)))
+    assert (getattr(cfg, f"{section}_kind"),
+            getattr(cfg, f"{section}_params")) == (kind, values)
+    keys = experiments._SCHEMA[section][kind][1]
+    for key in (k for k, d in keys.items() if d is None):
+        text = _kind_cfg(section, kind,
+                         {k: v for k, v in values.items() if k != key})
+        assert cli_main(["spectrum", "--config", _write_cfg(tmp_path, text),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert _config_error(capsys).endswith(repr(key))
+    text = _kind_cfg(section, kind, {**values, other: 1.0})
+    assert cli_main(["spectrum", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert _config_error(capsys) == (f"unknown config key {other!r} in "
+                                     f"[{section}] for kind {kind!r}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("distance", BASE_CFG),
+    ("palpha", BASE_CFG.replace("[run]", _PERTURB.format("0.01"))),
+], ids=["distance", "palpha_delta"])
+def test_cli_builds_the_operator_once(tmp_path, monkeypatch, command, text):
+    # load_config validates the operator; after it the command builds the
+    # tensor once, and the convexity check, the perturbation and every
+    # form and distance read that one tensor
+    calls = []
+    make, load = experiments.make_coeffs, cli.load_config
+    for mod in (experiments, cli):
+        monkeypatch.setattr(mod, "make_coeffs",
+                            lambda *a: calls.append(a) or make(*a))
+
+    def load_then_count(path):
+        cfg = load(path)
+        calls.clear()
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", load_then_count)
+    assert cli_main([command, "--config", _write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == [("bilaplacian", {})]
+    if command == "palpha":
+        payload = json.loads((tmp_path / "out" / "palpha.json").read_text())
+        assert "perturbed" in payload["0.25"]

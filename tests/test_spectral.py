@@ -193,13 +193,29 @@ def test_every_eigsh_goes_through_lowest_eigenpairs():
     assert found == [("spectral", "lowest_eigenpairs")]
 
 
+def test_clamped_disk_pair_and_m_three_match_m_five(disk32):
+    # acceptance 01 reads lambda_1 only, so this reads the m >= 2 path on
+    # the pencil every spectrum uses: lambda_2 = lambda_3 is exact under the
+    # lattice's 90 degree symmetry (3.6e-13 apart), and ARPACK at tol = 0
+    # finds both copies whether it is asked for three pairs or five
+    five = disk32.spec.values
+    assert abs(five[1] - five[2]) <= 1e-10 * five[1]
+    assert five[1] == pytest.approx(414.53593423, rel=1e-10)
+    three = pl.lowest_eigenpairs(disk32.Q0, disk32.mass, m=3).values
+    np.testing.assert_allclose(three, five[:3], rtol=1e-12, atol=0)
+
+
 def test_single_eigenpair_is_the_minimum_of_a_degenerate_pair():
     # guards the m >= 2 path at machine precision: with ARPACK stopped at
     # tol * LANCZOS_TOL_RATIO for every m, four[1] is the next eigenvalue
     # 0.7814896 instead of the partner 0.7814344
     # hardy_grad shifted by 2^5 * mass against W_40 on the h = 1/40 disk:
     # the lowest eigenvalue is a pair, and a Lanczos start vector carried
-    # over from the previous shift converged to a higher one (+1.9%)
+    # over from the previous shift converged to a higher one (+1.9%).  The
+    # pair is the tie of the grad form's (1, 0) and (0, 1) parity blocks,
+    # mirror images on the disk (README limitation 7): each block's minimum
+    # is 0.7814344 and its second eigenvalue 0.7814896; the (0, 0) block's
+    # minimum is 0.796264
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 40)
     dist = pl.euclidean_from_sdf(dom, grid, mask)
