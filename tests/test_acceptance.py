@@ -82,11 +82,9 @@ def test_acceptance_05_weak_hardy_constants(disk64, disk96, disk128):
         grad = assembly.assemble_weighted(setup.grid, setup.mask, None,
                                           "grad", 0.0, 1)
         rep_A = verifier.estimate_hardy_constant(
-            grad, setup.grid, setup.mask, setup.dist, "hardy_grad",
-            mass=setup.mass)
+            grad, setup.grid, setup.mask, setup.dist, "hardy_grad")
         rep_B = verifier.estimate_hardy_constant(
-            setup.Q0, setup.grid, setup.mask, setup.dist, "rellich_mass",
-            mass=setup.mass)
+            setup.Q0, setup.grid, setup.mask, setup.dist, "rellich_mass")
         weak_A.append(rep_A.weak_pair[0])
         weak_B.append(rep_B.weak_pair[0])
     assert weak_A[0] >= weak_A[1] >= weak_A[2]

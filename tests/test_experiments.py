@@ -854,3 +854,30 @@ def test_cli_builds_the_operator_once(tmp_path, monkeypatch, command, text):
     if command == "palpha":
         payload = json.loads((tmp_path / "out" / "palpha.json").read_text())
         assert "perturbed" in payload["0.25"]
+
+
+def test_cli_seed_flag_checks_only_the_seed(tmp_path, capsys, monkeypatch):
+    # load_config checked the config; --seed replaces the seed alone, so
+    # after load_config the command builds the domain and the tensor once
+    calls = []
+    load = cli.load_config
+    for name in ("make_domain", "make_coeffs"):
+        make = getattr(experiments, name)
+        for mod in (experiments, cli):
+            monkeypatch.setattr(mod, name, lambda *a, make=make, name=name:
+                                calls.append(name) or make(*a))
+
+    def load_then_count(path):
+        cfg = load(path)
+        calls.clear()
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", load_then_count)
+    out = tmp_path / "out"
+    assert cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(out), "--seed", "7"]) == 0
+    assert sorted(calls) == ["make_coeffs", "make_domain"]
+    assert cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 2
+    assert _config_error(capsys) == "seed=-1 must be >= 0"
+    assert not (tmp_path / "neg").exists()

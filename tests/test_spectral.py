@@ -210,8 +210,8 @@ def test_single_eigenpair_is_the_minimum_of_a_degenerate_pair():
     # tol * LANCZOS_TOL_RATIO for every m, four[1] is the next eigenvalue
     # 0.7814896 instead of the partner 0.7814344
     # hardy_grad shifted by 2^5 * mass against W_40 on the h = 1/40 disk:
-    # the lowest eigenvalue is a pair, and a Lanczos start vector carried
-    # over from the previous shift converged to a higher one (+1.9%).  The
+    # the lowest eigenvalue is a pair, and a Lanczos start vector taken
+    # from the shift by 2^4 converged to a higher one (+1.9%).  The
     # pair is the tie of the grad form's (1, 0) and (0, 1) parity blocks,
     # mirror images on the disk (README limitation 7): each block's minimum
     # is 0.7814344 and its second eigenvalue 0.7814896; the (0, 0) block's

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import platelab as pl
-from platelab import assembly, spectral, verifier
+from platelab import assembly, verifier
 from platelab.errors import AlphaOutOfRange, BoundViolated
 
 from conftest import disk_setup
@@ -42,7 +42,7 @@ def test_hardy_sweep_nonincreasing(disk32):
                                       "grad", 0.0, 1)
     rep = verifier.estimate_hardy_constant(
         grad, disk32.grid, disk32.mask, disk32.dist, "hardy_grad",
-        n_sweep=(4, 8, 16, 32), mass=disk32.mass)
+        n_sweep=(4, 8, 16, 32))
     vals = [c for _, c in rep.n_sweep]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert rep.constant_hat == vals[-1]
@@ -54,7 +54,7 @@ def test_hardy_plain_constant_above_quarter(disk64):
                                       "grad", 0.0, 1)
     rep = verifier.estimate_hardy_constant(
         grad, disk64.grid, disk64.mask, disk64.dist, "hardy_grad",
-        n_sweep=(8, 16, 32, 64), mass=disk64.mass)
+        n_sweep=(8, 16, 32, 64))
     # continuum best constant for the clamped class is 1/4; the discrete
     # estimate must not fall below it
     assert rep.constant_hat >= 0.25
@@ -63,78 +63,58 @@ def test_hardy_plain_constant_above_quarter(disk64):
 def test_hardy_unknown_kind(disk32):
     with pytest.raises(ValueError):
         verifier.estimate_hardy_constant(disk32.Q0, disk32.grid, disk32.mask,
-                                         disk32.dist, "nope", mass=disk32.mass)
+                                         disk32.dist, "nope")
 
 
 def test_hardy_weak_pair_reported(disk32):
+    # weak_pair is (c_inf, rms residual) of the law fitted to the sweep;
+    # three levels determine the law's three parameters
     rep = verifier.estimate_hardy_constant(
         disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
-        n_sweep=(8, 16), mass=disk32.mass)
-    assert rep.weak_pair is not None
-    c, shift = rep.weak_pair
-    assert c > 0 and shift in verifier.WEAK_SHIFTS
-    assert len(rep.weak_sweep) == 2
+        n_sweep=(8, 16, 32))
+    assert rep.weak_pair == verifier._fit_log_law(rep.n_sweep)
+    assert rep.weak_pair[1] <= 1e-10
+    assert rep.weak_sweep == ()
+    # two levels do not determine it
+    rep = verifier.estimate_hardy_constant(
+        disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
+        n_sweep=(8, 16))
+    assert rep.weak_pair is None
+    assert not rep.weak_stabilized
 
 
 def test_hardy_assembles_each_weight_once(disk32, monkeypatch):
-    # the weak scan reuses the n-sweep's weights at n_lo and n_hi
     calls = []
     weighted = verifier.assemble_weighted
     monkeypatch.setattr(verifier, "assemble_weighted",
                         lambda *a: calls.append(a[-1]) or weighted(*a))
     verifier.estimate_hardy_constant(
         disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "hardy_grad",
-        n_sweep=(4, 8, 16), mass=disk32.mass)
+        n_sweep=(4, 8, 16))
     assert calls == [4, 8, 16]
 
 
 def test_hardy_weak_stabilized_flag(disk32):
-    # default shifts never meet the 2% test on disk32: the capped value is
-    # reported and flagged as not stabilized
-    rep = verifier.estimate_hardy_constant(
-        disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
-        mass=disk32.mass)
-    assert rep.weak_pair[1] == 2.0**10
+    def report(n_sweep):
+        return verifier.estimate_hardy_constant(
+            disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
+            n_sweep=n_sweep)
+
+    # three levels leave no level out to check the fit with
+    assert not report((8, 16, 32)).weak_stabilized
+    # on the grid the leave-one-out limits spread from -1.83 to -2.39
+    rep = report((4, 8, 16, 32))
+    assert rep.weak_pair is not None
     assert not rep.weak_stabilized
-    # with 1/n far below the smallest interior distance d_n barely moves
-    # between the two levels, so the scan stops at the first shift
-    rep = verifier.estimate_hardy_constant(
-        disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
-        n_sweep=(2**20, 2**21), mass=disk32.mass)
-    assert rep.weak_pair[1] == 1.0
+    # with 1/n far below the smallest interior distance d_n barely moves,
+    # so every leave-one-out limit lies within 0.02% of the fit's
+    rep = report((2**20, 2**21, 2**22, 2**23))
     assert rep.weak_stabilized
-
-
-def _scan_every_shift(A, grid, mask, dist, kind, n_sweep=None, *, mass,
-                      seed=42):
-    """Reference weak scan: factor and solve each shift in ascending order
-    until the first one that meets the stability test."""
-    order, power = verifier._HARDY_POWERS[kind]
-    n_sweep = verifier._n_levels(n_sweep, grid.h)
-    op = spectral.factor(A)
-    sweep = []
-    weights = {}
-    for n in n_sweep:
-        weights[n] = assembly.assemble_weighted(grid, mask, dist, order,
-                                                power, n)
-        spec = pl.lowest_eigenpairs(A, weights[n], m=1, seed=seed, OPinv=op)
-        sweep.append((n, float(spec.values[0])))
-    n_hi, n_lo = n_sweep[-1], n_sweep[-2]
-    for shift in verifier.WEAK_SHIFTS:
-        As = assembly.FormMatrix((A.matrix + shift * mass.matrix).tocsr())
-        ops = spectral.factor(As)
-        c_hi = float(pl.lowest_eigenpairs(As, weights[n_hi], m=1, seed=seed,
-                                          OPinv=ops).values[0])
-        c_lo = float(pl.lowest_eigenpairs(As, weights[n_lo], m=1, seed=seed,
-                                          OPinv=ops).values[0])
-        weak_stabilized = (abs(c_lo - c_hi)
-                           <= verifier.WEAK_STABILITY_TOL * abs(c_hi))
-        if weak_stabilized:
-            break
-    return verifier.HardyReport(
-        kind=kind, constant_hat=sweep[-1][1], n_sweep=tuple(sweep),
-        weak_pair=(c_hi, shift), weak_sweep=((n_lo, c_lo), (n_hi, c_hi)),
-        weak_stabilized=weak_stabilized)
+    c_inf = rep.weak_pair[0]
+    for i in range(4):
+        loo = rep.n_sweep[:i] + rep.n_sweep[i + 1:]
+        assert verifier._fit_log_law(loo)[0] == pytest.approx(c_inf,
+                                                              rel=2e-4)
 
 
 def _hardy_setup(domain, h):
@@ -142,105 +122,90 @@ def _hardy_setup(domain, h):
     dist = pl.euclidean_from_sdf(domain, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
-    mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     pencils = {"hardy_grad": grad, "rellich_mass": Q0, "rellich_grad": Q0}
-    return grid, mask, dist, pencils, mass
+    return grid, mask, dist, pencils
 
 
-# below h = 1/40 on these domains the bounds rule out every shift below the
-# cap; at h = 1/40 some are solved at n_lo and ruled out by that value
+# the default sweeps have 2, 3, 4 and 3 levels on these grids
 @pytest.mark.parametrize("domain,h", [(pl.disk(1.0), 1 / 16),
                                       (pl.disk(1.0), 1 / 32),
                                       (pl.disk(1.0), 1 / 40),
                                       (pl.rectangle(2.0, 1.0), 1 / 20)],
                          ids=["disk16", "disk32", "disk40", "rect20"])
-def test_hardy_weak_scan_matches_every_shift(domain, h):
-    grid, mask, dist, pencils, mass = _hardy_setup(domain, h)
+def test_hardy_matches_a_solve_per_level(domain, h):
+    # the sweep through one LU equals a solve with its own LU per level,
+    # and weak_pair is the fit of that sweep
+    grid, mask, dist, pencils = _hardy_setup(domain, h)
     for kind, A in pencils.items():
-        rep = verifier.estimate_hardy_constant(A, grid, mask, dist, kind,
-                                               mass=mass)
-        assert rep == _scan_every_shift(A, grid, mask, dist, kind, mass=mass)
-
-
-def test_hardy_weak_scan_stops_at_a_middle_shift():
-    # With the lattice mass the top-two ratio grows with the shift on the
-    # shipped domains, so a scan stops at its first shift or never.  A
-    # shift by Q0, whose minimizers vanish like d^2 at the boundary, makes
-    # the ratio fall with the shift instead.
-    # Scaling Q0 by 2^-12 is exact, so the shifts 2^0 ... 2^10 of it are
-    # 2^-12 ... 2^-2 of Q0, bit for bit.
-    grid, mask, dist, pencils, _ = _hardy_setup(pl.disk(1.0), 1 / 16)
-    A, Q0 = pencils["hardy_grad"], pencils["rellich_mass"]
-    mass = assembly.FormMatrix(Q0.matrix * 2.0**-12)
-    kw = dict(n_sweep=(512, 1024), mass=mass)
-    rep = verifier.estimate_hardy_constant(A, grid, mask, dist,
-                                           "hardy_grad", **kw)
-    assert rep.weak_stabilized
-    assert rep.weak_pair[1] == 2.0**9   # 2^-3 of Q0
-    assert rep == _scan_every_shift(A, grid, mask, dist, "hardy_grad", **kw)
-
-
-def test_hardy_weak_scan_bounds_hold():
-    # every shift solved: c_hi lies below the Rayleigh quotients of the
-    # other solves' eigenvectors, and c_lo above the chord from shift 0 to
-    # the cap, as concavity in the shift promises
-    grid, mask, dist, pencils, mass = _hardy_setup(pl.disk(1.0), 1 / 16)
-    shifts = [2.0**j for j in range(0, 11)]
-    eta = verifier.WEAK_RULE_OUT_MARGIN
-    for kind in ("rellich_mass", "hardy_grad"):
-        A = pencils[kind]
+        rep = verifier.estimate_hardy_constant(A, grid, mask, dist, kind)
         order, power = verifier._HARDY_POWERS[kind]
-        W = [assembly.assemble_weighted(grid, mask, dist, order, power, n)
-             for n in verifier.default_n_sweep(grid.h)[-2:]]
-        solves = {}   # shift -> ((c_lo, v_lo), (c_hi, v_hi))
-        for s in [0.0] + shifts:
-            As = assembly.FormMatrix((A.matrix + s * mass.matrix).tocsr())
-            ops = spectral.factor(As)
-            solves[s] = [
-                (float(spec.values[0]), spec.vectors[:, 0]) for spec in
-                (pl.lowest_eigenpairs(As, Wn, m=1, OPinv=ops) for Wn in W)]
-        (c_lo0, _), _ = solves[0.0]
-        (c_lo_cap, _), _ = solves[shifts[-1]]
-        for s in shifts:
-            (c_lo, _), (c_hi, _) = solves[s]
-            upper = min((A(v) + s * mass(v)) / W[1](v)
-                        for t, pair in solves.items() if t != s
-                        for _, v in pair)
-            chord = c_lo0 + (c_lo_cap - c_lo0) * s / shifts[-1]
-            assert c_hi <= upper
-            assert c_lo >= (1.0 - eta) * chord
+        sweep = tuple(
+            (n, float(pl.lowest_eigenpairs(A, assembly.assemble_weighted(
+                grid, mask, dist, order, power, n), m=1).values[0]))
+            for n in verifier.default_n_sweep(h))
+        assert rep.n_sweep == sweep
+        assert rep.constant_hat == sweep[-1][1]
+        assert rep.weak_pair == (verifier._fit_log_law(sweep)
+                                 if len(sweep) >= 3 else None)
 
 
-def test_hardy_weak_scan_factors_few_shifts(disk32, monkeypatch):
-    # on the h = 1/32 disk the bounds rule out every shift below the cap
-    calls = []
-    factor = verifier.factor
-    monkeypatch.setattr(verifier, "factor",
-                        lambda A: calls.append(1) or factor(A))
-    grad = assembly.assemble_weighted(disk32.grid, disk32.mask, None,
-                                      "grad", 0.0, 1)
-    for kind, A in (("hardy_grad", grad), ("rellich_mass", disk32.Q0),
-                    ("rellich_grad", disk32.Q0)):
-        calls.clear()
-        verifier.estimate_hardy_constant(A, disk32.grid, disk32.mask,
-                                         disk32.dist, kind, mass=disk32.mass)
-        assert len(calls) <= 3
-
-
-def test_hardy_weak_scan_solves_n_hi_only_when_needed(monkeypatch):
-    # on the h = 1/40 disk each pencil makes 4 plain solves and 2 at the
-    # cap; 5 more shifts over the three pencils are solved at n_lo, and
-    # each c_lo rules its shift out without the n_hi solve
-    grid, mask, dist, pencils, mass = _hardy_setup(pl.disk(1.0), 1 / 40)
+def _hardy_call_counts(monkeypatch):
+    # factor and lowest_eigenpairs calls of each pencil on the h = 1/40 disk
+    grid, mask, dist, pencils = _hardy_setup(pl.disk(1.0), 1 / 40)
     calls = collections.Counter()
     for name in ("factor", "lowest_eigenpairs"):
         fn = getattr(verifier, name)
         monkeypatch.setattr(verifier, name, lambda *a, fn=fn, name=name, **k:
                             calls.update([name]) or fn(*a, **k))
+    n_sweep = verifier.default_n_sweep(grid.h)
+    assert len(n_sweep) == 4
+    counts = []
     for kind, A in pencils.items():
-        verifier.estimate_hardy_constant(A, grid, mask, dist, kind, mass=mass)
-    assert calls["lowest_eigenpairs"] == 23
-    assert calls["factor"] <= 11
+        calls.clear()
+        verifier.estimate_hardy_constant(A, grid, mask, dist, kind)
+        counts.append(dict(calls))
+    return n_sweep, counts
+
+
+def test_hardy_factors_each_pencil_once(monkeypatch):
+    # one LU of A per pencil, shared by every level n
+    _, counts = _hardy_call_counts(monkeypatch)
+    assert [c.get("factor") for c in counts] == [1, 1, 1]
+
+
+def test_hardy_solves_each_level_once(monkeypatch):
+    # one eigensolve per level n and no other
+    n_sweep, counts = _hardy_call_counts(monkeypatch)
+    assert [c.get("lowest_eigenpairs") for c in counts] == [len(n_sweep)] * 3
+
+
+LAWS = [(c_inf, C, b) for c_inf in (0.1, 0.25, 9 / 16, 1.0)
+        for C, b in ((10.0, 0.5), (3.0, -1.5), (25.0, 4.0))]
+
+
+@pytest.mark.parametrize("c_inf, C, b", LAWS)
+def test_fit_log_law_recovers_synthetic_laws(c_inf, C, b):
+    points = [(n, c_inf + C / (np.log(n) + b) ** 2)
+              for n in (8, 16, 32, 64, 128)]
+    rng = np.random.default_rng(0)
+    for order in (range(5), rng.permutation(5), rng.permutation(5)):
+        pts = [points[i] for i in order]
+        fit = verifier._fit_log_law(pts)
+        assert fit[0] == pytest.approx(c_inf, abs=1e-10)
+        assert fit[1] <= 1e-10
+        assert verifier._fit_log_law(pts[:3])[0] == pytest.approx(c_inf,
+                                                                 abs=1e-10)
+
+
+def test_fit_log_law_on_the_continuum_hardy_values():
+    # the continuum hardy_grad constants of the unit disk, from a 1-D
+    # radial P1 solve (graded mesh, 2e4 elements): the law's limit lies
+    # near the weak constant 1/4 and moves toward it as small n drop out
+    table = [(8, 1.7461), (16, 1.1842), (32, 0.8831), (64, 0.7060),
+             (128, 0.5939)]
+    assert verifier._fit_log_law(table)[0] == pytest.approx(0.2314, abs=1e-3)
+    assert verifier._fit_log_law(table[1:])[0] == pytest.approx(0.2434,
+                                                                abs=1e-3)
 
 
 def test_decay_lhs_monotone_in_n(disk32):
@@ -376,7 +341,7 @@ def test_every_probe_rejects_levels_below_one(disk32, n_sweep):
     with pytest.raises(ValueError, match="n >= 1"):
         verifier.estimate_hardy_constant(
             disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "rellich_mass",
-            n_sweep=n_sweep, mass=disk32.mass)
+            n_sweep=n_sweep)
 
 
 def test_cross_term_constant_in_theory_window(disk32):
