@@ -45,29 +45,38 @@ def _lattice_form(ops, M, h: float) -> FormMatrix:
     return FormMatrix(_symmetrize((B.T @ (A @ B)) * h**2))
 
 
-def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
+def assemble_Q0(grid: Grid, mask: GridMask, *, ops=None) -> FormMatrix:
     """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point
     form): ``assemble_Q`` of the bilaplacian."""
-    return assemble_Q(grid, mask, bilaplacian())
+    return assemble_Q(grid, mask, bilaplacian(), ops=ops)
 
 
-def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField) -> FormMatrix:
+def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField, *,
+               ops=None) -> FormMatrix:
     """Q(u) = h^2 * sum_nodes s(u)^T M s(u), s = (u_xx, u_yy, u_xy).
 
-    Raises NotElliptic unless the lattice symbol of M is positive on
-    theta != 0 (``ellipticity_window``).
+    ``ops`` is ``dof_difference_ops(grid, mask)``, built here when None, so
+    that forms of several tensors on one grid can share one build.  Raises
+    NotElliptic unless the lattice symbol of M is positive on theta != 0
+    (``ellipticity_window``).
     """
     if ellipticity_window(coeffs) <= 0.0:
         raise NotElliptic("the lattice symbol of the form is not positive")
-    return _lattice_form(dof_difference_ops(grid, mask)[:3], coeffs.M, grid.h)
+    # only the Hessian rows stay alive through the product
+    hess = (dof_difference_ops(grid, mask) if ops is None else ops)[:3]
+    return _lattice_form(hess, coeffs.M, grid.h)
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
-                      order: str, power: float, n_reg: int = 1) -> FormMatrix:
+                      order: str, power: float, n_reg: int = 1, *,
+                      rows=None) -> FormMatrix:
     """Weighted forms with weight d_n^-power on the interior nodes.
 
     order='mass': diag(h^2 w); 'grad': sum over (Gx, Gy) of G^T diag(h^2 w) G,
     over every lattice row at power 0 and over the dof rows otherwise.
+    ``rows``, read only by a grad form at nonzero power, is those dof rows
+    of (Gx, Gy), built here when None, so that a sweep over n builds them
+    once.
     """
     n_reg = int(n_reg)
     if n_reg < 1:
@@ -86,11 +95,13 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         raise ValueError(f"unknown weighted order {order!r}")
     # power 0 keeps every lattice row, as Q0 does, so the form is coercive;
     # h^2 sits in M to weight each row before the product, as W does below
-    Gx, Gy = dof_difference_ops(grid, mask)[3:]
     if power == 0.0:
-        return _lattice_form((Gx, Gy), grid.h**2 * np.identity(2), 1.0)
-    A = sum(G.T @ (W @ G) for G in (Gx[mask.nodes], Gy[mask.nodes]))
-    return FormMatrix(_symmetrize(A))
+        return _lattice_form(dof_difference_ops(grid, mask)[3:],
+                             grid.h**2 * np.identity(2), 1.0)
+    if rows is None:
+        rows = interior_difference_ops(
+            grid, mask, ops=dof_difference_ops(grid, mask)[3:])
+    return FormMatrix(_symmetrize(sum(G.T @ (W @ G) for G in rows)))
 
 
 def dof_difference_ops(grid: Grid, mask: GridMask):
@@ -100,9 +111,12 @@ def dof_difference_ops(grid: Grid, mask: GridMask):
     return tuple(Op[:, mask.nodes] for Op in difference_ops(grid))
 
 
-def interior_difference_ops(grid: Grid, mask: GridMask):
-    """The dof rows of ``dof_difference_ops``."""
-    return tuple(Op[mask.nodes] for Op in dof_difference_ops(grid, mask))
+def interior_difference_ops(grid: Grid, mask: GridMask, *, ops=None):
+    """The dof rows of ``ops``, ``dof_difference_ops(grid, mask)``, built
+    here when None."""
+    if ops is None:
+        ops = dof_difference_ops(grid, mask)
+    return tuple(Op[mask.nodes] for Op in ops)
 
 
 def principal_submatrix(form: FormMatrix, mask: GridMask,

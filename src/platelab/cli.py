@@ -142,18 +142,23 @@ def _cmd_hardy(cfg: RunConfig, coeffs, out: str) -> int:
     if coeffs.kind != "bilaplacian":  # the pencils use Q0 and d_euclid
         raise ConfigError(f"hardy measures the bilaplacian's constants, not "
                           f"those of operator kind {coeffs.kind!r}")
-    from . import assembly, verifier
+    from . import assembly, spectral, verifier
 
     domain, grid, mask = _build_common(cfg)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     Q0 = assembly.assemble_Q0(grid, mask)
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
     reports = {}
-    for kind, A in (("hardy_grad", grad), ("rellich_mass", Q0),
-                    ("rellich_grad", Q0)):
-        rep = verifier.estimate_hardy_constant(
-            A, grid, mask, dist, kind, n_sweep=cfg.n_sweep, seed=cfg.seed)
-        reports[kind] = dataclasses.asdict(rep)
+    # one LU per distinct form, both Rellich pencils through Q0's
+    for A, kinds in ((grad, ("hardy_grad",)),
+                     (Q0, ("rellich_mass", "rellich_grad"))):
+        op = spectral.factor(A)
+        for kind in kinds:
+            rep = verifier.estimate_hardy_constant(
+                A, grid, mask, dist, kind, n_sweep=cfg.n_sweep,
+                seed=cfg.seed, OPinv=op)
+            reports[kind] = dataclasses.asdict(rep)
+        del op  # so that one LU at a time is alive
     write_json(os.path.join(out, "hardy.json"), reports)
     return 0
 
@@ -209,8 +214,12 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
     witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask,
                                                 seed=cfg.seed)
     if cfg.delta > 0.0:
-        Qt = assembly.assemble_Q(grid, mask, tilde)
-        Q0 = assembly.assemble_Q0(grid, mask)
+        # one build of the lattice rows, after the LU, for Q~, Q0 and the
+        # cross-term constant of every alpha
+        ops = assembly.dof_difference_ops(grid, mask)
+        Qt = assembly.assemble_Q(grid, mask, tilde, ops=ops)
+        Q0 = assembly.assemble_Q0(grid, mask, ops=ops)
+        rows = assembly.interior_difference_ops(grid, mask, ops=ops)
         lambda_tilde = assembly.ellipticity_window(tilde)
     payload = {}
     for a in cfg.alphas:
@@ -220,7 +229,7 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
         entry = {"base": dataclasses.asdict(rep)}
         if cfg.delta > 0.0:
             c_hat = verifier.measure_cross_term_constant(
-                dist, a, witnesses, grid, mask, Q0=Q0)
+                dist, a, witnesses, grid, mask, Q0=Q0, ops=rows)
             try:
                 rep_t = verifier.probe_perturbation(
                     rep, Qt, mass, dist, tilde.delta_norm, lambda_tilde,

@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (FormMatrix, assemble_weighted,
+from .assembly import (FormMatrix, assemble_weighted, dof_difference_ops,
                        interior_difference_ops)
 from .errors import AlphaOutOfRange, BoundViolated
 from .experiments import default_n_sweep
 from .finsler import DistanceField
 from .geometry import Grid, GridMask, derivative_norms2, smoothstep
 from .spectral import Spectrum, factor, lowest_eigenpairs
+
+if TYPE_CHECKING:  # a run-time import ahead of .assembly costs 0.4 MB of RSS
+    from scipy.sparse.linalg import LinearOperator
 
 STABILIZATION_INCREMENT = 0.05  # top-two-n relative increment threshold
 WEAK_STABILITY_TOL = 0.02  # weak pair: leave-one-out relative difference
@@ -90,7 +93,9 @@ class HardyReport:
     constant_hat: float           # plain pencil minimum at the largest n
     n_sweep: tuple                # ((n, constant_hat), ...)
     weak_pair: Optional[tuple]    # (c_inf, rms residual) of the fit, or None
-    weak_sweep: tuple = ()        # always (); perfbench/spans.py reads it
+    # always (); kept only for its two readers, perfbench/spans.py:_weak_hook
+    # and perfbench/checks.py:check_hardy
+    weak_sweep: tuple = ()
     weak_stabilized: bool = False  # every leave-one-out c_inf agrees
 
 
@@ -102,12 +107,19 @@ _HARDY_POWERS = {"hardy_grad": ("mass", 2.0),
 def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
                             dist: DistanceField, kind: str,
                             n_sweep: Optional[Sequence[int]] = None, *,
-                            seed: int = 42) -> HardyReport:
+                            seed: int = 42,
+                            OPinv: Optional[LinearOperator] = None
+                            ) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
 
     constant_hat(n) = min generalized eigenvalue of (A, W_n), all n through
-    one LU of A.  The weak (boundary) constant is the limit n -> inf of the
-    law c(n) = c_inf + C / (log n + b)^2 of the Euler profile
+    one LU of A.  ``OPinv`` is that LU, ``factor(A)``, made here when None,
+    so that pencils with the same A share one (both Rellich pencils read
+    Q0).  A grad weight W_n reads only the dof rows of Gx and Gy, built
+    once for the sweep, after the LU.
+
+    The weak (boundary) constant is the limit n -> inf of the law
+    c(n) = c_inf + C / (log n + b)^2 of the Euler profile
     t^(1/2) sin(k log t) (Brezis-Marcus 1997; Marcus-Mizel-Pinchover 1998),
     fitted to the sweep by least squares: weak_pair = (c_inf, rms
     residual), None with fewer than three levels.  weak_stabilized holds
@@ -121,11 +133,16 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     order, power = _HARDY_POWERS[kind]
     n_sweep = _n_levels(n_sweep, grid.h)
 
-    op = factor(A)
+    if OPinv is None:
+        OPinv = factor(A)
+    rows = None
+    if order == "grad":  # the dof rows of Gx and Gy, once for the sweep
+        rows = interior_difference_ops(
+            grid, mask, ops=dof_difference_ops(grid, mask)[3:])
     sweep = []
     for n in n_sweep:
-        W = assemble_weighted(grid, mask, dist, order, power, n)
-        spec = lowest_eigenpairs(A, W, m=1, seed=seed, OPinv=op)
+        W = assemble_weighted(grid, mask, dist, order, power, n, rows=rows)
+        spec = lowest_eigenpairs(A, W, m=1, seed=seed, OPinv=OPinv)
         sweep.append((n, float(spec.values[0])))
 
     weak_pair = None
@@ -283,12 +300,17 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
 
 def measure_cross_term_constant(dist: DistanceField, alpha: float,
                                 witnesses, grid: Grid, mask: GridMask,
-                                Q0: FormMatrix) -> float:
+                                Q0: FormMatrix, *, ops=None) -> float:
     """c_hat = max over witnesses of
-    sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v)."""
+    sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v).
+
+    ``ops`` is ``interior_difference_ops(grid, mask)``, built here when
+    None, so that a sweep over alphas builds it once.
+    """
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    ops = interior_difference_ops(grid, mask)
+    if ops is None:
+        ops = interior_difference_ops(grid, mask)
     dn = dist.interior_values(mask) + 1.0 / dist.n_reg
     h2 = grid.h**2
     c_hat = 0.0

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import json
 import os
@@ -755,6 +756,57 @@ def test_cli_decay_builds_difference_ops_once(tmp_path, monkeypatch):
     lines = (out / "decay.csv").read_text().strip().split("\n")
     assert {float(line.split(",")[0]) for line in lines[1:]} == {0.1, 0.25,
                                                                  0.4}
+
+
+def _count_builds(monkeypatch):
+    """Counter of ``factor`` calls and lattice difference-operator builds."""
+    calls = collections.Counter()
+    for mod, name in ((spectral, "factor"), (verifier, "factor"),
+                      (assembly, "difference_ops")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.update([_name]) or _fn(*a, **k))
+    return calls
+
+
+def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
+    # one LU of the grad form and one of Q0 for both Rellich pencils; the
+    # rellich_grad sweep builds its gradient rows once, not once per level
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "disk.cfg")
+    calls = _count_builds(monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main(["hardy", "--config", cfg, "--out", str(out)]) == 0
+    assert dict(calls) == {"factor": 2, "difference_ops": 3}
+    reports = json.loads((out / "hardy.json").read_text())
+    # the same reports as three pencils that each factor their own form
+    loaded = experiments.load_config(cfg)
+    domain = experiments.make_domain(loaded.domain_kind, loaded.domain_params)
+    grid, mask = pl.build_grid(domain, loaded.h)
+    dist = pl.euclidean_from_sdf(domain, grid, mask)
+    Q0 = assembly.assemble_Q0(grid, mask)
+    grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
+    calls.clear()
+    for kind, A in (("hardy_grad", grad), ("rellich_mass", Q0),
+                    ("rellich_grad", Q0)):
+        rep = verifier.estimate_hardy_constant(A, grid, mask, dist, kind,
+                                               seed=loaded.seed)
+        assert reports[kind] == cli._plain(dataclasses.asdict(rep))
+    assert calls["factor"] == 3
+
+
+def test_cli_palpha_builds_difference_ops_twice(tmp_path, monkeypatch):
+    # _build_pencil builds the rows for Q before its LU; one more build
+    # serves Q~, Q0 and the cross-term constant of every alpha
+    calls = _count_builds(monkeypatch)
+    text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25 0.4") \
+        + "\n[perturbation]\ndelta = 0.01\n"
+    out = tmp_path / "out"
+    assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 0
+    assert dict(calls) == {"factor": 1, "difference_ops": 2}
+    payload = json.loads((out / "palpha.json").read_text())
+    assert sorted(payload) == ["0.1", "0.25", "0.4"]
+    assert all("error" not in entry["perturbed"] for entry in payload.values())
 
 
 def test_cli_hardy_non_bilaplacian_exit_2(tmp_path, capsys, monkeypatch):

@@ -86,8 +86,8 @@ def test_hardy_weak_pair_reported(disk32):
 def test_hardy_assembles_each_weight_once(disk32, monkeypatch):
     calls = []
     weighted = verifier.assemble_weighted
-    monkeypatch.setattr(verifier, "assemble_weighted",
-                        lambda *a: calls.append(a[-1]) or weighted(*a))
+    monkeypatch.setattr(verifier, "assemble_weighted", lambda *a, **k:
+                        calls.append(a[-1]) or weighted(*a, **k))
     verifier.estimate_hardy_constant(
         disk32.Q0, disk32.grid, disk32.mask, disk32.dist, "hardy_grad",
         n_sweep=(4, 8, 16))
