@@ -1,10 +1,11 @@
 """Discrete quadratic forms on masked grid unknowns as sparse symmetric matrices.
 
-``dof_difference_ops`` is the clamped closure, zero extension: difference
-rows at every lattice node acting on the dof columns only.  Q, Q0 and the
-unweighted grad form sum all those rows with weight h^2 (``_lattice_form``),
-which enforces du/dn = 0 at stencil order; singular weights d_n^-p sum the
-dof rows only.
+Every form but the mass sums rows of ``geometry.difference_ops``, whose dof
+columns are the clamped closure by zero extension: Q and Q0 of
+h^2 s^T M s, s = (Dxx, Dyy, Dxy), and the grad forms of h^2 w |(Gx, Gy)|^2.
+Q, Q0 and the unweighted grad form sum the rows at every lattice node, which
+enforces du/dn = 0 at stencil order; singular weights d_n^-p sum the dof
+rows only.
 """
 from __future__ import annotations
 
@@ -37,46 +38,33 @@ def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
     return ((A + A.T) * 0.5).tocsr()
 
 
-def _lattice_form(ops, M, h: float) -> FormMatrix:
-    """h^2 * sum over every lattice row of s^T M s, s = the rows of the
-    stacked ``ops``: the one assembly of the forms with no singular weight."""
-    B = sp.vstack(ops, format="csr")
-    A = sp.kron(M, sp.identity(ops[0].shape[0]), format="csr")
-    return FormMatrix(_symmetrize((B.T @ (A @ B)) * h**2))
-
-
-def assemble_Q0(grid: Grid, mask: GridMask, *, ops=None) -> FormMatrix:
+def assemble_Q0(grid: Grid, mask: GridMask) -> FormMatrix:
     """Q0(u) = h^2 * sum_nodes (Lap_h u)^2 with zero extension (13-point
     form): ``assemble_Q`` of the bilaplacian."""
-    return assemble_Q(grid, mask, bilaplacian(), ops=ops)
+    return assemble_Q(grid, mask, bilaplacian())
 
 
-def assemble_Q(grid: Grid, mask: GridMask, coeffs: CoefficientField, *,
-               ops=None) -> FormMatrix:
+def assemble_Q(grid: Grid, mask: GridMask,
+               coeffs: CoefficientField) -> FormMatrix:
     """Q(u) = h^2 * sum_nodes s(u)^T M s(u), s = (u_xx, u_yy, u_xy).
 
-    ``ops`` is ``dof_difference_ops(grid, mask)``, built here when None, so
-    that forms of several tensors on one grid can share one build.  Raises
-    NotElliptic unless the lattice symbol of M is positive on theta != 0
-    (``ellipticity_window``).
+    Raises NotElliptic unless the lattice symbol of M is positive on
+    theta != 0 (``ellipticity_window``).
     """
     if ellipticity_window(coeffs) <= 0.0:
         raise NotElliptic("the lattice symbol of the form is not positive")
-    # only the Hessian rows stay alive through the product
-    hess = (dof_difference_ops(grid, mask) if ops is None else ops)[:3]
-    return _lattice_form(hess, coeffs.M, grid.h)
+    B = sp.vstack(difference_ops(grid, mask, ("Dxx", "Dyy", "Dxy")),
+                  format="csr")
+    A = sp.kron(coeffs.M, sp.identity(grid.n_nodes), format="csr")
+    return FormMatrix(_symmetrize((B.T @ (A @ B)) * grid.h**2))
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
-                      order: str, power: float, n_reg: int = 1, *,
-                      rows=None) -> FormMatrix:
+                      order: str, power: float, n_reg: int = 1) -> FormMatrix:
     """Weighted forms with weight d_n^-power on the interior nodes.
 
     order='mass': diag(h^2 w); 'grad': sum over (Gx, Gy) of G^T diag(h^2 w) G,
-    over every lattice row at power 0 and over the dof rows otherwise.
-    ``rows``, read only by a grad form at nonzero power, is those dof rows
-    of (Gx, Gy), built here when None, so that a sweep over n builds them
-    once.
+    over every lattice row (w = 1) at power 0 and over the dof rows otherwise.
     """
     n_reg = int(n_reg)
     if n_reg < 1:
@@ -88,35 +76,22 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
     else:
         dn = dist.interior_values(mask) + 1.0 / n_reg
         w = dn ** (-float(power))
-    W = sp.diags(grid.h**2 * w).tocsr()
     if order == "mass":
-        return FormMatrix(W)
+        return FormMatrix(sp.diags(grid.h**2 * w).tocsr())
     if order != "grad":
         raise ValueError(f"unknown weighted order {order!r}")
-    # power 0 keeps every lattice row, as Q0 does, so the form is coercive;
-    # h^2 sits in M to weight each row before the product, as W does below
-    if power == 0.0:
-        return _lattice_form(dof_difference_ops(grid, mask)[3:],
-                             grid.h**2 * np.identity(2), 1.0)
-    if rows is None:
-        rows = interior_difference_ops(
-            grid, mask, ops=dof_difference_ops(grid, mask)[3:])
-    return FormMatrix(_symmetrize(sum(G.T @ (W @ G) for G in rows)))
+    rows = mask.nodes
+    if power == 0.0:  # every lattice row, as Q0 sums, so the form is coercive
+        rows, w = None, np.ones(grid.n_nodes)
+    W = sp.diags(grid.h**2 * w).tocsr()
+    grads = difference_ops(grid, mask, ("Gx", "Gy"), rows)
+    return FormMatrix(_symmetrize(sum(G.T @ (W @ G) for G in grads)))
 
 
-def dof_difference_ops(grid: Grid, mask: GridMask):
-    """(Dxx, Dyy, Dxy, Gx, Gy) with a row at every lattice node and a column
-    per dof: the clamped closure by zero extension, and the only place that
-    selects dof columns."""
-    return tuple(Op[:, mask.nodes] for Op in difference_ops(grid))
-
-
-def interior_difference_ops(grid: Grid, mask: GridMask, *, ops=None):
-    """The dof rows of ``ops``, ``dof_difference_ops(grid, mask)``, built
-    here when None."""
-    if ops is None:
-        ops = dof_difference_ops(grid, mask)
-    return tuple(Op[mask.nodes] for Op in ops)
+def interior_difference_ops(grid: Grid, mask: GridMask):
+    """(Dxx, Dyy, Dxy, Gx, Gy) on the dof rows: the pointwise derivatives
+    of a dof vector."""
+    return difference_ops(grid, mask, rows=mask.nodes)
 
 
 def principal_submatrix(form: FormMatrix, mask: GridMask,

@@ -214,12 +214,10 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
     witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask,
                                                 seed=cfg.seed)
     if cfg.delta > 0.0:
-        # one build of the lattice rows, after the LU, for Q~, Q0 and the
-        # cross-term constant of every alpha
-        ops = assembly.dof_difference_ops(grid, mask)
-        Qt = assembly.assemble_Q(grid, mask, tilde, ops=ops)
-        Q0 = assembly.assemble_Q0(grid, mask, ops=ops)
-        rows = assembly.interior_difference_ops(grid, mask, ops=ops)
+        Qt = assembly.assemble_Q(grid, mask, tilde)
+        Q0 = assembly.assemble_Q0(grid, mask)
+        # the dof rows, once for the cross-term constant of every alpha
+        ops = assembly.interior_difference_ops(grid, mask)
         lambda_tilde = assembly.ellipticity_window(tilde)
     payload = {}
     for a in cfg.alphas:
@@ -229,7 +227,7 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
         entry = {"base": dataclasses.asdict(rep)}
         if cfg.delta > 0.0:
             c_hat = verifier.measure_cross_term_constant(
-                dist, a, witnesses, grid, mask, Q0=Q0, ops=rows)
+                dist, a, witnesses, grid, mask, Q0=Q0, ops=ops)
             try:
                 rep_t = verifier.probe_perturbation(
                     rep, Qt, mass, dist, tilde.delta_norm, lambda_tilde,

@@ -17,7 +17,7 @@ from . import finsler, geometry
 from .errors import ConfigError
 from .finsler import CoefficientField
 from .geometry import (INTERIOR_TOL, AnalyticDomain, build_cutoff,
-                       build_grid, lattice_derivative_norms)
+                       build_grid, difference_ops, hessian_norm2)
 
 if TYPE_CHECKING:
     from .assembly import FormMatrix
@@ -253,12 +253,13 @@ def measure_eroded_hessian_bound(dist, grid, mask, eps: float) -> float:
     """Measured sup |hess d_eps| on the transition band {d < 2 eps}, for
     the Euclidean distance ``dist`` of ``euclidean_from_sdf``.  The band's
     stencils read interior nodes only, where d_eps = d - eps."""
-    deps = dist.d - eps  # distance to the eroded boundary
-    d = dist.d[1:-1, 1:-1]
-    band = mask.interior[1:-1, 1:-1] & (d > eps + 2 * grid.h) & (d < 2 * eps)
-    if band.sum() == 0:
+    band = mask.interior & (dist.d > eps + 2 * grid.h) & (dist.d < 2 * eps)
+    if not band.any():
         return float("nan")
-    return float(lattice_derivative_norms(grid, deps)[1][band].max())
+    hess = difference_ops(grid, mask, ("Dxx", "Dyy", "Dxy"),
+                          np.flatnonzero(band))
+    deps = dist.interior_values(mask) - eps
+    return float(np.sqrt(hessian_norm2(hess, deps)).max())
 
 
 def _eroded_interiors(dist, grid, mask, m: int,

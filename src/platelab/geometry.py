@@ -3,9 +3,9 @@
 Domains carry an exact signed Euclidean distance function (negative inside)
 and a support function; ``_support_distance``, the minimum over the normal
 behind the superellipse's sdf and ``finsler_distance``, needs no scipy.
-Clamped boundary conditions are realized downstream by zero extension: every
-stencil read outside the interior mask returns 0, which enforces u = 0 and,
-at stencil order, du/dn = 0 on the boundary.
+Clamped boundary conditions are realized by zero extension in
+``difference_ops``: every stencil read outside the interior mask returns 0,
+which enforces u = 0 and, at stencil order, du/dn = 0 on the boundary.
 """
 from __future__ import annotations
 
@@ -157,48 +157,6 @@ class Grid:
         return self.nx * self.ny
 
 
-def difference_ops(grid: Grid):
-    """Centered difference operators (Dxx, Dyy, Dxy, Gx, Gy), n_nodes x n_nodes
-    CSR on raveled (iy, ix) lattice vectors; the one place the stencils are
-    written.  Reads past the lattice edge are zero.
-
-    scipy.sparse is imported here, on the first call: ``geometry`` itself
-    loads no scipy, so the distance and config paths start without it."""
-    import scipy.sparse as sp
-
-    h = grid.h
-    ex = np.ones(grid.nx)
-    ey = np.ones(grid.ny)
-    Tx = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1], format="csr")
-    Ty = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1], format="csr")
-    Cx = sp.diags([-ex[:-1], ex[:-1]], [-1, 1], format="csr") / (2 * h)
-    Cy = sp.diags([-ey[:-1], ey[:-1]], [-1, 1], format="csr") / (2 * h)
-    Ix = sp.identity(grid.nx, format="csr")
-    Iy = sp.identity(grid.ny, format="csr")
-    Dxx = sp.kron(Iy, Tx, format="csr") / h**2
-    Dyy = sp.kron(Ty, Ix, format="csr") / h**2
-    Dxy = sp.kron(Cy, Cx, format="csr")
-    Gx = sp.kron(Iy, Cx, format="csr")
-    Gy = sp.kron(Cy, Ix, format="csr")
-    return Dxx, Dyy, Dxy, Gx, Gy
-
-
-def derivative_norms2(ops, f: np.ndarray):
-    """(|grad f|^2, f_xx^2 + f_yy^2 + 2 f_xy^2) of the vector f under
-    ``ops`` = (Dxx, Dyy, Dxy, Gx, Gy): the (1, 1, 2) Hessian norm, squared."""
-    Dxx, Dyy, Dxy, Gx, Gy = ops
-    grad2 = (Gx @ f) ** 2 + (Gy @ f) ** 2
-    hess2 = (Dxx @ f) ** 2 + (Dyy @ f) ** 2 + 2.0 * (Dxy @ f) ** 2
-    return grad2, hess2
-
-
-def lattice_derivative_norms(grid: Grid, f: np.ndarray):
-    """(|grad f|, sqrt(f_xx^2 + f_yy^2 + 2 f_xy^2)) of an (ny, nx) lattice
-    array on its core [1:-1, 1:-1], where no stencil leaves the lattice."""
-    norms2 = derivative_norms2(difference_ops(grid), np.ravel(f))
-    return tuple(np.sqrt(a).reshape(f.shape)[1:-1, 1:-1] for a in norms2)
-
-
 @dataclass(frozen=True)
 class GridMask:
     """Interior nodes (sdf < -INTERIOR_TOL * h); they are the unknowns (dofs).
@@ -221,6 +179,55 @@ class GridMask:
     def restrict(self, a: np.ndarray) -> np.ndarray:
         """Dof values of a lattice array of shape (ny, nx, ...)."""
         return a.reshape((self.interior.size,) + a.shape[2:])[self.nodes]
+
+
+def _stencils(h: float) -> dict:
+    """name -> the (dy, dx, weight) taps of each centred stencil, in raveled
+    lattice order; a weight is a product of 1/h^2 or 1/2h, rounded once."""
+    a, c = 1.0 / h**2, 1.0 / (2 * h)
+    return {"Dxx": ((0, -1, a), (0, 0, -2 * a), (0, 1, a)),
+            "Dyy": ((-1, 0, a), (0, 0, -2 * a), (1, 0, a)),
+            "Dxy": ((-1, -1, c * c), (-1, 1, -c * c),
+                    (1, -1, -c * c), (1, 1, c * c)),
+            "Gx": ((0, -1, -c), (0, 1, c)),
+            "Gy": ((-1, 0, -c), (1, 0, c))}
+
+
+def difference_ops(grid: Grid, mask: GridMask,
+                   names=("Dxx", "Dyy", "Dxy", "Gx", "Gy"), rows=None):
+    """The centred difference operators ``names`` as CSR, with a row per
+    lattice node in ``rows`` (raveled iy * nx + ix; every node when None)
+    and a column per dof: the one place the stencils are written.  A read
+    off the mask or off the lattice is 0, the zero extension that is the
+    clamped closure.
+
+    scipy.sparse is imported here, on the first call: ``geometry`` itself
+    loads no scipy, so the distance and config paths start without it."""
+    import scipy.sparse as sp
+
+    rows = np.arange(grid.n_nodes) if rows is None else np.asarray(rows)
+    iy, ix = np.divmod(rows, grid.nx)
+    # the dof at each lattice node; -1 off the mask and on a ring around it
+    dof = np.full((grid.ny + 2, grid.nx + 2), -1)
+    dof[1:-1, 1:-1][mask.interior] = np.arange(mask.count)
+    stencils = _stencils(grid.h)
+    ops = []
+    for name in names:
+        dy, dx, w = map(np.array, zip(*stencils[name]))
+        cols = dof[iy[:, None] + 1 + dy, ix[:, None] + 1 + dx]
+        keep = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        ops.append(sp.csr_matrix(
+            (np.broadcast_to(w, cols.shape)[keep], cols[keep], indptr),
+            shape=(rows.size, mask.count)))
+    return tuple(ops)
+
+
+def hessian_norm2(ops, f: np.ndarray) -> np.ndarray:
+    """f_xx^2 + f_yy^2 + 2 f_xy^2 of the dof vector f under ``ops`` =
+    (Dxx, Dyy, Dxy, ...): the (1, 1, 2) Hessian norm, squared."""
+    Dxx, Dyy, Dxy = ops[:3]
+    return (Dxx @ f) ** 2 + (Dyy @ f) ** 2 + 2.0 * (Dxy @ f) ** 2
 
 
 def build_grid(domain: AnalyticDomain, h: float):

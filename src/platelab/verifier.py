@@ -15,12 +15,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (FormMatrix, assemble_weighted, dof_difference_ops,
-                       interior_difference_ops)
+from .assembly import FormMatrix, assemble_weighted, interior_difference_ops
 from .errors import AlphaOutOfRange, BoundViolated
 from .experiments import default_n_sweep
 from .finsler import DistanceField
-from .geometry import Grid, GridMask, derivative_norms2, smoothstep
+from .geometry import Grid, GridMask, hessian_norm2, smoothstep
 from .spectral import Spectrum, factor, lowest_eigenpairs
 
 if TYPE_CHECKING:  # a run-time import ahead of .assembly costs 0.4 MB of RSS
@@ -115,8 +114,7 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     constant_hat(n) = min generalized eigenvalue of (A, W_n), all n through
     one LU of A.  ``OPinv`` is that LU, ``factor(A)``, made here when None,
     so that pencils with the same A share one (both Rellich pencils read
-    Q0).  A grad weight W_n reads only the dof rows of Gx and Gy, built
-    once for the sweep, after the LU.
+    Q0).
 
     The weak (boundary) constant is the limit n -> inf of the law
     c(n) = c_inf + C / (log n + b)^2 of the Euler profile
@@ -135,13 +133,9 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
 
     if OPinv is None:
         OPinv = factor(A)
-    rows = None
-    if order == "grad":  # the dof rows of Gx and Gy, once for the sweep
-        rows = interior_difference_ops(
-            grid, mask, ops=dof_difference_ops(grid, mask)[3:])
     sweep = []
     for n in n_sweep:
-        W = assemble_weighted(grid, mask, dist, order, power, n, rows=rows)
+        W = assemble_weighted(grid, mask, dist, order, power, n)
         spec = lowest_eigenpairs(A, W, m=1, seed=seed, OPinv=OPinv)
         sweep.append((n, float(spec.values[0])))
 
@@ -178,7 +172,8 @@ def verify_decay(spec: Spectrum, u_index: int, alpha: float,
     lhs = integral(|hess u|^2 d_n^-2a + |grad u|^2 d_n^-(2+2a)
     + u^2 d_n^-(4+2a)); rhs = lambda^(1+a/2) for a normalized eigenvector.
     ``ops`` is ``interior_difference_ops(grid, mask)``, built here when
-    None, so that a sweep over alphas builds it once.
+    None: the one row hand-off, so that ``decay`` builds it once for all
+    its alphas.
     """
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1)")
@@ -189,7 +184,9 @@ def verify_decay(spec: Spectrum, u_index: int, alpha: float,
     nrm2 = spec.b_inner(u, u)
     if ops is None:
         ops = interior_difference_ops(grid, mask)
-    grad2, hess2 = derivative_norms2(ops, u)
+    Gx, Gy = ops[3:]
+    grad2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
+    hess2 = hessian_norm2(ops, u)
     d = dist.interior_values(mask)
     sweep = []
     for n in n_sweep:
@@ -305,7 +302,8 @@ def measure_cross_term_constant(dist: DistanceField, alpha: float,
     sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v).
 
     ``ops`` is ``interior_difference_ops(grid, mask)``, built here when
-    None, so that a sweep over alphas builds it once.
+    None: the one row hand-off, so that ``palpha`` builds it once for all
+    its alphas.
     """
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
@@ -315,7 +313,7 @@ def measure_cross_term_constant(dist: DistanceField, alpha: float,
     h2 = grid.h**2
     c_hat = 0.0
     for v in witnesses:
-        hp, hm = (np.sqrt(derivative_norms2(ops, dn**a * v)[1])
+        hp, hm = (np.sqrt(hessian_norm2(ops, dn**a * v))
                   for a in (alpha, -alpha))
         left = h2 * float(hp @ hm)
         c_hat = max(c_hat, left / Q0(v))

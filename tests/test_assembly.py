@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 import platelab as pl
 from platelab import assembly, finsler, spectral
 from platelab.errors import EllipticityLost, NotElliptic
-from platelab.geometry import difference_ops
+from platelab.geometry import GridMask, difference_ops
 from test_spectral import _callers
 
 
@@ -46,13 +46,21 @@ def test_grad_forms_isolated_node_row_sets():
 
 
 def test_every_difference_op_goes_through_the_seam():
-    # the clamped closure (which dof columns a difference row reads) is
-    # chosen in one function; lattice arrays take the full-lattice stencils
+    # the clamped closure (which dof column a stencil tap reads) is the
+    # builder's dof-column map; every operator comes from the builder
     src = Path(assembly.__file__).resolve().parent
     found = [c for p in sorted(src.glob("*.py"))
              for c in _callers(p, "difference_ops")]
-    assert found == [("assembly", "dof_difference_ops"),
-                     ("geometry", "lattice_derivative_norms")]
+    assert found == [("assembly", "assemble_Q"),
+                     ("assembly", "assemble_weighted"),
+                     ("assembly", "interior_difference_ops"),
+                     ("experiments", "measure_eroded_hessian_bound")]
+    # a tap off the mask reads 0: every column is a dof, and the one dof of
+    # the isolated-node lattice is read by its own row and its 8 neighbours'
+    grid, mask = _single_node_setup()
+    ops = difference_ops(grid, mask)
+    assert all(Op.shape == (grid.n_nodes, 1) for Op in ops)
+    assert [Op.nnz for Op in ops] == [3, 3, 4, 2, 2]
 
 
 def test_q_isolated_node_hessian_tensor():
@@ -70,6 +78,55 @@ def _same_csr(A, B):
                for part in ("indptr", "indices", "data"))
 
 
+def _kron_difference_ops(grid):
+    """(Dxx, Dyy, Dxy, Gx, Gy) on the full lattice, n_nodes x n_nodes, as
+    Kronecker products of the 1-D centred stencils: the reference for
+    ``difference_ops``, whose weights round as these do."""
+    h = grid.h
+    ex, ey = np.ones(grid.nx), np.ones(grid.ny)
+    Tx = sp.diags([ex[:-1], -2 * ex, ex[:-1]], [-1, 0, 1], format="csr")
+    Ty = sp.diags([ey[:-1], -2 * ey, ey[:-1]], [-1, 0, 1], format="csr")
+    Cx = sp.diags([-ex[:-1], ex[:-1]], [-1, 1], format="csr") / (2 * h)
+    Cy = sp.diags([-ey[:-1], ey[:-1]], [-1, 1], format="csr") / (2 * h)
+    Ix = sp.identity(grid.nx, format="csr")
+    Iy = sp.identity(grid.ny, format="csr")
+    return (sp.kron(Iy, Tx, format="csr") / h**2,
+            sp.kron(Ty, Ix, format="csr") / h**2,
+            sp.kron(Cy, Cx, format="csr"),
+            sp.kron(Iy, Cx, format="csr"),
+            sp.kron(Cy, Ix, format="csr"))
+
+
+_REFERENCE_DOMAINS = {"disk": pl.disk(1.0), "rectangle": pl.rectangle(2.0, 1.0),
+                      "superellipse": pl.superellipse(1.0, 0.7, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_DOMAINS))
+def test_difference_ops_equal_the_kron_reference(name):
+    # every view, bit for bit: lattice rows, dof rows, a band of rows and,
+    # on an all-true mask, the full lattice operator itself
+    for n in (8, 20, 28, 40):
+        grid, mask = pl.build_grid(_REFERENCE_DOMAINS[name], 1.0 / n)
+        ref = _kron_difference_ops(grid)
+        X, Y = grid.meshgrid()   # the lattice nodes within 3h of the edge
+        band = np.flatnonzero(np.abs(_REFERENCE_DOMAINS[name].sdf(X, Y))
+                              < 3.0 * grid.h)
+        full = GridMask(np.ones((grid.ny, grid.nx), dtype=bool))
+        views = (
+            (difference_ops(grid, mask), [R[:, mask.nodes] for R in ref]),
+            (assembly.interior_difference_ops(grid, mask),
+             [R[mask.nodes][:, mask.nodes] for R in ref]),
+            (difference_ops(grid, mask, rows=band),
+             [R[band][:, mask.nodes] for R in ref]),
+            (difference_ops(grid, full), ref))
+        for got, want in views:
+            assert len(got) == 5
+            assert all(_same_csr(A, B) for A, B in zip(got, want))
+        # a subset of names is the same subset of operators
+        grads = difference_ops(grid, mask, ("Gx", "Gy"), band)
+        assert all(_same_csr(A, B) for A, B in zip(grads, views[2][1][3:]))
+
+
 def test_q_bilaplacian_equals_q0_bitwise():
     # Q0 is assemble_Q of the bilaplacian, and the power-0 grad form sums
     # every lattice row; both equal, bit for bit, the direct formulas
@@ -79,7 +136,7 @@ def test_q_bilaplacian_equals_q0_bitwise():
         for n in (20, 24, 28, 40, 96):
             grid, mask = pl.build_grid(dom, 1.0 / n)
             Dxx, Dyy, _, Gx, Gy = (Op[:, mask.nodes]
-                                   for Op in difference_ops(grid))
+                                   for Op in _kron_difference_ops(grid))
             L = Dxx + Dyy
             ref_q0 = assembly._symmetrize((L.T @ L) * grid.h**2)
             W = sp.diags(np.full(grid.n_nodes, grid.h**2))
@@ -118,7 +175,7 @@ def test_bilinear_consistency(disk32):
     u = rng.standard_normal(disk32.mask.count)
     v = rng.standard_normal(disk32.mask.count)
     grid, mask = disk32.grid, disk32.mask
-    Dxx, Dyy, _, _, _ = difference_ops(grid)
+    Dxx, Dyy, _, _, _ = _kron_difference_ops(grid)
     L = (Dxx + Dyy)[:, mask.nodes]
     direct = grid.h**2 * float((L @ u) @ (L @ v))
     assert disk32.Q0(u, v) == pytest.approx(direct, rel=1e-10)

@@ -758,28 +758,42 @@ def test_cli_decay_builds_difference_ops_once(tmp_path, monkeypatch):
                                                                  0.4}
 
 
+HESSIAN, GRADIENT = ("Dxx", "Dyy", "Dxy"), ("Gx", "Gy")
+
+
 def _count_builds(monkeypatch):
-    """Counter of ``factor`` calls and lattice difference-operator builds."""
+    """Counter of ``factor`` calls and of difference-operator builds, keyed
+    by (the stencils built, whether every lattice row is)."""
     calls = collections.Counter()
-    for mod, name in ((spectral, "factor"), (verifier, "factor"),
-                      (assembly, "difference_ops")):
-        fn = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k:
-                            calls.update([_name]) or _fn(*a, **k))
+    for mod in (spectral, verifier):
+        fn = mod.factor
+        monkeypatch.setattr(mod, "factor", lambda *a, _fn=fn, **k:
+                            calls.update(["factor"]) or _fn(*a, **k))
+    build = assembly.difference_ops
+
+    def counted(grid, mask, names=HESSIAN + GRADIENT, rows=None):
+        calls.update([(tuple(names), rows is None)])
+        return build(grid, mask, names, rows)
+
+    monkeypatch.setattr(assembly, "difference_ops", counted)
     return calls
 
 
 def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
-    # one LU of the grad form and one of Q0 for both Rellich pencils; the
-    # rellich_grad sweep builds its gradient rows once, not once per level
+    # one LU of the grad form and one of Q0 for both Rellich pencils; each
+    # build reads only its own stencils: the Hessian rows of Q0 and the
+    # gradient rows of the power-0 grad form on the lattice, and the
+    # gradient dof rows of each rellich_grad weight
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / "disk.cfg")
+    loaded = experiments.load_config(cfg)
     calls = _count_builds(monkeypatch)
     out = tmp_path / "out"
     assert cli_main(["hardy", "--config", cfg, "--out", str(out)]) == 0
-    assert dict(calls) == {"factor": 2, "difference_ops": 3}
+    assert dict(calls) == {"factor": 2, (HESSIAN, True): 1,
+                           (GRADIENT, True): 1,
+                           (GRADIENT, False): len(loaded.n_sweep)}
     reports = json.loads((out / "hardy.json").read_text())
     # the same reports as three pencils that each factor their own form
-    loaded = experiments.load_config(cfg)
     domain = experiments.make_domain(loaded.domain_kind, loaded.domain_params)
     grid, mask = pl.build_grid(domain, loaded.h)
     dist = pl.euclidean_from_sdf(domain, grid, mask)
@@ -794,16 +808,18 @@ def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
     assert calls["factor"] == 3
 
 
-def test_cli_palpha_builds_difference_ops_twice(tmp_path, monkeypatch):
-    # _build_pencil builds the rows for Q before its LU; one more build
-    # serves Q~, Q0 and the cross-term constant of every alpha
+def test_cli_palpha_builds_three_hessians_and_one_row_set(tmp_path,
+                                                          monkeypatch):
+    # Q, Q~ and Q0 each build the Hessian rows on the lattice; one build of
+    # the dof rows serves the cross-term constant of every alpha
     calls = _count_builds(monkeypatch)
     text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25 0.4") \
         + "\n[perturbation]\ndelta = 0.01\n"
     out = tmp_path / "out"
     assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
                      "--out", str(out)]) == 0
-    assert dict(calls) == {"factor": 1, "difference_ops": 2}
+    assert dict(calls) == {"factor": 1, (HESSIAN, True): 3,
+                           (HESSIAN + GRADIENT, False): 1}
     payload = json.loads((out / "palpha.json").read_text())
     assert sorted(payload) == ["0.1", "0.25", "0.4"]
     assert all("error" not in entry["perturbed"] for entry in payload.values())
