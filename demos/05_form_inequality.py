@@ -19,7 +19,7 @@ def main():
     Q0 = assembly.assemble_Q0(grid, mask)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = pl.lowest_eigenpairs(Q0, mass, m=5)
-    witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask)
+    witnesses, labels = verifier.make_witnesses(spec, dist, mask)
 
     print("unit disk, h = 1/64, 8 witnesses "
           "(5 eigenfunctions + 3 smooth bumps)\n")
@@ -41,8 +41,8 @@ def main():
     print(f"lower ellipticity constant of the perturbed form: "
           f"lambda~ = {lambda_tilde:.4f}")
     a = 0.25
-    c_hat = verifier.measure_cross_term_constant(dist, a, witnesses,
-                                                 grid, mask, Q0=Q0)
+    c_hat = verifier.measure_cross_term_constant(dist, a, witnesses, mask,
+                                                 Q0=Q0)
     print(f"measured cross-term constant c_hat = {c_hat:.4f} "
           f"(closed-form ceiling at (1, 1/4, 9/16): "
           f"{verifier.cross_term_bound(1.0, 0.25, 9.0 / 16.0):.0f})")

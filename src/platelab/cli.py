@@ -23,7 +23,8 @@ import numpy as np
 
 from . import finsler
 from .errors import ConfigError, EllipticityLost, PlatelabError
-from .experiments import RunConfig, load_config, make_coeffs, make_domain
+from .experiments import (RunConfig, default_n_sweep, load_config,
+                          make_coeffs, make_domain)
 from .geometry import build_grid
 
 
@@ -124,7 +125,7 @@ def _cmd_distance(cfg: RunConfig, coeffs, out: str) -> int:
     stats = {
         "c1_hat": c1_hat,
         "c2_hat": c2_hat,
-        "n_reg": dist.n_reg,
+        "n_reg": default_n_sweep(grid.h)[-1],
         "residual_median": float(np.median(res[far])) if far.any() else None,
         "residual_q95": float(np.quantile(res[far], 0.95)) if far.any() else None,
         "frac_within_5h": float(np.mean(res[far] <= 5.0 * grid.h))
@@ -155,7 +156,7 @@ def _cmd_hardy(cfg: RunConfig, coeffs, out: str) -> int:
         op = spectral.factor(A)
         for kind in kinds:
             rep = verifier.estimate_hardy_constant(
-                A, grid, mask, dist, kind, n_sweep=cfg.n_sweep,
+                A, mask, dist, kind, n_sweep=cfg.n_sweep,
                 seed=cfg.seed, OPinv=op)
             reports[kind] = dataclasses.asdict(rep)
         del op  # so that one LU at a time is alive
@@ -177,17 +178,19 @@ def _check_alphas(cfg: RunConfig) -> None:
 
 
 def _cmd_decay(cfg: RunConfig, coeffs, out: str) -> int:
-    from . import assembly, verifier
+    from . import verifier
 
     _check_alphas(cfg)
+    if len(cfg.n_sweep) < 2:
+        raise ConfigError(
+            f"decay flags the increment between the two largest n, so "
+            f"n_sweep {list(cfg.n_sweep)} needs two or more levels")
     # verify_decay reads eigenpair 0 only, so m from the config is not used
     domain, grid, mask, _, _, spec = _build_pencil(cfg, coeffs, 1)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
-    ops = assembly.interior_difference_ops(grid, mask)
     rows = []
     for a in cfg.alphas:
-        rep = verifier.verify_decay(spec, 0, a, dist, grid, mask,
-                                    n_sweep=cfg.n_sweep, ops=ops)
+        rep = verifier.verify_decay(spec, a, dist, mask, n_sweep=cfg.n_sweep)
         flag = "BLOWUP" if rep.blowup else "STABLE"
         rows += [(a, n, lhs, rep.rhs, lhs / rep.rhs, flag)
                  for n, lhs in rep.n_sweep]
@@ -211,13 +214,11 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
                               f"{exc}") from exc
     domain, grid, mask, Q, mass, spec = _build_pencil(cfg, coeffs, 5)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
-    witnesses, labels = verifier.make_witnesses(spec, dist, grid, mask,
+    witnesses, labels = verifier.make_witnesses(spec, dist, mask,
                                                 seed=cfg.seed)
     if cfg.delta > 0.0:
         Qt = assembly.assemble_Q(grid, mask, tilde)
         Q0 = assembly.assemble_Q0(grid, mask)
-        # the dof rows, once for the cross-term constant of every alpha
-        ops = assembly.interior_difference_ops(grid, mask)
         lambda_tilde = assembly.ellipticity_window(tilde)
     payload = {}
     for a in cfg.alphas:
@@ -227,7 +228,7 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
         entry = {"base": dataclasses.asdict(rep)}
         if cfg.delta > 0.0:
             c_hat = verifier.measure_cross_term_constant(
-                dist, a, witnesses, grid, mask, Q0=Q0, ops=ops)
+                dist, a, witnesses, mask, Q0=Q0)
             try:
                 rep_t = verifier.probe_perturbation(
                     rep, Qt, mass, dist, tilde.delta_norm, lambda_tilde,

@@ -166,7 +166,8 @@ def validate_config(cfg: RunConfig) -> None:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad or missing domain or operator parameter: "
                           f"{exc}") from exc
-    for name, values in (("eps", cfg.eps_list), ("alphas", cfg.alphas)):
+    for name, values in (("eps", cfg.eps_list), ("alphas", cfg.alphas),
+                         ("n_sweep", cfg.n_sweep)):
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} {list(values)} repeats a value")
     for eps in cfg.eps_list:
@@ -249,10 +250,11 @@ def fit_drift_exponent(eps: np.ndarray, drift: np.ndarray,
     return float(intercept)
 
 
-def measure_eroded_hessian_bound(dist, grid, mask, eps: float) -> float:
+def measure_eroded_hessian_bound(dist, mask, eps: float) -> float:
     """Measured sup |hess d_eps| on the transition band {d < 2 eps}, for
     the Euclidean distance ``dist`` of ``euclidean_from_sdf``.  The band's
     stencils read interior nodes only, where d_eps = d - eps."""
+    grid = dist.grid
     band = mask.interior & (dist.d > eps + 2 * grid.h) & (dist.d < 2 * eps)
     if not band.any():
         return float("nan")
@@ -262,7 +264,7 @@ def measure_eroded_hessian_bound(dist, grid, mask, eps: float) -> float:
     return float(np.sqrt(hessian_norm2(hess, deps)).max())
 
 
-def _eroded_interiors(dist, grid, mask, m: int,
+def _eroded_interiors(dist, mask, m: int,
                       eps_list: Sequence[float]) -> list:
     """The node sets {d > eps}, one per eps, with ``build_grid``'s
     rounding tolerance, for the Euclidean distance ``dist``.
@@ -271,11 +273,12 @@ def _eroded_interiors(dist, grid, mask, m: int,
     unknowns.  Both depend only on the grid and the sdf, so they are checked
     before any eigensolve.
     """
+    h = dist.grid.h
     interiors = []
     for eps in eps_list:
-        if not eps >= 4.0 * grid.h:
-            raise ConfigError(f"eps={eps} < 4h={4 * grid.h}")
-        sub_int = dist.d > eps + INTERIOR_TOL * grid.h
+        if not eps >= 4.0 * h:
+            raise ConfigError(f"eps={eps} < 4h={4 * h}")
+        sub_int = dist.d > eps + INTERIOR_TOL * h
         count = int(np.count_nonzero(sub_int))  # d is 0 off the mask
         if m >= count:
             raise ConfigError(f"m={m} eigenpairs need more than the {count} "
@@ -297,7 +300,7 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     if grid is None or mask is None:
         grid, mask = build_grid(domain, h)
     dist_sdf = finsler.euclidean_from_sdf(domain, grid, mask)
-    interiors = _eroded_interiors(dist_sdf, grid, mask, m, eps_list)
+    interiors = _eroded_interiors(dist_sdf, mask, m, eps_list)
     if Q is None:
         Q = assemble_Q(grid, mask, coeffs)
     if mass is None:
@@ -311,10 +314,9 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
         Qs = principal_submatrix(Q, mask, sub_int)
         Ms = principal_submatrix(mass, mask, sub_int)
         spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
-        tau = build_cutoff(grid, dist_sdf, eps)
+        tau = build_cutoff(dist_sdf, eps)
         bounds = cutoff_rayleigh_bound(spec, tau, Q, mass, mask)
-        hess_deps[eps] = measure_eroded_hessian_bound(dist_sdf, grid, mask,
-                                                      eps)
+        hess_deps[eps] = measure_eroded_hessian_bound(dist_sdf, mask, eps)
         for n in range(m):
             lam = float(spec.values[n])
             lam_t = float(spec_t.values[n])

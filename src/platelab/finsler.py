@@ -96,19 +96,13 @@ def dual_metric(coeffs: CoefficientField, xi) -> float:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Grid samples of distance-to-boundary; n_reg = round(1/h) is the
-    default index n of the regularization d_n = d + 1/n."""
+    """Grid samples of distance-to-boundary."""
 
     grid: Grid
     d: np.ndarray               # (ny, nx), 0 outside the interior mask
-    n_reg: int
 
     def interior_values(self, mask: GridMask) -> np.ndarray:
         return mask.restrict(self.d)
-
-
-def _distance_field(grid: Grid, d: np.ndarray) -> DistanceField:
-    return DistanceField(grid=grid, d=d, n_reg=max(1, int(round(1.0 / grid.h))))
 
 
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
@@ -130,14 +124,14 @@ def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
     d[mask.interior] = _support_distance(
         domain.support,
         lambda c, s: np.sqrt(np.sqrt(quartic_symbol(coeffs.M, c, s))), x, y)
-    return _distance_field(grid, d)
+    return DistanceField(grid, d)
 
 
 def euclidean_from_sdf(domain: AnalyticDomain, grid: Grid,
                        mask: GridMask) -> DistanceField:
     """Exact Euclidean distance sampled from the analytic sdf (geometry uses)."""
     X, Y = grid.meshgrid()
-    return _distance_field(grid, np.where(mask.interior, -domain.sdf(X, Y), 0.0))
+    return DistanceField(grid, np.where(mask.interior, -domain.sdf(X, Y), 0.0))
 
 
 def equivalence_constants(dist: DistanceField, dist_euclid: DistanceField,

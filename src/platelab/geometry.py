@@ -258,12 +258,12 @@ def smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def build_cutoff(grid: Grid, dist, eps: float) -> np.ndarray:
-    """The (ny, nx) lattice samples of the C2 cutoff
+def build_cutoff(dist, eps: float) -> np.ndarray:
+    """The (ny, nx) samples on ``dist.grid`` of the C2 cutoff
     tau = smoothstep((d - eps)/eps): 0 where d <= eps, 1 where d >= 2*eps."""
-    eps = float(eps)
-    if not eps >= 4.0 * grid.h:
-        raise BandUnresolved(f"eps={eps} < 4h={4 * grid.h}")
+    eps, h = float(eps), dist.grid.h
+    if not eps >= 4.0 * h:
+        raise BandUnresolved(f"eps={eps} < 4h={4 * h}")
     d = dist.d
     tau = smoothstep((d - eps) / eps)
     return np.where(d > 0.0, tau, 0.0)

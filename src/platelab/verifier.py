@@ -19,7 +19,7 @@ from .assembly import FormMatrix, assemble_weighted, interior_difference_ops
 from .errors import AlphaOutOfRange, BoundViolated
 from .experiments import default_n_sweep
 from .finsler import DistanceField
-from .geometry import Grid, GridMask, hessian_norm2, smoothstep
+from .geometry import GridMask, difference_ops, hessian_norm2, smoothstep
 from .spectral import Spectrum, factor, lowest_eigenpairs
 
 if TYPE_CHECKING:  # a run-time import ahead of .assembly costs 0.4 MB of RSS
@@ -103,7 +103,7 @@ _HARDY_POWERS = {"hardy_grad": ("mass", 2.0),
                  "rellich_grad": ("grad", 2.0)}
 
 
-def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
+def estimate_hardy_constant(A: FormMatrix, mask: GridMask,
                             dist: DistanceField, kind: str,
                             n_sweep: Optional[Sequence[int]] = None, *,
                             seed: int = 42,
@@ -111,8 +111,9 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
                             ) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
 
-    constant_hat(n) = min generalized eigenvalue of (A, W_n), all n through
-    one LU of A.  ``OPinv`` is that LU, ``factor(A)``, made here when None,
+    constant_hat(n) = min generalized eigenvalue of (A, W_n), W_n weighted
+    by d_n = d + 1/n of ``dist`` on ``dist.grid``, all n through one LU of
+    A.  ``OPinv`` is that LU, ``factor(A)``, made here when None,
     so that pencils with the same A share one (both Rellich pencils read
     Q0).
 
@@ -129,6 +130,7 @@ def estimate_hardy_constant(A: FormMatrix, grid: Grid, mask: GridMask,
     if kind not in _HARDY_POWERS:
         raise ValueError(f"unknown Hardy kind {kind!r}")
     order, power = _HARDY_POWERS[kind]
+    grid = dist.grid
     n_sweep = _n_levels(n_sweep, grid.h)
 
     if OPinv is None:
@@ -163,27 +165,25 @@ class DecayReport:
     flagged_alpha: bool           # alpha >= 1/2, blow-up demonstration regime
 
 
-def verify_decay(spec: Spectrum, u_index: int, alpha: float,
-                 dist: DistanceField, grid: Grid, mask: GridMask,
-                 n_sweep: Optional[Sequence[int]] = None, *,
-                 ops=None) -> DecayReport:
-    """Weighted boundary integrals of an eigenfunction vs the spectral bound.
+def verify_decay(spec: Spectrum, alpha: float, dist: DistanceField,
+                 mask: GridMask,
+                 n_sweep: Optional[Sequence[int]] = None) -> DecayReport:
+    """Weighted boundary integrals of the lowest eigenfunction vs the
+    spectral bound.
 
     lhs = integral(|hess u|^2 d_n^-2a + |grad u|^2 d_n^-(2+2a)
-    + u^2 d_n^-(4+2a)); rhs = lambda^(1+a/2) for a normalized eigenvector.
-    ``ops`` is ``interior_difference_ops(grid, mask)``, built here when
-    None: the one row hand-off, so that ``decay`` builds it once for all
-    its alphas.
+    + u^2 d_n^-(4+2a)) for eigenpair 0 of ``spec``, on ``dist.grid``;
+    rhs = lambda^(1+a/2) for a normalized eigenvector.
     """
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1)")
     flagged = alpha >= 0.5
+    grid = dist.grid
     n_sweep = _n_levels(n_sweep, grid.h)
-    u = spec.vectors[:, u_index]
-    lam = float(spec.values[u_index])
+    u = spec.vectors[:, 0]
+    lam = float(spec.values[0])
     nrm2 = spec.b_inner(u, u)
-    if ops is None:
-        ops = interior_difference_ops(grid, mask)
+    ops = interior_difference_ops(grid, mask)
     Gx, Gy = ops[3:]
     grad2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     hess2 = hessian_norm2(ops, u)
@@ -220,12 +220,12 @@ class PAlphaReport:
     per_witness_margin: tuple = ()
 
 
-def make_witnesses(spec: Spectrum, dist: DistanceField, grid: Grid,
-                   mask: GridMask, seed: int = 42):
+def make_witnesses(spec: Spectrum, dist: DistanceField, mask: GridMask,
+                   seed: int = 42):
     """The lowest five eigenvectors (as many as ``spec`` holds) plus three
-    seeded smooth bumps, all mass-normalized."""
+    seeded smooth bumps on ``dist.grid``, all mass-normalized."""
     rng = np.random.default_rng(seed)
-    xs, ys = (mask.restrict(c) for c in grid.meshgrid())
+    xs, ys = (mask.restrict(c) for c in dist.grid.meshgrid())
     d = dist.interior_values(mask)
     dmax = float(d.max())
     witnesses = []
@@ -296,24 +296,22 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
 
 
 def measure_cross_term_constant(dist: DistanceField, alpha: float,
-                                witnesses, grid: Grid, mask: GridMask,
-                                Q0: FormMatrix, *, ops=None) -> float:
+                                witnesses, mask: GridMask,
+                                Q0: FormMatrix) -> float:
     """c_hat = max over witnesses of
-    sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v).
-
-    ``ops`` is ``interior_difference_ops(grid, mask)``, built here when
-    None: the one row hand-off, so that ``palpha`` builds it once for all
-    its alphas.
+    sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v), with the Hessian on
+    the dof rows of ``dist.grid`` and n = round(1/h), the largest default
+    level.
     """
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    if ops is None:
-        ops = interior_difference_ops(grid, mask)
-    dn = dist.interior_values(mask) + 1.0 / dist.n_reg
+    grid = dist.grid
+    hess = difference_ops(grid, mask, ("Dxx", "Dyy", "Dxy"), mask.nodes)
+    dn = dist.interior_values(mask) + 1.0 / default_n_sweep(grid.h)[-1]
     h2 = grid.h**2
     c_hat = 0.0
     for v in witnesses:
-        hp, hm = (np.sqrt(hessian_norm2(ops, dn**a * v))
+        hp, hm = (np.sqrt(hessian_norm2(hess, dn**a * v))
                   for a in (alpha, -alpha))
         left = h2 * float(hp @ hm)
         c_hat = max(c_hat, left / Q0(v))

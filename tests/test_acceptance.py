@@ -82,9 +82,9 @@ def test_acceptance_05_weak_hardy_constants(disk64, disk96, disk128):
         grad = assembly.assemble_weighted(setup.grid, setup.mask, None,
                                           "grad", 0.0, 1)
         rep_A = verifier.estimate_hardy_constant(
-            grad, setup.grid, setup.mask, setup.dist, "hardy_grad")
+            grad, setup.mask, setup.dist, "hardy_grad")
         rep_B = verifier.estimate_hardy_constant(
-            setup.Q0, setup.grid, setup.mask, setup.dist, "rellich_mass")
+            setup.Q0, setup.mask, setup.dist, "rellich_mass")
         weak_A.append(rep_A.weak_pair[0])
         weak_B.append(rep_B.weak_pair[0])
     assert weak_A[0] >= weak_A[1] >= weak_A[2]
@@ -96,14 +96,12 @@ def test_acceptance_05_weak_hardy_constants(disk64, disk96, disk128):
 def test_acceptance_06_decay_dichotomy(disk64, disk96):
     for setup in (disk64, disk96):
         for a in (0.1, 0.25, 0.4):
-            rep = verifier.verify_decay(setup.spec, 0, a, setup.dist,
-                                        setup.grid, setup.mask)
+            rep = verifier.verify_decay(setup.spec, a, setup.dist, setup.mask)
             (_, lo), (_, hi) = rep.n_sweep[-2:]
             assert (hi - lo) <= 0.05 * lo
             assert not rep.blowup
         for a in (0.5, 0.6):
-            rep = verifier.verify_decay(setup.spec, 0, a, setup.dist,
-                                        setup.grid, setup.mask)
+            rep = verifier.verify_decay(setup.spec, a, setup.dist, setup.mask)
             assert rep.blowup
             assert rep.flagged_alpha
 
@@ -112,7 +110,7 @@ def test_acceptance_07_form_inequality_witnesses(disk64, disk96):
     kprimes = {}
     for setup in (disk64, disk96):
         witnesses, labels = verifier.make_witnesses(
-            setup.spec, setup.dist, setup.grid, setup.mask)
+            setup.spec, setup.dist, setup.mask)
         assert len(witnesses) == 8
         for a in (0.1, 0.25, 0.4):
             rep = verifier.probe_P_alpha(
@@ -129,14 +127,14 @@ def test_acceptance_07_form_inequality_witnesses(disk64, disk96):
 
 def test_acceptance_08_perturbation_chain(disk64):
     witnesses, labels = verifier.make_witnesses(
-        disk64.spec, disk64.dist, disk64.grid, disk64.mask)
+        disk64.spec, disk64.dist, disk64.mask)
     base = verifier.probe_P_alpha(disk64.Q0, disk64.mass, disk64.dist, 0.25,
                                   witnesses, labels=labels, mask=disk64.mask)
     tilde = assembly.perturb_coeffs(pl.bilaplacian(), 0.01, seed=42)
     Qt = assembly.assemble_Q(disk64.grid, disk64.mask, tilde)
     lambda_tilde = assembly.ellipticity_window(tilde)
     c_hat = verifier.measure_cross_term_constant(
-        disk64.dist, 0.25, witnesses, disk64.grid, disk64.mask, Q0=disk64.Q0)
+        disk64.dist, 0.25, witnesses, disk64.mask, Q0=disk64.Q0)
     rep = verifier.probe_perturbation(
         base, Qt, disk64.mass, disk64.dist, tilde.delta_norm, lambda_tilde,
         c_hat, witnesses, labels=labels, mask=disk64.mask)

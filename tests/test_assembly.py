@@ -39,8 +39,7 @@ def test_grad_forms_isolated_node_row_sets():
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
     assert grad(u) == 1.0
     # a singular weight sums the dof's own row only
-    half = finsler.DistanceField(
-        grid=grid, d=np.full((grid.ny, grid.nx), 0.5), n_reg=1)
+    half = finsler.DistanceField(grid=grid, d=np.full((grid.ny, grid.nx), 0.5))
     weighted = assembly.assemble_weighted(grid, mask, half, "grad", 2.0, 1)
     assert weighted(u) == 0.0
 
@@ -54,7 +53,8 @@ def test_every_difference_op_goes_through_the_seam():
     assert found == [("assembly", "assemble_Q"),
                      ("assembly", "assemble_weighted"),
                      ("assembly", "interior_difference_ops"),
-                     ("experiments", "measure_eroded_hessian_bound")]
+                     ("experiments", "measure_eroded_hessian_bound"),
+                     ("verifier", "measure_cross_term_constant")]
     # a tap off the mask reads 0: every column is a dof, and the one dof of
     # the isolated-node lattice is read by its own row and its 8 neighbours'
     grid, mask = _single_node_setup()
@@ -209,7 +209,7 @@ def test_weighted_mass_power_values():
     W0 = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     assert np.allclose(W0.matrix.diagonal(), grid.h**2)
     const_dist = finsler.DistanceField(
-        grid=grid, d=np.full((grid.ny, grid.nx), 0.5), n_reg=1)
+        grid=grid, d=np.full((grid.ny, grid.nx), 0.5))
     W4 = assembly.assemble_weighted(grid, mask, const_dist, "mass", 4.0, 10**9)
     assert np.allclose(W4.matrix.diagonal(), grid.h**2 * 16.0, rtol=1e-6)
 

@@ -149,7 +149,7 @@ def test_cutoff_rayleigh_identity_when_tau_is_one():
     Q0 = assembly.assemble_Q0(grid, mask)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = pl.lowest_eigenpairs(Q0, mass, m=3)
-    cutoff = pl.build_cutoff(grid, dist, 0.15)
+    cutoff = pl.build_cutoff(dist, 0.15)
     bounds = experiments.cutoff_rayleigh_bound(spec, cutoff, Q0, mass, mask)
     assert np.allclose(bounds, spec.values, rtol=1e-10)
 
@@ -162,8 +162,7 @@ def test_eroded_hessian_bound_disk_closed_form():
         grid, mask = pl.build_grid(dom, h)
         dist = pl.euclidean_from_sdf(dom, grid, mask)
         for eps in (0.1, 0.2):
-            got = experiments.measure_eroded_hessian_bound(dist, grid, mask,
-                                                           eps)
+            got = experiments.measure_eroded_hessian_bound(dist, mask, eps)
             assert got == pytest.approx(1.0 / (1.0 - 2.0 * eps), rel=5e-3)
 
 
@@ -505,6 +504,8 @@ BAD_CONFIGS = {
     "eps_repeated": ("erode", {"eps = 0.25": "eps = 0.25 0.25"}, []),
     "alphas_repeated": ("decay", {"alphas = 0.25": "alphas = 0.25 0.25"},
                         []),
+    "n_sweep_repeated": ("decay", {
+        "eps = 0.25": "eps = 0.25\nn_sweep = 16 16"}, []),
     # unchecked, an empty list would write an empty result
     "eps_empty_erode": ("erode", {"eps = 0.25": "eps ="}, []),
     "alphas_empty_decay": ("decay", {"alphas = 0.25": "alphas ="}, []),
@@ -629,6 +630,27 @@ def test_cli_palpha_rejects_blowup_alphas(tmp_path, capsys):
     assert not (out / "palpha.json").exists()
 
 
+@pytest.mark.parametrize("h, n_sweep", [("0.0625", "n_sweep = 16"),
+                                        ("0.125", "")],
+                         ids=["n_sweep_16", "default_at_h_1_8"])
+def test_cli_decay_one_n_level_exit_2(tmp_path, capsys, monkeypatch, h,
+                                      n_sweep):
+    # the flag compares the two largest levels, so one level measures
+    # nothing; the default sweep of h >= 1/8 is the one level round(1/h)
+    calls = []
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda *a, **k: calls.append(1))
+    text = BASE_CFG.replace("h = 0.0625", f"h = {h}") \
+        .replace("eps = 0.25", f"eps =\n{n_sweep}")
+    out = tmp_path / "out"
+    code = cli_main(["decay", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(out)])
+    assert code == 2
+    assert "n_sweep" in _config_error(capsys)
+    assert calls == []
+    assert not (out / "decay.csv").exists()
+
+
 def test_cli_decay_solves_one_eigenpair(tmp_path, monkeypatch):
     # verify_decay reads eigenpair 0 only, so decay ignores m, even one
     # above the 793 unknowns of the h = 1/16 disk
@@ -741,7 +763,9 @@ def test_cli_hardy_reads_kinds_in_any_case(tmp_path):
                                                           "bilaplacian")
 
 
-def test_cli_decay_builds_difference_ops_once(tmp_path, monkeypatch):
+def test_cli_decay_builds_difference_ops_once_per_alpha(tmp_path,
+                                                        monkeypatch):
+    # verify_decay builds the dof rows of its own alpha
     calls = []
     for mod in (assembly, verifier):
         ops = mod.interior_difference_ops
@@ -752,7 +776,7 @@ def test_cli_decay_builds_difference_ops_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli_main(["decay", "--config", _write_cfg(tmp_path, text),
                      "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 3
     lines = (out / "decay.csv").read_text().strip().split("\n")
     assert {float(line.split(",")[0]) for line in lines[1:]} == {0.1, 0.25,
                                                                  0.4}
@@ -775,7 +799,8 @@ def _count_builds(monkeypatch):
         calls.update([(tuple(names), rows is None)])
         return build(grid, mask, names, rows)
 
-    monkeypatch.setattr(assembly, "difference_ops", counted)
+    for mod in (assembly, verifier):
+        monkeypatch.setattr(mod, "difference_ops", counted)
     return calls
 
 
@@ -802,16 +827,16 @@ def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
     calls.clear()
     for kind, A in (("hardy_grad", grad), ("rellich_mass", Q0),
                     ("rellich_grad", Q0)):
-        rep = verifier.estimate_hardy_constant(A, grid, mask, dist, kind,
+        rep = verifier.estimate_hardy_constant(A, mask, dist, kind,
                                                seed=loaded.seed)
         assert reports[kind] == cli._plain(dataclasses.asdict(rep))
     assert calls["factor"] == 3
 
 
-def test_cli_palpha_builds_three_hessians_and_one_row_set(tmp_path,
-                                                          monkeypatch):
-    # Q, Q~ and Q0 each build the Hessian rows on the lattice; one build of
-    # the dof rows serves the cross-term constant of every alpha
+def test_cli_palpha_builds_three_hessians_and_hessian_rows_per_alpha(
+        tmp_path, monkeypatch):
+    # Q, Q~ and Q0 each build the Hessian rows on the lattice, and the
+    # cross-term constant of each alpha the Hessian dof rows, no gradient
     calls = _count_builds(monkeypatch)
     text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25 0.4") \
         + "\n[perturbation]\ndelta = 0.01\n"
@@ -819,7 +844,7 @@ def test_cli_palpha_builds_three_hessians_and_one_row_set(tmp_path,
     assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
                      "--out", str(out)]) == 0
     assert dict(calls) == {"factor": 1, (HESSIAN, True): 3,
-                           (HESSIAN + GRADIENT, False): 1}
+                           (HESSIAN, False): 3}
     payload = json.loads((out / "palpha.json").read_text())
     assert sorted(payload) == ["0.1", "0.25", "0.4"]
     assert all("error" not in entry["perturbed"] for entry in payload.values())

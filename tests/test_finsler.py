@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import platelab as pl
 from platelab import finsler
+from platelab.cli import cli_main
 from platelab.errors import NegativeQuartic
 
 
@@ -151,11 +154,14 @@ def test_equivalence_constants():
     assert c2 / c1 == pytest.approx(predicted, rel=0.10)
 
 
-def test_default_n_reg_is_inverse_h():
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 1.0 / 32)
-    dist = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    assert dist.n_reg == 32
+def test_default_n_reg_is_inverse_h(tmp_path):
+    # distance.json reports the largest default level, round(1/h)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\nkind = disk\nradius = 1.0\n"
+                   "[grid]\nh = 0.03125\n")
+    out = tmp_path / "out"
+    assert cli_main(["distance", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "distance.json").read_text())["n_reg"] == 32
 
 
 def test_eikonal_residual_small():

@@ -234,7 +234,7 @@ def test_build_cutoff_profile():
     grid, mask = pl.build_grid(dom, 1.0 / 32)
     dist = pl.euclidean_from_sdf(dom, grid, mask)
     eps = 0.2
-    tau = build_cutoff(grid, dist, eps)
+    tau = build_cutoff(dist, eps)
     X, Y = grid.meshgrid()
     d = -dom.sdf(X, Y)
     assert np.all(tau[(d > 0) & (d <= eps)] == 0.0)
@@ -250,5 +250,5 @@ def test_build_cutoff_band_unresolved():
     dist = pl.euclidean_from_sdf(dom, grid, mask)
     for eps in (2.0 * grid.h, float("nan")):
         with pytest.raises(BandUnresolved):
-            build_cutoff(grid, dist, eps)
+            build_cutoff(dist, eps)
 

@@ -1,7 +1,9 @@
 """The package namespace: ``platelab.<name>`` loads its submodule on first
 use, and every exported name is read by the package or a demo."""
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,22 @@ def test_every_public_name_has_a_caller():
                     .glob("*.py"))
     read = set().union(*(_names_read(p) for p in files))
     assert [n for n in pl.__all__ if n not in read] == []
+
+
+def test_no_public_function_takes_what_it_can_derive():
+    # a DistanceField holds its grid, the decay check reads eigenpair 0 and
+    # every check builds its own difference operators; assemble_weighted
+    # takes dist=None for the mass and power-0 forms, so it needs the grid
+    both, handed = [], []
+    for name in pl.__all__:
+        obj = getattr(pl, name)
+        if not inspect.isfunction(obj):
+            continue
+        params = set(inspect.signature(obj).parameters)
+        if {"grid", "dist"} <= params and name != "assemble_weighted":
+            both.append(name)
+        if params & {"ops", "u_index"}:
+            handed.append(name)
+    assert both == [] and handed == []
+    assert [f.name for f in dataclasses.fields(pl.DistanceField)] == [
+        "grid", "d"]
