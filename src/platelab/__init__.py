@@ -25,8 +25,8 @@ _SUBMODULE = {
         "euclidean_from_sdf", "finsler_distance", "product"), "finsler"),
     **dict.fromkeys((
         "FormMatrix", "assemble_Q", "assemble_Q0", "assemble_weighted",
-        "ellipticity_window", "interior_difference_ops", "perturb_coeffs",
-        "principal_submatrix"), "assembly"),
+        "ellipticity_window", "interior_difference_ops", "perturb_coeffs"),
+        "assembly"),
     **dict.fromkeys(("Spectrum", "lowest_eigenpairs"), "spectral"),
     **dict.fromkeys((
         "DecayReport", "HardyReport", "PAlphaReport", "cross_term_bound",

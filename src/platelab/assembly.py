@@ -53,10 +53,21 @@ def assemble_Q(grid: Grid, mask: GridMask,
     """
     if ellipticity_window(coeffs) <= 0.0:
         raise NotElliptic("the lattice symbol of the form is not positive")
-    B = sp.vstack(difference_ops(grid, mask, ("Dxx", "Dyy", "Dxy")),
-                  format="csr")
-    A = sp.kron(coeffs.M, sp.identity(grid.n_nodes), format="csr")
-    return FormMatrix(_symmetrize((B.T @ (A @ B)) * grid.h**2))
+    # only the stencils that M reads (no Dxy for the bilaplacian): a zero
+    # row and column of M add no term to any entry.  Each temporary is
+    # dropped once read, and the product is scaled in place.
+    used = np.flatnonzero(np.any(coeffs.M != 0.0, axis=1))
+    B = sp.vstack(difference_ops(grid, mask, [("Dxx", "Dyy", "Dxy")[k]
+                                              for k in used]), format="csr")
+    A = sp.kron(coeffs.M[np.ix_(used, used)], sp.identity(grid.n_nodes),
+                format="csr")
+    AB = (A @ B).tocsc()  # the format the product reads, converted once
+    del A
+    P = B.T @ AB
+    del B, AB
+    P = P.tocsr()
+    P.data *= grid.h**2
+    return FormMatrix(_symmetrize(P))
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],

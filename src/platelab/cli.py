@@ -250,9 +250,8 @@ def _cmd_erode(cfg: RunConfig, coeffs, out: str) -> int:
 
     domain, grid, mask = _build_common(cfg)
     # run_erosion_study checks the eroded grids before the full solve
-    report = run_erosion_study(domain, coeffs, cfg.h, cfg.m, cfg.eps_list,
-                               tol=cfg.tol, seed=cfg.seed, grid=grid,
-                               mask=mask)
+    report = run_erosion_study(domain, coeffs, grid, mask, cfg.m,
+                               cfg.eps_list, tol=cfg.tol, seed=cfg.seed)
     _write_csv(os.path.join(out, "stability.csv"),
                "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error",
                ((r.n, r.eps, r.lam, r.lam_tilde, r.drift, r.rayleigh_upper,

@@ -16,8 +16,8 @@ import numpy as np
 from . import finsler, geometry
 from .errors import ConfigError
 from .finsler import CoefficientField
-from .geometry import (INTERIOR_TOL, AnalyticDomain, build_cutoff,
-                       build_grid, difference_ops, hessian_norm2)
+from .geometry import (AnalyticDomain, build_cutoff, difference_ops,
+                       eroded_mask, hessian_norm2)
 
 if TYPE_CHECKING:
     from .assembly import FormMatrix
@@ -264,72 +264,74 @@ def measure_eroded_hessian_bound(dist, mask, eps: float) -> float:
     return float(np.sqrt(hessian_norm2(hess, deps)).max())
 
 
-def _eroded_interiors(dist, mask, m: int,
-                      eps_list: Sequence[float]) -> list:
-    """The node sets {d > eps}, one per eps, with ``build_grid``'s
-    rounding tolerance, for the Euclidean distance ``dist``.
+def _eroded_masks(dist, mask, m: int, eps_list: Sequence[float]) -> list:
+    """The masks {d > eps} of ``eroded_mask``, one per eps, for the
+    Euclidean distance ``dist``.
 
     Raises ConfigError when an eps is below 4h or leaves no more than m
     unknowns.  Both depend only on the grid and the sdf, so they are checked
     before any eigensolve.
     """
     h = dist.grid.h
-    interiors = []
+    subs = []
     for eps in eps_list:
         if not eps >= 4.0 * h:
             raise ConfigError(f"eps={eps} < 4h={4 * h}")
-        sub_int = dist.d > eps + INTERIOR_TOL * h
-        count = int(np.count_nonzero(sub_int))  # d is 0 off the mask
-        if m >= count:
-            raise ConfigError(f"m={m} eigenpairs need more than the {count} "
-                              f"unknowns left of {mask.count} at eps={eps}")
-        interiors.append(sub_int)
-    return interiors
+        sub = eroded_mask(dist, eps)  # d is 0 off the mask
+        if m >= sub.count:
+            raise ConfigError(f"m={m} eigenpairs need more than the "
+                              f"{sub.count} unknowns left of {mask.count} "
+                              f"at eps={eps}")
+        subs.append(sub)
+    return subs
 
 
 def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
-                      h: float, m: int, eps_list: Sequence[float],
-                      tol: float = 1e-8, seed: int = 42,
-                      grid=None, mask=None, Q=None, mass=None,
-                      spec=None) -> StabilityReport:
-    """Eigenvalue drift under boundary erosion via principal-submatrix
-    restriction of the operator form on a fixed grid."""
-    from .assembly import assemble_Q, assemble_weighted, principal_submatrix
+                      grid, mask, m: int, eps_list: Sequence[float],
+                      tol: float = 1e-8, seed: int = 42) -> StabilityReport:
+    """Eigenvalue drift under boundary erosion on the fixed lattice ``grid``:
+    the operator form on each eroded node set {d > eps} is the principal
+    submatrix of the form on ``mask``, built directly on that set.
+
+    The cutoff Rayleigh bounds read the full form, so they are taken first.
+    The full form, its mass and eigenvectors are then released before the
+    eroded factorizations: the allocator keeps the heap that the full LU
+    freed, so a full form still alive beside the first eroded LU would
+    raise the peak memory of the whole study.
+    """
+    from .assembly import assemble_Q, assemble_weighted
     from .spectral import lowest_eigenpairs
 
-    if grid is None or mask is None:
-        grid, mask = build_grid(domain, h)
     dist_sdf = finsler.euclidean_from_sdf(domain, grid, mask)
-    interiors = _eroded_interiors(dist_sdf, mask, m, eps_list)
-    if Q is None:
-        Q = assemble_Q(grid, mask, coeffs)
-    if mass is None:
-        mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
-    if spec is None:
-        spec = lowest_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
+    subs = _eroded_masks(dist_sdf, mask, m, eps_list)
+    Q = assemble_Q(grid, mask, coeffs)
+    mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+    spec = lowest_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
+    bounds = [cutoff_rayleigh_bound(spec, build_cutoff(dist_sdf, eps), Q,
+                                    mass, mask) for eps in eps_list]
+    hess_deps = {eps: measure_eroded_hessian_bound(dist_sdf, mask, eps)
+                 for eps in eps_list}
+    lam, res = spec.values, spec.residuals
+    del Q, mass, spec
 
     rows = []
-    hess_deps = {}
-    for eps, sub_int in zip(eps_list, interiors):
-        Qs = principal_submatrix(Q, mask, sub_int)
-        Ms = principal_submatrix(mass, mask, sub_int)
-        spec_t = lowest_eigenpairs(Qs, Ms, m=m, tol=tol, seed=seed)
-        tau = build_cutoff(dist_sdf, eps)
-        bounds = cutoff_rayleigh_bound(spec, tau, Q, mass, mask)
-        hess_deps[eps] = measure_eroded_hessian_bound(dist_sdf, mask, eps)
+    for eps, sub, bound in zip(eps_list, subs, bounds):
+        spec_t = lowest_eigenpairs(
+            assemble_Q(grid, sub, coeffs),
+            assemble_weighted(grid, sub, None, "mass", 0.0, 1),
+            m=m, tol=tol, seed=seed)
         for n in range(m):
-            lam = float(spec.values[n])
+            lam_n = float(lam[n])
             lam_t = float(spec_t.values[n])
             if domain.kind == "disk":
                 r = domain.params["radius"]
-                ball_err = abs(lam_t / lam - (1.0 - eps / r) ** (-4))
+                ball_err = abs(lam_t / lam_n - (1.0 - eps / r) ** (-4))
             else:
                 ball_err = float("nan")
             rows.append(StabilityRow(
-                n=n + 1, eps=float(eps), lam=lam, lam_tilde=lam_t,
-                drift=lam_t - lam, rayleigh_upper=float(bounds[n]),
-                ball_law_error=ball_err,
-                residual=float(spec.residuals[n]),
+                n=n + 1, eps=float(eps), lam=lam_n, lam_tilde=lam_t,
+                drift=lam_t - lam_n, rayleigh_upper=float(bound[n]),
+                ball_law_error=ball_err, residual=float(res[n]),
                 residual_tilde=float(spec_t.residuals[n])))
 
     fitted = {}

@@ -252,6 +252,12 @@ def build_grid(domain: AnalyticDomain, h: float):
     return grid, mask
 
 
+def eroded_mask(dist, eps: float) -> GridMask:
+    """The nodes with d > eps under the distance ``dist``, with
+    ``build_grid``'s rounding tolerance: the mask eroded by eps."""
+    return GridMask(dist.d > eps + INTERIOR_TOL * dist.grid.h)
+
+
 def smoothstep(t):
     """Quintic smoothstep 6t^5 - 15t^4 + 10t^3, clamped to [0, 1]; C2 at both ends."""
     t = np.clip(t, 0.0, 1.0)

@@ -44,10 +44,15 @@ def _as_matrix(A: Union[FormMatrix, sp.spmatrix]) -> sp.csr_matrix:
 def factor(A) -> spla.LinearOperator:
     """x -> A^-1 x through one sparse LU of the positive definite A, with a
     symmetric minimum-degree ordering and diagonal pivots (splu's default,
-    COLAMD with partial pivoting, fills the h = 1/96 disk's LU 1.5x more)."""
+    COLAMD with partial pivoting, fills the h = 1/96 disk's LU 1.5x more).
+
+    A must be symmetric, as every ``FormMatrix`` is: its CSR arrays are then
+    its CSC arrays, and splu reads them in place; A is not copied."""
     Am = _as_matrix(A)
-    lu = spla.splu(Am.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    lu = spla.splu(sp.csc_matrix((Am.data, Am.indices, Am.indptr),
+                                 shape=Am.shape),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
     # a LinearOperator without a dtype finds one by a throwaway solve
     return spla.LinearOperator(Am.shape, matvec=lu.solve, dtype=Am.dtype)
 

@@ -47,13 +47,15 @@ def cross_term_bound(c2: float, A: float, B: float) -> float:
 
 
 def _n_levels(n_sweep: Optional[Sequence[int]], h: float) -> list:
-    """The regularization levels n, sorted and distinct; ``default_n_sweep``
-    when None.  Raises ValueError for n < 1: d + 1/n regularizes d only
-    for n >= 1."""
+    """The regularization levels n, sorted; ``default_n_sweep`` when None.
+    Raises ValueError for n < 1, since d + 1/n regularizes d only for
+    n >= 1, and for a repeated n, as ``validate_config`` does."""
     ns = default_n_sweep(h) if n_sweep is None else sorted(
-        set(int(n) for n in n_sweep))
+        int(n) for n in n_sweep)
     if not ns or ns[0] < 1:
         raise ValueError(f"n_sweep {ns} needs n >= 1")
+    if len(set(ns)) < len(ns):
+        raise ValueError(f"n_sweep {ns} repeats a level")
     return ns
 
 
@@ -173,13 +175,16 @@ def verify_decay(spec: Spectrum, alpha: float, dist: DistanceField,
 
     lhs = integral(|hess u|^2 d_n^-2a + |grad u|^2 d_n^-(2+2a)
     + u^2 d_n^-(4+2a)) for eigenpair 0 of ``spec``, on ``dist.grid``;
-    rhs = lambda^(1+a/2) for a normalized eigenvector.
+    rhs = lambda^(1+a/2) for a normalized eigenvector.  blowup compares
+    the top two levels, so ValueError is raised with fewer than two.
     """
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1)")
     flagged = alpha >= 0.5
     grid = dist.grid
     n_sweep = _n_levels(n_sweep, grid.h)
+    if len(n_sweep) < 2:
+        raise ValueError(f"n_sweep {n_sweep} needs two levels to compare")
     u = spec.vectors[:, 0]
     lam = float(spec.values[0])
     nrm2 = spec.b_inner(u, u)
@@ -195,12 +200,9 @@ def verify_decay(spec: Spectrum, alpha: float, dist: DistanceField,
                                   + grad2 @ dn ** (-2 - 2 * alpha)
                                   + u**2 @ dn ** (-4 - 2 * alpha))
         sweep.append((n, lhs_n))
-    lhs = sweep[-1][1]
+    (_, prev), (_, lhs) = sweep[-2:]
     rhs = lam ** (1.0 + alpha / 2.0) * nrm2
-    blowup = False
-    if len(sweep) >= 2:
-        prev = sweep[-2][1]
-        blowup = (lhs - prev) > STABILIZATION_INCREMENT * prev
+    blowup = (lhs - prev) > STABILIZATION_INCREMENT * prev
     return DecayReport(alpha=alpha, lhs=lhs, rhs=rhs, c_hat=lhs / rhs,
                        n_sweep=tuple(sweep), blowup=blowup,
                        flagged_alpha=flagged)

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 import platelab as pl
 from platelab import assembly, finsler, spectral
 from platelab.errors import EllipticityLost, NotElliptic
-from platelab.geometry import GridMask, difference_ops
+from platelab.geometry import GridMask, difference_ops, eroded_mask
 from test_spectral import _callers
 
 
@@ -147,6 +148,69 @@ def test_q_bilaplacian_equals_q0_bitwise():
             assert _same_csr(grad.matrix, ref_grad)
 
 
+_Q_TENSORS = {"bilaplacian": pl.bilaplacian(),
+              "diagonal": pl.diagonal([[4, 2], [2, 1]]),
+              "product": pl.product([[4, 1], [1, 2]]),
+              "perturbed": assembly.perturb_coeffs(pl.bilaplacian(), 0.3,
+                                                   seed=3)}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_DOMAINS))
+def test_q_equals_the_three_stencil_product_bitwise(name):
+    # assemble_Q builds only the stencils its tensor reads and scales in
+    # place; bit for bit, it is h^2 B^T kron(M, I) B over all three Hessian
+    # stencils (Dxy rows too), symmetrized as ((P + P^T) * 0.5)
+    for n in (16, 28, 40):
+        grid, mask = pl.build_grid(_REFERENCE_DOMAINS[name], 1.0 / n)
+        B = sp.vstack([Op[:, mask.nodes]
+                       for Op in _kron_difference_ops(grid)[:3]], format="csr")
+        for coeffs in _Q_TENSORS.values():
+            A = sp.kron(coeffs.M, sp.identity(grid.n_nodes), format="csr")
+            P = ((B.T @ (A @ B)) * grid.h**2).tocsr()
+            ref = ((P + P.T) * 0.5).tocsr()
+            assert _same_csr(assembly.assemble_Q(grid, mask, coeffs).matrix,
+                             ref)
+
+
+def test_every_form_is_sorted_csr_equal_to_its_transpose(disk32):
+    # spectral.factor hands splu a form's CSR arrays as its CSC arrays,
+    # which is exact only for such a matrix
+    grid, mask, dist = disk32.grid, disk32.mask, disk32.dist
+    X, Y = grid.meshgrid()
+    forms = [assembly.assemble_Q(grid, mask, c) for c in _Q_TENSORS.values()]
+    forms += [assembly.assemble_Q0(grid, mask),
+              assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1),
+              assembly.assemble_weighted(grid, mask, dist, "mass", 4.0, 8),
+              assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1),
+              assembly.assemble_weighted(grid, mask, dist, "grad", 2.0, 8),
+              assembly.principal_submatrix(disk32.Q0, mask,
+                                           disk32.domain.sdf(X, Y) < -0.25)]
+    for form in forms:
+        A = form.matrix
+        assert A.format == "csr"
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        assert np.all(np.diff(rows * A.shape[1] + A.indices) > 0)
+        assert (A != A.T).nnz == 0
+
+
+def test_assemble_q_transient_memory():
+    # each temporary is dropped once read and the product is scaled in
+    # place: on the h = 1/48 disk one call traces a 4.0x peak of the
+    # returned matrix's bytes, 5.4x when every temporary lived to the end
+    grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 48)
+    assembly.assemble_Q0(grid, mask)  # lazy imports and cached node indices
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        Q = assembly.assemble_Q0(grid, mask).matrix
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    nbytes = Q.data.nbytes + Q.indices.nbytes + Q.indptr.nbytes
+    assert peak < 4.6 * nbytes
+
+
 def test_q0_consistency_smooth_field():
     # u = sin^2(pi x)sin^2(pi y) (flat to first order at the boundary) on the
     # unit square: integral of (lap u)^2 = 2 pi^4
@@ -229,24 +293,24 @@ def test_weighted_monotone_in_n():
 
 
 def test_principal_submatrix_is_form_restriction():
+    # the erosion study builds each eroded form on its own mask; bit for
+    # bit, that is the principal submatrix of the form on the full mask
     dom = pl.disk(1.0)
-    h = 1.0 / 24
-    grid, mask = pl.build_grid(dom, h)
-    Q = assembly.assemble_Q(grid, mask, pl.product(np.diag([2.0, 1.0])))
-    X, Y = grid.meshgrid()
-    sub_int = dom.sdf(X, Y) < -0.25
-    Qs = assembly.principal_submatrix(Q, mask, sub_int)
-    # assemble directly on the eroded mask over the same lattice
-    from platelab.geometry import GridMask
-    mask2 = GridMask(sub_int)
-    Q2 = assembly.assemble_Q(grid, mask2, pl.product(np.diag([2.0, 1.0])))
-    a = Qs.matrix.tocoo()
-    b = Q2.matrix.tocoo()
-    # bit-exact restriction
-    da = sp.csr_matrix((a.data, (a.row, a.col)), shape=a.shape)
-    db = sp.csr_matrix((b.data, (b.row, b.col)), shape=b.shape)
-    diff = da - db
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+    grid, mask = pl.build_grid(dom, 1.0 / 24)
+    dist = pl.euclidean_from_sdf(dom, grid, mask)
+    mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+    for coeffs in (pl.bilaplacian(), pl.product(np.diag([2.0, 1.0])),
+                   pl.product([[4, 1], [1, 2]])):
+        Q = assembly.assemble_Q(grid, mask, coeffs)
+        for eps in (0.125, 0.25):
+            sub = eroded_mask(dist, eps)
+            assert 0 < sub.count < mask.count
+            for full, part in (
+                    (Q, assembly.assemble_Q(grid, sub, coeffs)),
+                    (mass, assembly.assemble_weighted(grid, sub, None,
+                                                      "mass", 0.0, 1))):
+                ref = assembly.principal_submatrix(full, mask, sub.interior)
+                assert _same_csr(part.matrix, ref.matrix)
 
 
 def test_ellipticity_window_identity_and_scaling():

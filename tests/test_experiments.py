@@ -168,8 +168,8 @@ def test_eroded_hessian_bound_disk_closed_form():
 
 def test_erosion_study_rows_and_ball_law(disk32):
     report = experiments.run_erosion_study(
-        disk32.domain, pl.bilaplacian(), disk32.h, 2, [0.125, 0.25],
-        grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
+        disk32.domain, pl.bilaplacian(), disk32.grid, disk32.mask, 2,
+        [0.125, 0.25])
     assert len(report.rows) == 4
     for r in report.rows:
         assert r.drift > 0
@@ -188,16 +188,16 @@ def test_erosion_study_samples_the_sdf_once(disk32):
         disk32.domain,
         sdf=lambda x, y: calls.append(np.shape(x) == lattice) or sdf(x, y))
     experiments.run_erosion_study(
-        domain, pl.bilaplacian(), disk32.h, 2, [0.125, 0.25, 0.375],
-        grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
+        domain, pl.bilaplacian(), disk32.grid, disk32.mask, 2,
+        [0.125, 0.25, 0.375])
     assert calls == [True]
 
 
 def test_erosion_study_rejects_thin_eps(disk32):
     with pytest.raises(ConfigError):
         experiments.run_erosion_study(
-            disk32.domain, pl.bilaplacian(), disk32.h, 1, [2.0 * disk32.h],
-            grid=disk32.grid, mask=disk32.mask, Q=disk32.Q0, mass=disk32.mass)
+            disk32.domain, pl.bilaplacian(), disk32.grid, disk32.mask, 1,
+            [2.0 * disk32.h])
 
 
 def test_stability_csv_header_and_reproducibility(tmp_path):
@@ -783,6 +783,7 @@ def test_cli_decay_builds_difference_ops_once_per_alpha(tmp_path,
 
 
 HESSIAN, GRADIENT = ("Dxx", "Dyy", "Dxy"), ("Gx", "Gy")
+LAPLACIAN = HESSIAN[:2]  # the stencils that the bilaplacian's tensor reads
 
 
 def _count_builds(monkeypatch):
@@ -806,7 +807,7 @@ def _count_builds(monkeypatch):
 
 def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
     # one LU of the grad form and one of Q0 for both Rellich pencils; each
-    # build reads only its own stencils: the Hessian rows of Q0 and the
+    # build reads only its own stencils: the Dxx and Dyy rows of Q0 and the
     # gradient rows of the power-0 grad form on the lattice, and the
     # gradient dof rows of each rellich_grad weight
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / "disk.cfg")
@@ -814,7 +815,7 @@ def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
     calls = _count_builds(monkeypatch)
     out = tmp_path / "out"
     assert cli_main(["hardy", "--config", cfg, "--out", str(out)]) == 0
-    assert dict(calls) == {"factor": 2, (HESSIAN, True): 1,
+    assert dict(calls) == {"factor": 2, (LAPLACIAN, True): 1,
                            (GRADIENT, True): 1,
                            (GRADIENT, False): len(loaded.n_sweep)}
     reports = json.loads((out / "hardy.json").read_text())
@@ -835,16 +836,18 @@ def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
 
 def test_cli_palpha_builds_three_hessians_and_hessian_rows_per_alpha(
         tmp_path, monkeypatch):
-    # Q, Q~ and Q0 each build the Hessian rows on the lattice, and the
-    # cross-term constant of each alpha the Hessian dof rows, no gradient
+    # Q, Q~ and Q0 each build the Hessian rows that their tensor reads on
+    # the lattice (Q~ is perturbed, so it reads Dxy; the bilaplacian Q and
+    # Q0 do not), and the cross-term constant of each alpha the Hessian dof
+    # rows, no gradient
     calls = _count_builds(monkeypatch)
     text = BASE_CFG.replace("alphas = 0.25", "alphas = 0.1 0.25 0.4") \
         + "\n[perturbation]\ndelta = 0.01\n"
     out = tmp_path / "out"
     assert cli_main(["palpha", "--config", _write_cfg(tmp_path, text),
                      "--out", str(out)]) == 0
-    assert dict(calls) == {"factor": 1, (HESSIAN, True): 3,
-                           (HESSIAN, False): 3}
+    assert dict(calls) == {"factor": 1, (HESSIAN, True): 1,
+                           (LAPLACIAN, True): 2, (HESSIAN, False): 3}
     payload = json.loads((out / "palpha.json").read_text())
     assert sorted(payload) == ["0.1", "0.25", "0.4"]
     assert all("error" not in entry["perturbed"] for entry in payload.values())

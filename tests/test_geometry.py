@@ -211,7 +211,8 @@ def _dof_layout_uses(path):
 def test_only_geometry_knows_the_dof_layout():
     src = Path(pl.geometry.__file__).resolve().parent
     found = [u for p in sorted(src.glob("*.py")) for u in _dof_layout_uses(p)]
-    assert found == [("geometry", "GridMask")]
+    # the two masks: build_grid's and eroded_mask's
+    assert found == [("geometry", "GridMask")] * 2
 
 
 def test_mask_monotone_under_erosion():

@@ -25,14 +25,14 @@ EXPORTED = [
     "fit_drift_exponent", "gamma_alpha", "interior_difference_ops",
     "k_alpha_ref", "load_config", "lowest_eigenpairs", "make_coeffs",
     "make_domain", "make_witnesses", "measure_cross_term_constant",
-    "perturb_coeffs", "principal_submatrix", "probe_P_alpha",
+    "perturb_coeffs", "probe_P_alpha",
     "probe_perturbation", "product", "rectangle", "run_erosion_study",
     "smoothstep", "superellipse", "validate_config", "verify_decay",
 ]
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 63
+    assert len(EXPORTED) == 62
     assert pl.__all__ == EXPORTED
     assert set(EXPORTED) <= set(dir(pl))
     assert pl.__version__ == "0.1.0"

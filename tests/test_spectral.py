@@ -254,3 +254,25 @@ def test_single_eigenpair_stops_at_the_certificate_accuracy(disk32,
     assert stopped < len(solves)
     assert spec.values[0] == pytest.approx(ref[0], rel=1e-12)
     assert spec.residuals[0] <= tol / 10
+
+
+def test_factor_reads_the_form_in_place(disk32, monkeypatch):
+    # a symmetric form's CSR arrays are its CSC arrays: splu reads them
+    # without a copy, and the LU solves as that of the CSC copy does
+    grad = assembly.assemble_weighted(disk32.grid, disk32.mask, None,
+                                      "grad", 0.0, 1)
+    b = np.random.default_rng(5).standard_normal(disk32.mask.count)
+    seen = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda A, **kw: seen.append(A) or splu(A, **kw))
+    for form in (disk32.Q0, grad):
+        x = spectral.factor(form) @ b
+        A = seen[-1]
+        assert A.format == "csc"
+        assert all(np.shares_memory(getattr(A, part),
+                                    getattr(form.matrix, part))
+                   for part in ("data", "indices", "indptr"))
+        lu = splu(form.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert np.array_equal(x, lu.solve(b))

@@ -230,6 +230,22 @@ def test_decay_blowup_flags(disk32):
                               n_sweep=(0, 8))
 
 
+@pytest.mark.parametrize("n_sweep, match",
+                         [((16,), "two levels"), ((16, 16), "repeats")])
+def test_decay_refuses_a_sweep_with_nothing_to_compare(n_sweep, match):
+    # blowup compares the top two levels: one level, or a repeated one,
+    # would leave it comparing nothing
+    disk = disk_setup(1.0 / 16)
+    with pytest.raises(ValueError, match=match):
+        verifier.verify_decay(disk.spec, 0.25, disk.dist, disk.mask,
+                              n_sweep=n_sweep)
+    if match == "repeats":
+        with pytest.raises(ValueError, match=match):
+            verifier.estimate_hardy_constant(
+                disk.Q0, disk.mask, disk.dist, "rellich_mass",
+                n_sweep=n_sweep)
+
+
 def test_decay_matches_assembled_weighted_forms(disk32):
     # reference: the three weighted integrals as assembled sparse forms
     grid, mask, dist = disk32.grid, disk32.mask, disk32.dist
