@@ -14,7 +14,8 @@ def main():
     dom = pl.disk(1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 96)
     report = experiments.run_erosion_study(dom, pl.bilaplacian(), grid, mask,
-                                           3, [0.05, 0.1])
+                                           3, [0.05, 0.1],
+                                           pl.lowest_eigenpairs)
     print("unit disk, h = 1/96")
     print(f"{'n':>2} {'eps':>6} {'lambda':>10} {'lambda~':>10} "
           f"{'(1-eps)^-4':>11} {'ball err':>9} {'rayleigh up':>11}")

@@ -6,14 +6,21 @@ Errors are emitted as machine-readable JSON on stderr.
 The commands that factor a form import ``assembly``, ``spectral`` and
 ``verifier`` when they run, so ``distance`` runs without scipy.  Imported
 before numpy, the module sets ``OMP_NUM_THREADS=1`` unless it is already set.
+
+Every command that solves the configured pencil keeps its eigenpairs in
+``eigenpairs_m<m>.npz`` in the output directory (``_eigenpairs``), so a later
+command on the same pencil reads them instead of solving again.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
+import platform
 import sys
+import zipfile
 
 # extra BLAS threads only spin between SuperLU's small BLAS-2 calls
 if "numpy" not in sys.modules:
@@ -81,10 +88,66 @@ def _build_common(cfg: RunConfig):
     return domain, grid, mask
 
 
-def _build_pencil(cfg: RunConfig, coeffs, m: int):
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pencil_key(A, B, m: int, tol: float, seed: int) -> str:
+    """SHA-256 of everything the bits of ``lowest_eigenpairs(A, B, m, tol,
+    seed)`` depend on: the CSR arrays of both forms, the arguments, the
+    solver's source, the numpy and scipy versions, the machine and the BLAS
+    thread variables (threaded BLAS sums in another order)."""
+    import hashlib  # scipy loads it too; distance loads neither
+
+    import scipy
+
+    from . import spectral
+
+    digest = hashlib.sha256()
+    for M in (A.matrix, B.matrix):
+        for a in (M.indptr, M.indices, M.data):
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(np.ascontiguousarray(a))
+    with open(spectral.__file__, "rb") as f:
+        digest.update(f.read())
+    digest.update(repr((m, tol, seed, np.__version__, scipy.__version__,
+                        platform.machine(),
+                        [os.environ.get(k) for k in _THREAD_VARS])).encode())
+    return digest.hexdigest()
+
+
+def _eigenpairs(out: str, A, B, m: int, tol: float, seed: int):
+    """``spectral.lowest_eigenpairs(A, B, m, tol, seed)`` for the forms A and
+    B, kept in ``out/eigenpairs_m<m>.npz`` under the key of ``_pencil_key``.
+
+    A stored file whose key matches is read (never unpickled); a missing,
+    unreadable or mismatched one is a miss, which solves and replaces it.
+    """
+    from . import spectral
+
+    key = _pencil_key(A, B, m, tol, seed)
+    path = os.path.join(out, f"eigenpairs_m{m}.npz")
+    try:
+        with np.load(path) as stored:
+            if str(stored["key"]) == key:
+                return spectral.Spectrum(
+                    values=stored["values"], vectors=stored["vectors"],
+                    residuals=stored["residuals"], B=B.matrix, m=m)
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile):  # TypeError: a .npy file is no archive
+        pass
+    spec = spectral.lowest_eigenpairs(A, B, m=m, tol=tol, seed=seed)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
+        np.savez(f, key=np.array(key), values=spec.values,
+                 vectors=spec.vectors, residuals=spec.residuals)
+    os.replace(tmp, path)  # a reader sees the old file or the new one
+    return spec
+
+
+def _build_pencil(cfg: RunConfig, coeffs, m: int, out: str):
     """The common setup plus the form Q of ``coeffs``, the mass form and
     the lowest m eigenpairs of the pencil (Q, mass)."""
-    from . import assembly, spectral
+    from . import assembly
 
     domain, grid, mask = _build_common(cfg)
     if m >= mask.count:
@@ -92,12 +155,12 @@ def _build_pencil(cfg: RunConfig, coeffs, m: int):
                           f"{mask.count} grid unknowns")
     Q = assembly.assemble_Q(grid, mask, coeffs)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
-    spec = spectral.lowest_eigenpairs(Q, mass, m=m, tol=cfg.tol, seed=cfg.seed)
+    spec = _eigenpairs(out, Q, mass, m, cfg.tol, cfg.seed)
     return domain, grid, mask, Q, mass, spec
 
 
 def _cmd_spectrum(cfg: RunConfig, coeffs, out: str) -> int:
-    *_, spec = _build_pencil(cfg, coeffs, cfg.m)
+    *_, spec = _build_pencil(cfg, coeffs, cfg.m, out)
     _write_csv(os.path.join(out, "spectrum.csv"), "index,value,residual",
                zip(range(spec.m), spec.values, spec.residuals))
     return 0
@@ -186,7 +249,7 @@ def _cmd_decay(cfg: RunConfig, coeffs, out: str) -> int:
             f"decay flags the increment between the two largest n, so "
             f"n_sweep {list(cfg.n_sweep)} needs two or more levels")
     # verify_decay reads eigenpair 0 only, so m from the config is not used
-    domain, grid, mask, _, _, spec = _build_pencil(cfg, coeffs, 1)
+    domain, grid, mask, _, _, spec = _build_pencil(cfg, coeffs, 1, out)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     rows = []
     for a in cfg.alphas:
@@ -212,7 +275,7 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
         except EllipticityLost as exc:
             raise ConfigError(f"delta={cfg.delta} with seed {cfg.seed}: "
                               f"{exc}") from exc
-    domain, grid, mask, Q, mass, spec = _build_pencil(cfg, coeffs, 5)
+    domain, grid, mask, Q, mass, spec = _build_pencil(cfg, coeffs, 5, out)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
     witnesses, labels = verifier.make_witnesses(spec, dist, mask,
                                                 seed=cfg.seed)
@@ -249,9 +312,12 @@ def _cmd_erode(cfg: RunConfig, coeffs, out: str) -> int:
     from .experiments import run_erosion_study
 
     domain, grid, mask = _build_common(cfg)
-    # run_erosion_study checks the eroded grids before the full solve
+    # run_erosion_study checks the eroded grids before the full solve,
+    # which reads or stores the eigenpairs that spectrum reads or stores
     report = run_erosion_study(domain, coeffs, grid, mask, cfg.m,
-                               cfg.eps_list, tol=cfg.tol, seed=cfg.seed)
+                               cfg.eps_list,
+                               functools.partial(_eigenpairs, out),
+                               tol=cfg.tol, seed=cfg.seed)
     _write_csv(os.path.join(out, "stability.csv"),
                "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error",
                ((r.n, r.eps, r.lam, r.lam_tilde, r.drift, r.rayleigh_upper,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -288,10 +288,17 @@ def _eroded_masks(dist, mask, m: int, eps_list: Sequence[float]) -> list:
 
 def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
                       grid, mask, m: int, eps_list: Sequence[float],
+                      full_eigenpairs: Callable[..., Spectrum],
                       tol: float = 1e-8, seed: int = 42) -> StabilityReport:
     """Eigenvalue drift under boundary erosion on the fixed lattice ``grid``:
     the operator form on each eroded node set {d > eps} is the principal
     submatrix of the form on ``mask``, built directly on that set.
+
+    ``full_eigenpairs(Q, mass, m=, tol=, seed=)`` gives the eigenpairs of
+    the full pencil, with the signature and the result of
+    ``lowest_eigenpairs``: that function itself, or one that reads a stored
+    solve, as the CLI's does.  It is called after the eroded grids are
+    checked; the eroded pencils are solved with ``lowest_eigenpairs``.
 
     The cutoff Rayleigh bounds read the full form, so they are taken first.
     The full form, its mass and eigenvectors are then released before the
@@ -306,7 +313,7 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     subs = _eroded_masks(dist_sdf, mask, m, eps_list)
     Q = assemble_Q(grid, mask, coeffs)
     mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
-    spec = lowest_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
+    spec = full_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
     bounds = [cutoff_rayleigh_bound(spec, build_cutoff(dist_sdf, eps), Q,
                                     mass, mask) for eps in eps_list]
     hess_deps = {eps: measure_eroded_hessian_bound(dist_sdf, mask, eps)

@@ -33,7 +33,7 @@ def disk128():
 def erosion96(disk96):
     return experiments.run_erosion_study(
         disk96.domain, pl.bilaplacian(), disk96.grid, disk96.mask, 3,
-        [0.05, 0.1])
+        [0.05, 0.1], pl.lowest_eigenpairs)
 
 
 def test_acceptance_01_clamped_disk_spectrum_oracle():
@@ -57,7 +57,7 @@ def test_acceptance_02_ball_law_under_erosion(erosion96):
 def test_acceptance_03_drift_exponent_near_one(disk128):
     report = experiments.run_erosion_study(
         disk128.domain, pl.bilaplacian(), disk128.grid, disk128.mask, 1,
-        [0.04, 0.08, 0.12, 0.16])
+        [0.04, 0.08, 0.12, 0.16], pl.lowest_eigenpairs)
     slope = report.fitted_exponent[1]
     assert slope == pytest.approx(1.0, abs=0.15)
 
@@ -66,7 +66,7 @@ def test_acceptance_04_minmax_drift_nonnegative(erosion96):
     rect = pl.rectangle(2.0, 1.0)
     rect_report = experiments.run_erosion_study(
         rect, pl.bilaplacian(), *pl.build_grid(rect, 1.0 / 64), 3,
-        [0.0625, 0.125])
+        [0.0625, 0.125], pl.lowest_eigenpairs)
     for report in (erosion96, rect_report):
         for row in report.rows:
             floor = -2.0 * (row.residual + row.residual_tilde) * row.lam

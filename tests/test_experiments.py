@@ -169,7 +169,7 @@ def test_eroded_hessian_bound_disk_closed_form():
 def test_erosion_study_rows_and_ball_law(disk32):
     report = experiments.run_erosion_study(
         disk32.domain, pl.bilaplacian(), disk32.grid, disk32.mask, 2,
-        [0.125, 0.25])
+        [0.125, 0.25], pl.lowest_eigenpairs)
     assert len(report.rows) == 4
     for r in report.rows:
         assert r.drift > 0
@@ -189,7 +189,7 @@ def test_erosion_study_samples_the_sdf_once(disk32):
         sdf=lambda x, y: calls.append(np.shape(x) == lattice) or sdf(x, y))
     experiments.run_erosion_study(
         domain, pl.bilaplacian(), disk32.grid, disk32.mask, 2,
-        [0.125, 0.25, 0.375])
+        [0.125, 0.25, 0.375], pl.lowest_eigenpairs)
     assert calls == [True]
 
 
@@ -197,7 +197,7 @@ def test_erosion_study_rejects_thin_eps(disk32):
     with pytest.raises(ConfigError):
         experiments.run_erosion_study(
             disk32.domain, pl.bilaplacian(), disk32.grid, disk32.mask, 1,
-            [2.0 * disk32.h])
+            [2.0 * disk32.h], pl.lowest_eigenpairs)
 
 
 def test_stability_csv_header_and_reproducibility(tmp_path):
@@ -230,24 +230,39 @@ def test_write_csv_reads_back_exactly(tmp_path):
             assert float(text) == v or (np.isnan(v) and text == "nan")
 
 
+# open, json.dump, numpy's writers and the array method, pathlib's writers
+FILE_WRITERS = ("open", "dump", "save", "savez", "savez_compressed",
+                "savetxt", "tofile", "write_text", "write_bytes")
+
+
 def _file_writes(path):
-    """(module, name) of every call to ``open`` or ``dump`` (json.dump), in
-    any spelling, in one source file."""
+    """(module, name) of every call to one of ``FILE_WRITERS``, in any
+    spelling, in one source file."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             f = node.func
             name = getattr(f, "attr", getattr(f, "id", None))
-            if name in ("open", "dump"):
+            if name in FILE_WRITERS:
                 found.append((path.stem, name))
     return found
+
+
+def test_file_writes_flags_every_writer(tmp_path):
+    calls = ["open(p)", "json.dump(x, f)", "np.save(p, a)",
+             "np.savez(f, a=a)", "numpy.savez_compressed(p, a=a)",
+             "np.savetxt(p, a)", "a.tofile(p)", "Path(p).write_text(t)",
+             "p.write_bytes(b)", "np.load(p)", "p.read_text()"]
+    path = tmp_path / "mod.py"
+    path.write_text("\n".join(calls) + "\n")
+    assert [name for _, name in _file_writes(path)] == list(FILE_WRITERS)
 
 
 def test_only_cli_writes_files():
     # the library returns data; the CLI alone knows the output formats
     src = Path(cli.__file__).resolve().parent
     found = {u for p in sorted(src.glob("*.py")) for u in _file_writes(p)}
-    assert found == {("cli", "open"), ("cli", "dump")}
+    assert found == {("cli", "open"), ("cli", "dump"), ("cli", "savez")}
 
 
 def test_cli_import_leaves_scipy_optimize_out():
@@ -617,6 +632,104 @@ def test_cli_erode_outputs(tmp_path):
     assert lines[0] == \
         "n,eps,lambda,lambda_tilde,drift,rayleigh_upper,ball_law_error"
     assert len(lines) == 2
+
+
+def _factored_sizes(monkeypatch):
+    """The row count of every form that ``spectral.factor`` factors."""
+    sizes = []
+    fn = spectral.factor
+    monkeypatch.setattr(spectral, "factor", lambda A, *a, **k: sizes.append(
+        spectral._as_matrix(A).shape[0]) or fn(A, *a, **k))
+    return sizes
+
+
+def test_cli_warm_erode_factors_only_the_eroded_forms(tmp_path, monkeypatch):
+    # erode's full pencil is the one spectrum stored in the same --out; the
+    # h = 1/16 disk has 793 unknowns, 437 of them left at eps = 0.25
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("eps = 0.25",
+                                                "eps = 0.25 0.375"))
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    sizes = _factored_sizes(monkeypatch)
+    assert cli_main(["erode", "--config", cfg, "--out", str(cold)]) == 0
+    assert len(sizes) == 3 and sizes[0] == 793
+    assert cli_main(["spectrum", "--config", cfg, "--out", str(warm)]) == 0
+    sizes.clear()
+    assert cli_main(["erode", "--config", cfg, "--out", str(warm)]) == 0
+    assert len(sizes) == 2 and max(sizes) <= 437
+    for name in ("stability.csv", "stability.json"):
+        assert (warm / name).read_bytes() == (cold / name).read_bytes()
+
+
+def test_cli_spectrum_after_erode_factors_nothing(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert cli_main(["spectrum", "--config", cfg, "--out", str(cold)]) == 0
+    assert cli_main(["erode", "--config", cfg, "--out", str(warm)]) == 0
+    sizes = _factored_sizes(monkeypatch)
+    assert cli_main(["spectrum", "--config", cfg, "--out", str(warm)]) == 0
+    assert sizes == []
+    assert (warm / "spectrum.csv").read_bytes() == \
+        (cold / "spectrum.csv").read_bytes()
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(1)
+
+
+class _RecordsUnpickling:
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def _store_object_arrays(path):
+    obj = np.array([_RecordsUnpickling()], dtype=object)
+    np.savez(path, key=obj, values=obj, vectors=obj, residuals=obj)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:1000])
+
+
+def _other_thread_count(monkeypatch):
+    now = os.environ.get("OMP_NUM_THREADS")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3" if now == "2" else "2")
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda path, mp: (BASE_CFG, ["--seed", "7"]),
+    lambda path, mp: (BASE_CFG.replace("h = 0.0625", "h = 0.05"), []),
+    lambda path, mp: _other_thread_count(mp) or (BASE_CFG, []),
+    lambda path, mp: _truncate(path) or (BASE_CFG, []),
+    lambda path, mp: _store_object_arrays(path) or (BASE_CFG, []),
+], ids=["seed", "h", "omp_threads", "truncated", "object_arrays"])
+def test_cli_stored_eigenpairs_miss_solves_and_replaces(tmp_path, monkeypatch,
+                                                        spoil):
+    # a stored file of another pencil, solve or BLAS thread count, or one
+    # that does not load without unpickling, is solved afresh and replaced
+    out = tmp_path / "out"
+    assert cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(out)]) == 0
+    text, args = spoil(out / "eigenpairs_m3.npz", monkeypatch)
+    run = ["spectrum", "--config", _write_cfg(tmp_path, text, "miss.cfg"),
+           *args, "--out"]
+    solves = []
+    solve = spectral.lowest_eigenpairs
+    monkeypatch.setattr(spectral, "lowest_eigenpairs",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    assert cli_main(run + [str(out)]) == 0
+    assert len(solves) == 1
+    miss = (out / "spectrum.csv").read_bytes()
+    assert cli_main(run + [str(out)]) == 0    # reads the replaced file
+    assert len(solves) == 1
+    assert cli_main(run + [str(tmp_path / "cold")]) == 0
+    assert len(solves) == 2
+    assert miss == (out / "spectrum.csv").read_bytes() == \
+        (tmp_path / "cold" / "spectrum.csv").read_bytes()
+    assert sorted(os.listdir(out)) == ["eigenpairs_m3.npz", "spectrum.csv"]
+    assert _UNPICKLED == []
 
 
 def test_cli_palpha_rejects_blowup_alphas(tmp_path, capsys):
