@@ -137,9 +137,14 @@ def _eigenpairs(out: str, A, B, m: int, tol: float, seed: int):
         pass
     spec = spectral.lowest_eigenpairs(A, B, m=m, tol=tol, seed=seed)
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
-        np.savez(f, key=np.array(key), values=spec.values,
-                 vectors=spec.vectors, residuals=spec.residuals)
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, key=np.array(key), values=spec.values,
+                     vectors=spec.vectors, residuals=spec.residuals)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     os.replace(tmp, path)  # a reader sees the old file or the new one
     return spec
 
@@ -248,8 +253,7 @@ def _cmd_decay(cfg: RunConfig, coeffs, out: str) -> int:
         raise ConfigError(
             f"decay flags the increment between the two largest n, so "
             f"n_sweep {list(cfg.n_sweep)} needs two or more levels")
-    # verify_decay reads eigenpair 0 only, so m from the config is not used
-    domain, grid, mask, _, _, spec = _build_pencil(cfg, coeffs, 1, out)
+    domain, grid, mask, _, _, spec = _build_pencil(cfg, coeffs, cfg.m, out)
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     rows = []
     for a in cfg.alphas:

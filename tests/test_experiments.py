@@ -764,29 +764,62 @@ def test_cli_decay_one_n_level_exit_2(tmp_path, capsys, monkeypatch, h,
     assert not (out / "decay.csv").exists()
 
 
-def test_cli_decay_solves_one_eigenpair(tmp_path, monkeypatch):
-    # verify_decay reads eigenpair 0 only, so decay ignores m, even one
-    # above the 793 unknowns of the h = 1/16 disk
+def test_cli_decay_reads_the_stored_pencil(tmp_path, monkeypatch):
+    # decay reads pair 0 of the m eigenpairs that spectrum and erode store,
+    # so after either it factors nothing, and every output is the same
+    # whichever command ran first
+    cfg = _write_cfg(tmp_path)
+    cold = tmp_path / "cold"
+    for command in ("decay", "spectrum"):
+        assert cli_main([command, "--config", cfg,
+                         "--out", str(cold / command)]) == 0
+    sizes = _factored_sizes(monkeypatch)
+    for first in ("spectrum", "erode"):
+        warm = tmp_path / first
+        assert cli_main([first, "--config", cfg, "--out", str(warm)]) == 0
+        sizes.clear()
+        assert cli_main(["decay", "--config", cfg, "--out", str(warm)]) == 0
+        assert sizes == []
+        assert (warm / "decay.csv").read_bytes() == \
+            (cold / "decay" / "decay.csv").read_bytes()
+    warm = tmp_path / "erode"
+    assert cli_main(["spectrum", "--config", cfg, "--out", str(warm)]) == 0
+    assert sizes == []
+    assert (warm / "spectrum.csv").read_bytes() == \
+        (cold / "spectrum" / "spectrum.csv").read_bytes()
+    assert sorted(p.name for p in cold.glob("*/eigenpairs_m*.npz")) == \
+        ["eigenpairs_m3.npz"] * 2
+    assert [p.name for p in warm.glob("eigenpairs_m*.npz")] == \
+        ["eigenpairs_m3.npz"]
+
+
+def test_cli_failed_store_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # a store that cannot be written raises, and its temporary file goes
+    def refuse(*a, **k):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full"):
+        cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                  "--out", str(out)])
+    assert os.listdir(out) == []
+
+
+def test_cli_m_not_below_dof_count_exit_2(tmp_path, capsys, monkeypatch):
+    # the h = 1/16 disk has 793 unknowns; m is checked before any eigensolve
     calls = []
-    solve = spectral.lowest_eigenpairs
     monkeypatch.setattr(spectral, "lowest_eigenpairs",
-                        lambda *a, **k: calls.append(k["m"]) or solve(*a, **k))
+                        lambda *a, **k: calls.append(1))
     cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 5000"))
-    assert cli_main(["decay", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == 0
-    assert calls == [1]
-
-
-def test_cli_m_not_below_dof_count_exit_2(tmp_path, capsys):
-    # the h = 1/16 disk has 793 unknowns
-    cfg = _write_cfg(tmp_path, BASE_CFG.replace("m = 3", "m = 5000"))
-    for command in ("spectrum", "erode"):
+    for command in ("spectrum", "erode", "decay"):
         code = cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / "out")])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "793" in err["message"]
+    assert calls == []
 
 
 def test_cli_erode_m_not_below_eroded_dof_count_exit_2(tmp_path, capsys,
