@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 solver failure.
-Errors are emitted as machine-readable JSON on stderr.
+Exit codes: 0 success, 2 configuration/usage error or an output file not
+written, 3 solver failure.  Errors are emitted as machine-readable JSON on
+stderr.
 
 The commands that factor a form import ``assembly``, ``spectral`` and
-``verifier`` when they run, so ``distance`` runs without scipy.  Imported
-before numpy, the module sets ``OMP_NUM_THREADS=1`` unless it is already set.
+``verifier`` when they run, so ``distance`` runs without scipy.  Only
+``spectral.factor`` and ``spectral.lowest_eigenpairs`` import
+``scipy.sparse.linalg``, so a command that reads stored eigenpairs imports no
+solver.  Imported before numpy, the module sets ``OMP_NUM_THREADS=1`` unless
+it is already set.  ``main``, the ``platelab`` entry point, skips the
+interpreter's exit-time collections; ``cli_main`` does not.
 
 Every command that solves the configured pencil keeps its eigenpairs in
 ``eigenpairs_m<m>.npz`` in the output directory (``_eigenpairs``), so a later
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import platform
@@ -381,10 +387,17 @@ def cli_main(argv=None) -> int:
         return _emit_error(2, "ConfigError", str(exc))
     except PlatelabError as exc:
         return _emit_error(3, type(exc).__name__, str(exc))
+    except OSError as exc:  # an output file or the store not written
+        return _emit_error(2, "OSError", str(exc))
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    # the process ends here, so spare it the exit-time collections over
+    # numpy's and scipy's objects; cli_main, called many times in one
+    # interpreter, must never freeze
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

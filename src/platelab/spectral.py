@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import FormMatrix
 from .errors import MassNotPD, NoConvergence
+
+if TYPE_CHECKING:  # only a factor or a solve imports the solver
+    import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SEED = 42
@@ -48,6 +50,8 @@ def factor(A) -> spla.LinearOperator:
 
     A must be symmetric, as every ``FormMatrix`` is: its CSR arrays are then
     its CSC arrays, and splu reads them in place; A is not copied."""
+    import scipy.sparse.linalg as spla
+
     Am = _as_matrix(A)
     lu = spla.splu(sp.csc_matrix((Am.data, Am.indices, Am.indptr),
                                  shape=Am.shape),
@@ -79,6 +83,8 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
     precision for m >= 2; either way every pair returned has a residual
     <= ``tol``.
     """
+    import scipy.sparse.linalg as spla
+
     Am = _as_matrix(A)
     Bm = _as_matrix(B)
     n = Am.shape[0]

@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -265,14 +266,19 @@ def test_only_cli_writes_files():
     assert found == {("cli", "open"), ("cli", "dump"), ("cli", "savez")}
 
 
+def _fresh(*args, env=os.environ):
+    """``python *args`` in a fresh interpreter that imports this platelab."""
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]),
+         env.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     # its import costs more than the ellipticity window it could polish
     probe = "import sys, platelab.cli; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]),
-         os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _fresh("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -290,13 +296,9 @@ def test_cli_import_defaults_blas_to_one_thread(first, preset, expected):
     probe = (first + "import os, platelab.cli\n"
              "print(os.environ.get('OMP_NUM_THREADS'))")
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]),
-         os.environ.get("PYTHONPATH", "")])
     if preset is not None:
         env["OMP_NUM_THREADS"] = preset
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _fresh("-c", probe, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == expected
 
@@ -319,15 +321,63 @@ _DISTANCE_PROBE = ("import sys\nfrom platelab.cli import cli_main\n"
 ], ids=["distance", "load_config", "distance_superellipse"])
 def test_distance_and_config_loading_leave_scipy_out(tmp_path, probe, text):
     # neither builds a sparse matrix, so neither pays for importing scipy
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]),
-         os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", probe + SCIPY_LOADED,
-         _write_cfg(tmp_path, text), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = _fresh("-c", probe + SCIPY_LOADED, _write_cfg(tmp_path, text),
+                  str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_SOLVER_PROBE = ("import sys\nfrom platelab.cli import cli_main\n"
+                 "assert cli_main(sys.argv[1:]) == 0\n"
+                 "print([m in sys.modules for m in "
+                 "('scipy.sparse.linalg', 'scipy.linalg')])")
+
+
+@pytest.mark.parametrize("warm", ["spectrum", "decay"])
+def test_cli_reading_stored_eigenpairs_imports_no_solver(tmp_path, warm):
+    # only factor and lowest_eigenpairs import scipy.sparse.linalg; the cold
+    # run shows that the probe sees the module when it is loaded
+    args = [warm, "--config", _write_cfg(tmp_path),
+            "--out", str(tmp_path / "out")]
+    cold = _fresh("-c", _SOLVER_PROBE, "spectrum", *args[1:])
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout.startswith("[True, ")
+    done = _fresh("-c", _SOLVER_PROBE, *args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[False, False]"
+
+
+def test_cli_entry_point_writes_what_cli_main_writes(tmp_path):
+    # the entry point adds only gc.freeze after cli_main; the reference is
+    # cli_main in a fresh interpreter too, since the BLAS thread count the
+    # CLI sets on import enters the last bits
+    cfg = _write_cfg(tmp_path)
+    main = _fresh("-m", "platelab.cli", "spectrum", "--config", cfg,
+                  "--out", str(tmp_path / "main"))
+    assert main.returncode == 0, main.stderr
+    assert main.stdout == main.stderr == ""
+    ref = _fresh("-c", _SOLVER_PROBE, "spectrum", "--config", cfg,
+                 "--out", str(tmp_path / "ref"))
+    assert ref.returncode == 0, ref.stderr
+    assert (tmp_path / "main" / "spectrum.csv").read_bytes() == \
+        (tmp_path / "ref" / "spectrum.csv").read_bytes()
+
+
+def test_cli_entry_point_config_error_exit_2(tmp_path):
+    done = _fresh("-m", "platelab.cli", "spectrum",
+                  "--config", str(tmp_path / "missing.cfg"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.endswith("\n") and done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"] == "ConfigError"
+
+
+def test_cli_main_leaves_the_collector_alone(tmp_path):
+    # tests and the benchmark call cli_main many times in one interpreter
+    assert cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
 
 
 def test_cli_spectrum_success(tmp_path, capsys):
@@ -403,7 +453,7 @@ def test_cli_nonconvex_symbol_exit_2(tmp_path, capsys, monkeypatch, command):
     code = cli_main([command, "--config", _write_cfg(tmp_path, text),
                      "--out", str(out)])
     assert code == 2
-    assert "not convex" in _config_error(capsys)
+    assert "not convex" in _error(capsys)
     assert calls == []
     assert list(out.iterdir()) == []
 
@@ -426,13 +476,14 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "missing.cfg" in err["message"]
 
 
-def _config_error(capsys):
-    """The message of the one JSON ConfigError line on stderr."""
+def _error(capsys, kind="ConfigError"):
+    """The message of the one JSON error line on stderr, of type ``kind``."""
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     payload = json.loads(err)
-    assert payload["error"] == "ConfigError"
+    assert payload["error"] == kind
     return payload["message"]
+
 
 
 def test_cli_out_names_a_file_exit_2(tmp_path, capsys):
@@ -441,7 +492,7 @@ def test_cli_out_names_a_file_exit_2(tmp_path, capsys):
     code = cli_main(["spectrum", "--config", _write_cfg(tmp_path),
                      "--out", str(taken)])
     assert code == 2
-    assert str(taken) in _config_error(capsys)
+    assert str(taken) in _error(capsys)
 
 
 def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
@@ -451,14 +502,14 @@ def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
     code = cli_main(["spectrum", "--config", str(path),
                      "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "utf-8" in _config_error(capsys)
+    assert "utf-8" in _error(capsys)
 
 
 def test_cli_config_directory_exit_2(tmp_path, capsys):
     code = cli_main(["spectrum", "--config", str(tmp_path),
                      "--out", str(tmp_path / "out")])
     assert code == 2
-    assert _config_error(capsys) == f"config file not found: {tmp_path}"
+    assert _error(capsys) == f"config file not found: {tmp_path}"
 
 
 @pytest.mark.parametrize("command", ["spectrum", "distance", "hardy",
@@ -468,7 +519,7 @@ def test_cli_allow_blowup_belongs_to_decay(tmp_path, capsys, command):
     code = cli_main([command, "--config", _write_cfg(tmp_path),
                      "--out", str(out), "--allow-blowup"])
     assert code == 2
-    assert "--allow-blowup" in _config_error(capsys)
+    assert "--allow-blowup" in _error(capsys)
     assert not out.exists()
 
 
@@ -739,7 +790,7 @@ def test_cli_palpha_rejects_blowup_alphas(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli_main(["palpha", "--config", cfg, "--out", str(out)])
     assert code == 2
-    assert "0.6" in _config_error(capsys)
+    assert "0.6" in _error(capsys)
     assert not (out / "palpha.json").exists()
 
 
@@ -759,7 +810,7 @@ def test_cli_decay_one_n_level_exit_2(tmp_path, capsys, monkeypatch, h,
     code = cli_main(["decay", "--config", _write_cfg(tmp_path, text),
                      "--out", str(out)])
     assert code == 2
-    assert "n_sweep" in _config_error(capsys)
+    assert "n_sweep" in _error(capsys)
     assert calls == []
     assert not (out / "decay.csv").exists()
 
@@ -793,17 +844,29 @@ def test_cli_decay_reads_the_stored_pencil(tmp_path, monkeypatch):
         ["eigenpairs_m3.npz"]
 
 
-def test_cli_failed_store_leaves_no_temporary_file(tmp_path, monkeypatch):
-    # a store that cannot be written raises, and its temporary file goes
+def test_cli_failed_store_leaves_no_temporary_file(tmp_path, capsys,
+                                                   monkeypatch):
+    # a store that cannot be written exits 2, and its temporary file goes
     def refuse(*a, **k):
         raise OSError("disk full")
 
     monkeypatch.setattr(np, "savez", refuse)
     out = tmp_path / "out"
-    with pytest.raises(OSError, match="disk full"):
-        cli_main(["spectrum", "--config", _write_cfg(tmp_path),
-                  "--out", str(out)])
+    code = cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(out)])
+    assert code == 2
+    assert _error(capsys, "OSError") == "disk full"
     assert os.listdir(out) == []
+
+
+def test_cli_unwritable_result_exit_2(tmp_path, capsys):
+    # a directory in the result's place refuses the write, even to root
+    out = tmp_path / "out"
+    (out / "spectrum.csv").mkdir(parents=True)
+    code = cli_main(["spectrum", "--config", _write_cfg(tmp_path),
+                     "--out", str(out)])
+    assert code == 2
+    assert "spectrum.csv" in _error(capsys, "OSError")
 
 
 def test_cli_m_not_below_dof_count_exit_2(tmp_path, capsys, monkeypatch):
@@ -1061,11 +1124,11 @@ def test_every_declared_kind_reads_exactly_its_keys(tmp_path, capsys, section,
                          {k: v for k, v in values.items() if k != key})
         assert cli_main(["spectrum", "--config", _write_cfg(tmp_path, text),
                          "--out", str(tmp_path / "out")]) == 2
-        assert _config_error(capsys).endswith(repr(key))
+        assert _error(capsys).endswith(repr(key))
     text = _kind_cfg(section, kind, {**values, other: 1.0})
     assert cli_main(["spectrum", "--config", _write_cfg(tmp_path, text),
                      "--out", str(tmp_path / "out")]) == 2
-    assert _config_error(capsys) == (f"unknown config key {other!r} in "
+    assert _error(capsys) == (f"unknown config key {other!r} in "
                                      f"[{section}] for kind {kind!r}")
     assert not (tmp_path / "out").exists()
 
@@ -1121,5 +1184,5 @@ def test_cli_seed_flag_checks_only_the_seed(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == ["make_coeffs", "make_domain"]
     assert cli_main(["spectrum", "--config", _write_cfg(tmp_path),
                      "--out", str(tmp_path / "neg"), "--seed", "-1"]) == 2
-    assert _config_error(capsys) == "seed=-1 must be >= 0"
+    assert _error(capsys) == "seed=-1 must be >= 0"
     assert not (tmp_path / "neg").exists()
