@@ -24,9 +24,9 @@ def main():
                           pl.diagonal(np.array([[16.0, 0.0], [0.0, 1.0]])))):
         dist = pl.finsler_distance(rect, grid, mask, coeffs)
         euclid = pl.euclidean_from_sdf(rect, grid, mask)
-        c1, c2 = pl.equivalence_constants(dist, euclid, mask)
-        res = pl.eikonal_residual(dist, coeffs, mask)
-        d_e = euclid.interior_values(mask)
+        c1, c2 = pl.equivalence_constants(dist, euclid)
+        res = pl.eikonal_residual(dist, coeffs)
+        d_e = euclid.interior_values()
         far = d_e > 3.0 * h
         px = pl.dual_metric(coeffs, np.array([1.0, 0.0]))
         py = pl.dual_metric(coeffs, np.array([0.0, 1.0]))

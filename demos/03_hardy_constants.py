@@ -28,7 +28,7 @@ def main():
     for kind, A, lu, target in (("hardy_grad", grad, lu_grad, "1/4"),
                                 ("rellich_mass", Q0, lu_Q0, "9/16"),
                                 ("rellich_grad", Q0, lu_Q0, "1/4")):
-        rep = verifier.estimate_hardy_constant(A, mask, dist, kind, OPinv=lu)
+        rep = verifier.estimate_hardy_constant(A, dist, kind, OPinv=lu)
         print(f"\n  {kind}  (weak constant of the continuum: {target})")
         for n, c in rep.n_sweep:
             print(f"    n = {n:4d}   constant = {c:.6f}")

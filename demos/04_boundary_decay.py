@@ -29,7 +29,7 @@ def main():
     print(f"{'alpha':>6} {'lhs(n_max)':>12} {'rhs':>12} {'c_hat':>10} "
           f"{'increment':>10}  flag")
     for a in (0.1, 0.25, 0.4, 0.5, 0.6):
-        rep = verifier.verify_decay(spec, a, dist, mask)
+        rep = verifier.verify_decay(spec, a, dist)
         (_, lo), (_, hi) = rep.n_sweep[-2:]
         inc = (hi - lo) / lo
         flag = "BLOWUP" if rep.blowup else "STABLE"

@@ -19,7 +19,7 @@ def main():
     Q0 = assembly.assemble_Q0(grid, mask)
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = pl.lowest_eigenpairs(Q0, mass, m=5)
-    witnesses, labels = verifier.make_witnesses(spec, dist, mask)
+    witnesses = verifier.make_witnesses(spec, dist)
 
     print("unit disk, h = 1/64, 8 witnesses "
           "(5 eigenfunctions + 3 smooth bumps)\n")
@@ -27,8 +27,7 @@ def main():
           f"{'min margin':>11}")
     base = {}
     for a in (0.1, 0.25, 0.4):
-        rep = verifier.probe_P_alpha(Q0, mass, dist, a, witnesses,
-                                     labels=labels, mask=mask)
+        rep = verifier.probe_P_alpha(Q0, mass, dist, a, witnesses)
         base[a] = rep
         print(f"{a:6.2f} {rep.k_alpha_ref:8.4f} {rep.k_used:8.4f} "
               f"{rep.kprime_used:8.1f} {rep.margin:11.4f}")
@@ -41,14 +40,12 @@ def main():
     print(f"lower ellipticity constant of the perturbed form: "
           f"lambda~ = {lambda_tilde:.4f}")
     a = 0.25
-    c_hat = verifier.measure_cross_term_constant(dist, a, witnesses, mask,
-                                                 Q0=Q0)
+    c_hat = verifier.measure_cross_term_constant(dist, a, witnesses, Q0=Q0)
     print(f"measured cross-term constant c_hat = {c_hat:.4f} "
           f"(closed-form ceiling at (1, 1/4, 9/16): "
           f"{verifier.cross_term_bound(1.0, 0.25, 9.0 / 16.0):.0f})")
     rep = verifier.probe_perturbation(base[a], Qt, mass, dist, delta,
-                                      lambda_tilde, c_hat, witnesses,
-                                      labels=labels, mask=mask)
+                                      lambda_tilde, c_hat, witnesses)
     print(f"inflated k~ = {rep.k_used:.4f} (was {base[a].k_used:.4f}); "
           f"min margin = {rep.margin:.4f}")
 

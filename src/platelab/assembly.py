@@ -85,7 +85,7 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         if power != 0.0:
             raise ValueError("a distance field is required for nonzero power")
     else:
-        dn = dist.interior_values(mask) + 1.0 / n_reg
+        dn = mask.restrict(dist.d) + 1.0 / n_reg
         w = dn ** (-float(power))
     if order == "mass":
         return FormMatrix(sp.diags(grid.h**2 * w).tocsr())

@@ -36,8 +36,7 @@ import numpy as np
 
 from . import finsler
 from .errors import ConfigError, EllipticityLost, PlatelabError
-from .experiments import (RunConfig, default_n_sweep, load_config,
-                          make_coeffs, make_domain)
+from .experiments import RunConfig, load_config, make_coeffs, make_domain
 from .geometry import build_grid
 
 
@@ -192,14 +191,13 @@ def _cmd_distance(cfg: RunConfig, coeffs, out: str) -> int:
     domain, grid, mask = _build_common(cfg)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
     dist_e = finsler.euclidean_from_sdf(domain, grid, mask)
-    c1_hat, c2_hat = finsler.equivalence_constants(dist, dist_e, mask)
-    res = finsler.eikonal_residual(dist, coeffs, mask)
-    d_e = dist_e.interior_values(mask)
+    c1_hat, c2_hat = finsler.equivalence_constants(dist, dist_e)
+    res = finsler.eikonal_residual(dist, coeffs)
+    d_e = dist_e.interior_values()
     far = d_e > 3.0 * grid.h
     stats = {
         "c1_hat": c1_hat,
         "c2_hat": c2_hat,
-        "n_reg": default_n_sweep(grid.h)[-1],
         "residual_median": float(np.median(res[far])) if far.any() else None,
         "residual_q95": float(np.quantile(res[far], 0.95)) if far.any() else None,
         "frac_within_5h": float(np.mean(res[far] <= 5.0 * grid.h))
@@ -209,7 +207,7 @@ def _cmd_distance(cfg: RunConfig, coeffs, out: str) -> int:
     xs, ys = (mask.restrict(c) for c in grid.meshgrid())
     _write_csv(os.path.join(out, "distance.csv"),
                "x,y,d_finsler,d_euclid,residual",
-               zip(xs, ys, dist.interior_values(mask), d_e, res))
+               zip(xs, ys, dist.interior_values(), d_e, res))
     return 0
 
 
@@ -230,7 +228,7 @@ def _cmd_hardy(cfg: RunConfig, coeffs, out: str) -> int:
         op = spectral.factor(A)
         for kind in kinds:
             rep = verifier.estimate_hardy_constant(
-                A, mask, dist, kind, n_sweep=cfg.n_sweep,
+                A, dist, kind, n_sweep=cfg.n_sweep, tol=cfg.tol,
                 seed=cfg.seed, OPinv=op)
             reports[kind] = dataclasses.asdict(rep)
         del op  # so that one LU at a time is alive
@@ -263,7 +261,7 @@ def _cmd_decay(cfg: RunConfig, coeffs, out: str) -> int:
     dist = finsler.euclidean_from_sdf(domain, grid, mask)
     rows = []
     for a in cfg.alphas:
-        rep = verifier.verify_decay(spec, a, dist, mask, n_sweep=cfg.n_sweep)
+        rep = verifier.verify_decay(spec, a, dist, n_sweep=cfg.n_sweep)
         flag = "BLOWUP" if rep.blowup else "STABLE"
         rows += [(a, n, lhs, rep.rhs, lhs / rep.rhs, flag)
                  for n, lhs in rep.n_sweep]
@@ -287,8 +285,7 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
                               f"{exc}") from exc
     domain, grid, mask, Q, mass, spec = _build_pencil(cfg, coeffs, 5, out)
     dist = finsler.finsler_distance(domain, grid, mask, coeffs)
-    witnesses, labels = verifier.make_witnesses(spec, dist, mask,
-                                                seed=cfg.seed)
+    witnesses = verifier.make_witnesses(spec, dist, seed=cfg.seed)
     if cfg.delta > 0.0:
         Qt = assembly.assemble_Q(grid, mask, tilde)
         Q0 = assembly.assemble_Q0(grid, mask)
@@ -296,17 +293,15 @@ def _cmd_palpha(cfg: RunConfig, coeffs, out: str) -> int:
     payload = {}
     for a in cfg.alphas:
         rep = verifier.probe_P_alpha(Q, mass, dist, a, witnesses,
-                                     labels=labels, n_sweep=cfg.n_sweep,
-                                     mask=mask)
+                                     n_sweep=cfg.n_sweep)
         entry = {"base": dataclasses.asdict(rep)}
         if cfg.delta > 0.0:
             c_hat = verifier.measure_cross_term_constant(
-                dist, a, witnesses, mask, Q0=Q0)
+                dist, a, witnesses, Q0=Q0)
             try:
                 rep_t = verifier.probe_perturbation(
                     rep, Qt, mass, dist, tilde.delta_norm, lambda_tilde,
-                    c_hat, witnesses, labels=labels, n_sweep=cfg.n_sweep,
-                    mask=mask)
+                    c_hat, witnesses, n_sweep=cfg.n_sweep)
                 entry["perturbed"] = dataclasses.asdict(rep_t)
             except PlatelabError as exc:
                 entry["perturbed"] = {"error": type(exc).__name__,

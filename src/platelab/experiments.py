@@ -203,10 +203,10 @@ class StabilityReport:
 
 
 def cutoff_rayleigh_bound(spec: Spectrum, tau: np.ndarray,
-                          Q: FormMatrix, mass: FormMatrix,
-                          mask) -> np.ndarray:
+                          Q: FormMatrix, mask) -> np.ndarray:
     """Upper bounds sup{Q(v)/||v||^2 : v in span(tau phi_1..tau phi_n)} for
-    the lattice cutoff ``tau`` of ``build_cutoff``.
+    the lattice cutoff ``tau`` of ``build_cutoff``, the norm that of the
+    pencil's mass ``spec.B``.
 
     Returns one bound per n = 1..m via the dense generalized eigenproblem in
     the transplanted subspace.
@@ -215,7 +215,7 @@ def cutoff_rayleigh_bound(spec: Spectrum, tau: np.ndarray,
 
     U = mask.restrict(tau)[:, None] * spec.vectors
     S = U.T @ (Q.matrix @ U)
-    T = U.T @ (mass.matrix @ U)
+    T = U.T @ (spec.B @ U)
     S = (S + S.T) / 2
     T = (T + T.T) / 2
     bounds = np.empty(spec.m)
@@ -250,21 +250,21 @@ def fit_drift_exponent(eps: np.ndarray, drift: np.ndarray,
     return float(intercept)
 
 
-def measure_eroded_hessian_bound(dist, mask, eps: float) -> float:
+def measure_eroded_hessian_bound(dist, eps: float) -> float:
     """Measured sup |hess d_eps| on the transition band {d < 2 eps}, for
     the Euclidean distance ``dist`` of ``euclidean_from_sdf``.  The band's
     stencils read interior nodes only, where d_eps = d - eps."""
-    grid = dist.grid
+    grid, mask = dist.grid, dist.mask
     band = mask.interior & (dist.d > eps + 2 * grid.h) & (dist.d < 2 * eps)
     if not band.any():
         return float("nan")
     hess = difference_ops(grid, mask, ("Dxx", "Dyy", "Dxy"),
                           np.flatnonzero(band))
-    deps = dist.interior_values(mask) - eps
+    deps = dist.interior_values() - eps
     return float(np.sqrt(hessian_norm2(hess, deps)).max())
 
 
-def _eroded_masks(dist, mask, m: int, eps_list: Sequence[float]) -> list:
+def _eroded_masks(dist, m: int, eps_list: Sequence[float]) -> list:
     """The masks {d > eps} of ``eroded_mask``, one per eps, for the
     Euclidean distance ``dist``.
 
@@ -280,8 +280,8 @@ def _eroded_masks(dist, mask, m: int, eps_list: Sequence[float]) -> list:
         sub = eroded_mask(dist, eps)  # d is 0 off the mask
         if m >= sub.count:
             raise ConfigError(f"m={m} eigenpairs need more than the "
-                              f"{sub.count} unknowns left of {mask.count} "
-                              f"at eps={eps}")
+                              f"{sub.count} unknowns left of "
+                              f"{dist.mask.count} at eps={eps}")
         subs.append(sub)
     return subs
 
@@ -310,13 +310,13 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     from .spectral import lowest_eigenpairs
 
     dist_sdf = finsler.euclidean_from_sdf(domain, grid, mask)
-    subs = _eroded_masks(dist_sdf, mask, m, eps_list)
+    subs = _eroded_masks(dist_sdf, m, eps_list)
     Q = assemble_Q(grid, mask, coeffs)
     mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = full_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
     bounds = [cutoff_rayleigh_bound(spec, build_cutoff(dist_sdf, eps), Q,
-                                    mass, mask) for eps in eps_list]
-    hess_deps = {eps: measure_eroded_hessian_bound(dist_sdf, mask, eps)
+                                    mask) for eps in eps_list]
+    hess_deps = {eps: measure_eroded_hessian_bound(dist_sdf, eps)
                  for eps in eps_list}
     lam, res = spec.values, spec.residuals
     del Q, mass, spec

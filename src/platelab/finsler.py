@@ -96,13 +96,14 @@ def dual_metric(coeffs: CoefficientField, xi) -> float:
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Grid samples of distance-to-boundary."""
+    """Grid samples of distance-to-boundary on the interior nodes ``mask``."""
 
     grid: Grid
+    mask: GridMask
     d: np.ndarray               # (ny, nx), 0 outside the interior mask
 
-    def interior_values(self, mask: GridMask) -> np.ndarray:
-        return mask.restrict(self.d)
+    def interior_values(self) -> np.ndarray:
+        return self.mask.restrict(self.d)
 
 
 def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
@@ -124,34 +125,37 @@ def finsler_distance(domain: AnalyticDomain, grid: Grid, mask: GridMask,
     d[mask.interior] = _support_distance(
         domain.support,
         lambda c, s: np.sqrt(np.sqrt(quartic_symbol(coeffs.M, c, s))), x, y)
-    return DistanceField(grid, d)
+    return DistanceField(grid, mask, d)
 
 
 def euclidean_from_sdf(domain: AnalyticDomain, grid: Grid,
                        mask: GridMask) -> DistanceField:
     """Exact Euclidean distance sampled from the analytic sdf (geometry uses)."""
     X, Y = grid.meshgrid()
-    return DistanceField(grid, np.where(mask.interior, -domain.sdf(X, Y), 0.0))
+    return DistanceField(grid, mask,
+                         np.where(mask.interior, -domain.sdf(X, Y), 0.0))
 
 
-def equivalence_constants(dist: DistanceField, dist_euclid: DistanceField,
-                          mask: GridMask):
-    """(c1_hat, c2_hat): min and max of d / d_Euclid over interior nodes."""
-    dv = dist.interior_values(mask)
-    de = dist_euclid.interior_values(mask)
+def equivalence_constants(dist: DistanceField, dist_euclid: DistanceField):
+    """(c1_hat, c2_hat): min and max of d / d_Euclid over interior nodes.
+    Raises ValueError unless both are sampled on the same nodes."""
+    if not np.array_equal(dist.mask.interior, dist_euclid.mask.interior):
+        raise ValueError("the two distances are sampled on different masks")
+    dv = dist.interior_values()
+    de = dist_euclid.interior_values()
     ratio = dv / np.maximum(de, 1e-300)
     return float(ratio.min()), float(ratio.max())
 
 
-def eikonal_residual(dist: DistanceField, coeffs: CoefficientField,
-                     mask: GridMask) -> np.ndarray:
+def eikonal_residual(dist: DistanceField,
+                     coeffs: CoefficientField) -> np.ndarray:
     """|p*(grad_h d) - 1| at interior nodes, upwind one-sided gradient.
 
     Returns an (count,) array aligned with the dof ordering.
     """
     d = dist.d.reshape(-1)
     h = dist.grid.h
-    p, row = mask.nodes, dist.grid.nx
+    p, row = dist.mask.nodes, dist.grid.nx
     # interior nodes never touch the lattice edge (build_grid's halo ring)
     dW, dE, dS, dN, dc = d[p - 1], d[p + 1], d[p - row], d[p + row], d[p]
     gx = np.where(dW <= dE, (dc - dW) / h, (dE - dc) / h)

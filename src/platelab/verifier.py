@@ -19,8 +19,8 @@ from .assembly import FormMatrix, assemble_weighted, interior_difference_ops
 from .errors import AlphaOutOfRange, BoundViolated
 from .experiments import default_n_sweep
 from .finsler import DistanceField
-from .geometry import GridMask, difference_ops, hessian_norm2, smoothstep
-from .spectral import Spectrum, factor, lowest_eigenpairs
+from .geometry import difference_ops, hessian_norm2, smoothstep
+from .spectral import DEFAULT_TOL, Spectrum, factor, lowest_eigenpairs
 
 if TYPE_CHECKING:  # a run-time import ahead of .assembly costs 0.4 MB of RSS
     from scipy.sparse.linalg import LinearOperator
@@ -105,19 +105,18 @@ _HARDY_POWERS = {"hardy_grad": ("mass", 2.0),
                  "rellich_grad": ("grad", 2.0)}
 
 
-def estimate_hardy_constant(A: FormMatrix, mask: GridMask,
-                            dist: DistanceField, kind: str,
+def estimate_hardy_constant(A: FormMatrix, dist: DistanceField, kind: str,
                             n_sweep: Optional[Sequence[int]] = None, *,
-                            seed: int = 42,
+                            tol: float = DEFAULT_TOL, seed: int = 42,
                             OPinv: Optional[LinearOperator] = None
                             ) -> HardyReport:
     """Best-constant estimates for the Hardy-Rellich pencils.
 
-    constant_hat(n) = min generalized eigenvalue of (A, W_n), W_n weighted
-    by d_n = d + 1/n of ``dist`` on ``dist.grid``, all n through one LU of
-    A.  ``OPinv`` is that LU, ``factor(A)``, made here when None,
-    so that pencils with the same A share one (both Rellich pencils read
-    Q0).
+    constant_hat(n) = min generalized eigenvalue of (A, W_n), certified to
+    ``tol``, W_n weighted by d_n = d + 1/n of ``dist`` on its grid and
+    mask, all n through one LU of A.  ``OPinv`` is that LU, ``factor(A)``,
+    made here when None, so that pencils with the same A share one (both
+    Rellich pencils read Q0).
 
     The weak (boundary) constant is the limit n -> inf of the law
     c(n) = c_inf + C / (log n + b)^2 of the Euler profile
@@ -139,8 +138,8 @@ def estimate_hardy_constant(A: FormMatrix, mask: GridMask,
         OPinv = factor(A)
     sweep = []
     for n in n_sweep:
-        W = assemble_weighted(grid, mask, dist, order, power, n)
-        spec = lowest_eigenpairs(A, W, m=1, seed=seed, OPinv=OPinv)
+        W = assemble_weighted(grid, dist.mask, dist, order, power, n)
+        spec = lowest_eigenpairs(A, W, m=1, tol=tol, seed=seed, OPinv=OPinv)
         sweep.append((n, float(spec.values[0])))
 
     weak_pair = None
@@ -168,13 +167,12 @@ class DecayReport:
 
 
 def verify_decay(spec: Spectrum, alpha: float, dist: DistanceField,
-                 mask: GridMask,
                  n_sweep: Optional[Sequence[int]] = None) -> DecayReport:
     """Weighted boundary integrals of the lowest eigenfunction vs the
     spectral bound.
 
     lhs = integral(|hess u|^2 d_n^-2a + |grad u|^2 d_n^-(2+2a)
-    + u^2 d_n^-(4+2a)) for eigenpair 0 of ``spec``, on ``dist.grid``;
+    + u^2 d_n^-(4+2a)) for eigenpair 0 of ``spec``, on the mask of ``dist``;
     rhs = lambda^(1+a/2) for a normalized eigenvector.  blowup compares
     the top two levels, so ValueError is raised with fewer than two.
     """
@@ -188,11 +186,11 @@ def verify_decay(spec: Spectrum, alpha: float, dist: DistanceField,
     u = spec.vectors[:, 0]
     lam = float(spec.values[0])
     nrm2 = spec.b_inner(u, u)
-    ops = interior_difference_ops(grid, mask)
+    ops = interior_difference_ops(grid, dist.mask)
     Gx, Gy = ops[3:]
     grad2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     hess2 = hessian_norm2(ops, u)
-    d = dist.interior_values(mask)
+    d = dist.interior_values()
     sweep = []
     for n in n_sweep:
         dn = d + 1.0 / n
@@ -218,23 +216,21 @@ class PAlphaReport:
     margin: float                 # min over (witness, n) of rhs - lhs
     k_alpha_ref: float
     gamma_alpha: float
-    witness: tuple                # labels
+    witness: tuple                # witness labels, in order
     per_witness_margin: tuple = ()
 
 
-def make_witnesses(spec: Spectrum, dist: DistanceField, mask: GridMask,
-                   seed: int = 42):
-    """The lowest five eigenvectors (as many as ``spec`` holds) plus three
-    seeded smooth bumps on ``dist.grid``, all mass-normalized."""
+def make_witnesses(spec: Spectrum, dist: DistanceField,
+                   seed: int = 42) -> dict:
+    """label -> witness, in order: the lowest five eigenvectors (as many as
+    ``spec`` holds), phi_1.., plus three seeded smooth bumps on the mask of
+    ``dist``, bump_1..bump_3, all mass-normalized."""
     rng = np.random.default_rng(seed)
-    xs, ys = (mask.restrict(c) for c in dist.grid.meshgrid())
-    d = dist.interior_values(mask)
+    xs, ys = (dist.mask.restrict(c) for c in dist.grid.meshgrid())
+    d = dist.interior_values()
     dmax = float(d.max())
-    witnesses = []
-    labels = []
-    for j in range(min(5, spec.m)):
-        witnesses.append(spec.vectors[:, j].copy())
-        labels.append(f"phi_{j + 1}")
+    witnesses = {f"phi_{j + 1}": spec.vectors[:, j].copy()
+                 for j in range(min(5, spec.m))}
     for b in range(3):
         while True:
             cx = rng.uniform(xs.min(), xs.max())
@@ -246,17 +242,15 @@ def make_witnesses(spec: Spectrum, dist: DistanceField, mask: GridMask,
         u = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sig**2))
         u *= smoothstep(d / (0.25 * dmax))
         nrm = math.sqrt(float(u @ (spec.B @ u)))
-        witnesses.append(u / nrm)
-        labels.append(f"bump_{b + 1}")
-    return witnesses, labels
+        witnesses[f"bump_{b + 1}"] = u / nrm
+    return witnesses
 
 
 def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
-                  alpha: float, witnesses, labels=None,
-                  k: Optional[float] = None,
-                  n_sweep: Optional[Sequence[int]] = None, *,
-                  mask: GridMask) -> PAlphaReport:
-    """Check Q(w_n u) <= k Q(u, w_n^2 u) + k' ||u||^2 over witnesses and n.
+                  alpha: float, witnesses: dict, k: Optional[float] = None,
+                  n_sweep: Optional[Sequence[int]] = None) -> PAlphaReport:
+    """Check Q(w_n u) <= k Q(u, w_n^2 u) + k' ||u||^2 over the witnesses
+    (label -> vector, as ``make_witnesses`` gives) and n.
 
     With k defaulting to 1.05 * k_alpha_ref, k' is the smallest power of two
     making every margin nonnegative; negative margins are data, not errors.
@@ -266,12 +260,12 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
     n_sweep = _n_levels(n_sweep, dist.grid.h)
     if k is None:
         k = 1.05 * k_alpha_ref(alpha)
-    dvals = dist.interior_values(mask)
+    dvals = dist.interior_values()
     Bm = mass.matrix
     needs = []          # (witness, n) -> lhs - k*mid
     lhs_all = []
     mid_all = []
-    for u in witnesses:
+    for u in witnesses.values():
         nrm2 = float(u @ (Bm @ u))
         for n in n_sweep:
             wn = (dvals + 1.0 / n) ** (-alpha)
@@ -286,33 +280,30 @@ def probe_P_alpha(Q: FormMatrix, mass: FormMatrix, dist: DistanceField,
     margins = kprime - needs
     per_witness = margins.reshape(len(witnesses), len(n_sweep)).min(axis=1)
     worst = int(np.argmin(margins))
-    if labels is None:
-        labels = tuple(f"w{i}" for i in range(len(witnesses)))
     return PAlphaReport(
         alpha=alpha, k_used=float(k), kprime_used=float(kprime),
         lhs=float(lhs_all[worst]),
         rhs=float(k * mid_all[worst] + kprime),
         margin=float(margins.min()),
         k_alpha_ref=k_alpha_ref(alpha), gamma_alpha=gamma_alpha(alpha),
-        witness=tuple(labels), per_witness_margin=tuple(per_witness))
+        witness=tuple(witnesses), per_witness_margin=tuple(per_witness))
 
 
 def measure_cross_term_constant(dist: DistanceField, alpha: float,
-                                witnesses, mask: GridMask,
-                                Q0: FormMatrix) -> float:
-    """c_hat = max over witnesses of
+                                witnesses: dict, Q0: FormMatrix) -> float:
+    """c_hat = max over the witnesses v (label -> vector) of
     sum h^2 |hess(d_n^a v)| |hess(d_n^-a v)| / Q0(v), with the Hessian on
-    the dof rows of ``dist.grid`` and n = round(1/h), the largest default
-    level.
+    the dof rows of the mask of ``dist`` and n = round(1/h), the largest
+    default level.
     """
     if not (0.0 < alpha < 0.5):
         raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1/2)")
-    grid = dist.grid
+    grid, mask = dist.grid, dist.mask
     hess = difference_ops(grid, mask, ("Dxx", "Dyy", "Dxy"), mask.nodes)
-    dn = dist.interior_values(mask) + 1.0 / default_n_sweep(grid.h)[-1]
+    dn = dist.interior_values() + 1.0 / default_n_sweep(grid.h)[-1]
     h2 = grid.h**2
     c_hat = 0.0
-    for v in witnesses:
+    for v in witnesses.values():
         hp, hm = (np.sqrt(hessian_norm2(hess, dn**a * v))
                   for a in (alpha, -alpha))
         left = h2 * float(hp @ hm)
@@ -323,9 +314,9 @@ def measure_cross_term_constant(dist: DistanceField, alpha: float,
 def probe_perturbation(base_report: PAlphaReport, Q_tilde: FormMatrix,
                        mass: FormMatrix, dist: DistanceField,
                        delta_norm: float, lambda_tilde: float,
-                       c_hat: float, witnesses, labels=None,
-                       n_sweep: Optional[Sequence[int]] = None, *,
-                       mask: GridMask) -> PAlphaReport:
+                       c_hat: float, witnesses: dict,
+                       n_sweep: Optional[Sequence[int]] = None
+                       ) -> PAlphaReport:
     """Re-run the form-inequality probe for a perturbed tensor with the
     inflated constant k~ = k / (1 - (1 + c k) ||a~ - a|| / lambda~)."""
     k = base_report.k_used
@@ -336,4 +327,4 @@ def probe_perturbation(base_report: PAlphaReport, Q_tilde: FormMatrix,
             "outside the stability hypothesis")
     k_tilde = k / (1.0 - (1.0 + c_hat * k) * delta_norm / lambda_tilde)
     return probe_P_alpha(Q_tilde, mass, dist, base_report.alpha, witnesses,
-                         labels=labels, k=k_tilde, n_sweep=n_sweep, mask=mask)
+                         k=k_tilde, n_sweep=n_sweep)

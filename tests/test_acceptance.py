@@ -80,9 +80,9 @@ def test_acceptance_05_weak_hardy_constants(disk64, disk96, disk128):
         grad = assembly.assemble_weighted(setup.grid, setup.mask, None,
                                           "grad", 0.0, 1)
         rep_A = verifier.estimate_hardy_constant(
-            grad, setup.mask, setup.dist, "hardy_grad")
+            grad, setup.dist, "hardy_grad")
         rep_B = verifier.estimate_hardy_constant(
-            setup.Q0, setup.mask, setup.dist, "rellich_mass")
+            setup.Q0, setup.dist, "rellich_mass")
         weak_A.append(rep_A.weak_pair[0])
         weak_B.append(rep_B.weak_pair[0])
     assert weak_A[0] >= weak_A[1] >= weak_A[2]
@@ -94,12 +94,12 @@ def test_acceptance_05_weak_hardy_constants(disk64, disk96, disk128):
 def test_acceptance_06_decay_dichotomy(disk64, disk96):
     for setup in (disk64, disk96):
         for a in (0.1, 0.25, 0.4):
-            rep = verifier.verify_decay(setup.spec, a, setup.dist, setup.mask)
+            rep = verifier.verify_decay(setup.spec, a, setup.dist)
             (_, lo), (_, hi) = rep.n_sweep[-2:]
             assert (hi - lo) <= 0.05 * lo
             assert not rep.blowup
         for a in (0.5, 0.6):
-            rep = verifier.verify_decay(setup.spec, a, setup.dist, setup.mask)
+            rep = verifier.verify_decay(setup.spec, a, setup.dist)
             assert rep.blowup
             assert rep.flagged_alpha
 
@@ -107,13 +107,11 @@ def test_acceptance_06_decay_dichotomy(disk64, disk96):
 def test_acceptance_07_form_inequality_witnesses(disk64, disk96):
     kprimes = {}
     for setup in (disk64, disk96):
-        witnesses, labels = verifier.make_witnesses(
-            setup.spec, setup.dist, setup.mask)
+        witnesses = verifier.make_witnesses(setup.spec, setup.dist)
         assert len(witnesses) == 8
         for a in (0.1, 0.25, 0.4):
             rep = verifier.probe_P_alpha(
-                setup.Q0, setup.mass, setup.dist, a, witnesses,
-                labels=labels, mask=setup.mask)
+                setup.Q0, setup.mass, setup.dist, a, witnesses)
             assert rep.k_used == pytest.approx(
                 1.05 * verifier.k_alpha_ref(a), rel=1e-12)
             assert rep.margin >= 0.0
@@ -124,18 +122,17 @@ def test_acceptance_07_form_inequality_witnesses(disk64, disk96):
 
 
 def test_acceptance_08_perturbation_chain(disk64):
-    witnesses, labels = verifier.make_witnesses(
-        disk64.spec, disk64.dist, disk64.mask)
+    witnesses = verifier.make_witnesses(disk64.spec, disk64.dist)
     base = verifier.probe_P_alpha(disk64.Q0, disk64.mass, disk64.dist, 0.25,
-                                  witnesses, labels=labels, mask=disk64.mask)
+                                  witnesses)
     tilde = assembly.perturb_coeffs(pl.bilaplacian(), 0.01, seed=42)
     Qt = assembly.assemble_Q(disk64.grid, disk64.mask, tilde)
     lambda_tilde = assembly.ellipticity_window(tilde)
     c_hat = verifier.measure_cross_term_constant(
-        disk64.dist, 0.25, witnesses, disk64.mask, Q0=disk64.Q0)
+        disk64.dist, 0.25, witnesses, Q0=disk64.Q0)
     rep = verifier.probe_perturbation(
         base, Qt, disk64.mass, disk64.dist, tilde.delta_norm, lambda_tilde,
-        c_hat, witnesses, labels=labels, mask=disk64.mask)
+        c_hat, witnesses)
     assert rep.k_used > base.k_used
     assert rep.margin >= 0.0
     assert all(m >= 0.0 for m in rep.per_witness_margin)
@@ -144,7 +141,7 @@ def test_acceptance_08_perturbation_chain(disk64):
         verifier.probe_perturbation(
             base, Qt, disk64.mass, disk64.dist,
             2.0 * lambda_tilde / (1.0 + c_hat * base.k_used),
-            lambda_tilde, c_hat, witnesses, mask=disk64.mask)
+            lambda_tilde, c_hat, witnesses)
 
 
 def test_acceptance_09_eikonal_residual_certificate(disk64):
@@ -157,8 +154,8 @@ def test_acceptance_09_eikonal_residual_certificate(disk64):
                   pl.diagonal(np.array([[16.0, 0.0], [0.0, 1.0]]))))
     for dom, grid, mask, coeffs in cases:
         dist = pl.finsler_distance(dom, grid, mask, coeffs)
-        res = pl.eikonal_residual(dist, coeffs, mask)
-        d_e = pl.euclidean_from_sdf(dom, grid, mask).interior_values(mask)
+        res = pl.eikonal_residual(dist, coeffs)
+        d_e = pl.euclidean_from_sdf(dom, grid, mask).interior_values()
         far = d_e > 3.0 * grid.h
         assert np.mean(res[far] <= 5.0 * grid.h) >= 0.95
 

@@ -40,7 +40,8 @@ def test_grad_forms_isolated_node_row_sets():
     grad = assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1)
     assert grad(u) == 1.0
     # a singular weight sums the dof's own row only
-    half = finsler.DistanceField(grid=grid, d=np.full((grid.ny, grid.nx), 0.5))
+    half = finsler.DistanceField(grid=grid, mask=mask,
+                                 d=np.full((grid.ny, grid.nx), 0.5))
     weighted = assembly.assemble_weighted(grid, mask, half, "grad", 2.0, 1)
     assert weighted(u) == 0.0
 
@@ -273,7 +274,7 @@ def test_weighted_mass_power_values():
     W0 = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     assert np.allclose(W0.matrix.diagonal(), grid.h**2)
     const_dist = finsler.DistanceField(
-        grid=grid, d=np.full((grid.ny, grid.nx), 0.5))
+        grid=grid, mask=mask, d=np.full((grid.ny, grid.nx), 0.5))
     W4 = assembly.assemble_weighted(grid, mask, const_dist, "mass", 4.0, 10**9)
     assert np.allclose(W4.matrix.diagonal(), grid.h**2 * 16.0, rtol=1e-6)
 

@@ -151,7 +151,7 @@ def test_cutoff_rayleigh_identity_when_tau_is_one():
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = pl.lowest_eigenpairs(Q0, mass, m=3)
     cutoff = pl.build_cutoff(dist, 0.15)
-    bounds = experiments.cutoff_rayleigh_bound(spec, cutoff, Q0, mass, mask)
+    bounds = experiments.cutoff_rayleigh_bound(spec, cutoff, Q0, mask)
     assert np.allclose(bounds, spec.values, rtol=1e-10)
 
 
@@ -163,7 +163,7 @@ def test_eroded_hessian_bound_disk_closed_form():
         grid, mask = pl.build_grid(dom, h)
         dist = pl.euclidean_from_sdf(dom, grid, mask)
         for eps in (0.1, 0.2):
-            got = experiments.measure_eroded_hessian_bound(dist, mask, eps)
+            got = experiments.measure_eroded_hessian_bound(dist, eps)
             assert got == pytest.approx(1.0 / (1.0 - 2.0 * eps), rel=5e-3)
 
 
@@ -401,7 +401,7 @@ def test_cli_distance_bilaplacian_solves_once(tmp_path):
     rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
     assert np.max(np.abs(rows[:, 2] - rows[:, 3])) <= 1e-15
     assert np.array_equal(
-        rows[:, 3], pl.euclidean_from_sdf(dom, grid, mask).interior_values(mask))
+        rows[:, 3], pl.euclidean_from_sdf(dom, grid, mask).interior_values())
     stats = json.loads((out / "distance.json").read_text())
     assert abs(stats["c1_hat"] - 1.0) <= 1e-12
     assert abs(stats["c2_hat"] - 1.0) <= 1e-12
@@ -422,11 +422,11 @@ def test_cli_distance_anisotropic_euclidean_column(tmp_path):
     df = pl.finsler_distance(dom, grid, mask, coeffs)
     de = pl.euclidean_from_sdf(dom, grid, mask)
     rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 2], df.interior_values(mask))
-    assert np.array_equal(rows[:, 3], de.interior_values(mask))
+    assert np.array_equal(rows[:, 2], df.interior_values())
+    assert np.array_equal(rows[:, 3], de.interior_values())
     stats = json.loads((out / "distance.json").read_text())
     assert (stats["c1_hat"], stats["c2_hat"]) == \
-        pl.equivalence_constants(df, de, mask)
+        pl.equivalence_constants(df, de)
     assert stats["c1_hat"] < stats["c2_hat"]
 
 
@@ -958,6 +958,19 @@ def test_cli_hardy_writes_three_pencils(tmp_path):
     assert sorted(reports) == ["hardy_grad", "rellich_grad", "rellich_mass"]
 
 
+def test_cli_hardy_certifies_at_the_configured_tol(tmp_path, monkeypatch):
+    # [spectral] tol reaches each of the three pencils' solves at every n
+    text = (BASE_CFG.replace("eps = 0.25", "eps = 0.25\nn_sweep = 4 8")
+            .replace("tol = 1e-8", "tol = 1e-3"))
+    tols = []
+    solve = verifier.lowest_eigenpairs
+    monkeypatch.setattr(verifier, "lowest_eigenpairs", lambda *a, **k:
+                        tols.append(k["tol"]) or solve(*a, **k))
+    assert cli_main(["hardy", "--config", _write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert tols == [1e-3] * 6
+
+
 def test_cli_hardy_reads_kinds_in_any_case(tmp_path):
     # load_config lower-cases both kinds, so hardy's operator check and
     # make_domain / make_coeffs read the same name
@@ -1037,7 +1050,7 @@ def test_cli_hardy_factors_each_form_once(tmp_path, monkeypatch):
     calls.clear()
     for kind, A in (("hardy_grad", grad), ("rellich_mass", Q0),
                     ("rellich_grad", Q0)):
-        rep = verifier.estimate_hardy_constant(A, mask, dist, kind,
+        rep = verifier.estimate_hardy_constant(A, dist, kind,
                                                seed=loaded.seed)
         assert reports[kind] == cli._plain(dataclasses.asdict(rep))
     assert calls["factor"] == 3

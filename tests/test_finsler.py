@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 import platelab as pl
 from platelab import finsler
-from platelab.cli import cli_main
 from platelab.errors import NegativeQuartic
 
 
@@ -109,7 +106,7 @@ def test_distance_rectangle_exact_field(coeffs, max_err_h):
     py = pl.dual_metric(coeffs, np.array([0.0, 1.0]))
     for h in (1.0 / 16, 1.0 / 32):
         grid, mask = pl.build_grid(dom, h)
-        d = pl.finsler_distance(dom, grid, mask, coeffs).interior_values(mask)
+        d = pl.finsler_distance(dom, grid, mask, coeffs).interior_values()
         x, y = (mask.restrict(c) for c in grid.meshgrid())
         exact = np.minimum((1.0 - np.abs(x)) / px, (0.5 - np.abs(y)) / py)
         err = np.abs(d - exact)
@@ -131,7 +128,7 @@ def test_distance_on_medial_axis_strip():
     dom = pl.rectangle(4.0, 0.2)
     grid, mask = pl.build_grid(dom, 0.1)
     dist = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    d = dist.interior_values(mask)
+    d = dist.interior_values()
     assert len(d) == 39
     assert np.max(np.abs(d - 0.1)) <= 1e-12
 
@@ -140,12 +137,15 @@ def test_equivalence_constants():
     dom = pl.rectangle(2.0, 1.0)
     grid, mask = pl.build_grid(dom, 1.0 / 32)
     de = pl.euclidean_from_sdf(dom, grid, mask)
-    c1, c2 = pl.equivalence_constants(de, de, mask)
+    c1, c2 = pl.equivalence_constants(de, de)
     assert (c1, c2) == (1.0, 1.0)
+    eroded = pl.DistanceField(grid, pl.GridMask(de.d > 0.1), de.d)
+    with pytest.raises(ValueError, match="different masks"):
+        pl.equivalence_constants(de, eroded)
     coeffs = pl.product(np.diag([4.0, 1.0]))
     df = pl.finsler_distance(dom, grid, mask, coeffs)
     ds = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
-    c1, c2 = pl.equivalence_constants(df, ds, mask)
+    c1, c2 = pl.equivalence_constants(df, ds)
     thetas = np.linspace(0, 2 * np.pi, 360, endpoint=False)
     ps = [pl.dual_metric(coeffs, np.array([np.cos(t), np.sin(t)]))
           for t in thetas]
@@ -154,24 +154,14 @@ def test_equivalence_constants():
     assert c2 / c1 == pytest.approx(predicted, rel=0.10)
 
 
-def test_default_n_reg_is_inverse_h(tmp_path):
-    # distance.json reports the largest default level, round(1/h)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[domain]\nkind = disk\nradius = 1.0\n"
-                   "[grid]\nh = 0.03125\n")
-    out = tmp_path / "out"
-    assert cli_main(["distance", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads((out / "distance.json").read_text())["n_reg"] == 32
-
-
 def test_eikonal_residual_small():
     dom = pl.disk(1.0)
     h = 1.0 / 32
     grid, mask = pl.build_grid(dom, h)
     coeffs = pl.bilaplacian()
     dist = pl.finsler_distance(dom, grid, mask, coeffs)
-    res = pl.eikonal_residual(dist, coeffs, mask)
-    de = pl.euclidean_from_sdf(dom, grid, mask).interior_values(mask)
+    res = pl.eikonal_residual(dist, coeffs)
+    de = pl.euclidean_from_sdf(dom, grid, mask).interior_values()
     far = de > 3 * h
     assert np.mean(res[far] <= 5 * h) >= 0.95
 
@@ -183,8 +173,8 @@ def test_refinement_contracts_distance_error():
         grid, mask = pl.build_grid(dom, h)
         dist = pl.finsler_distance(dom, grid, mask, pl.bilaplacian())
         exact = pl.euclidean_from_sdf(dom, grid, mask)
-        assert np.max(np.abs(dist.interior_values(mask)
-                             - exact.interior_values(mask))) <= 1e-12
+        assert np.max(np.abs(dist.interior_values()
+                             - exact.interior_values())) <= 1e-12
 
 
 def test_distance_superellipse_matches_sdf():
@@ -203,7 +193,7 @@ def test_bilaplacian_equivalence_constants_are_one_on_superellipse(n):
     grid, mask = pl.build_grid(dom, 1.0 / n)
     c1, c2 = pl.equivalence_constants(
         pl.finsler_distance(dom, grid, mask, pl.bilaplacian()),
-        pl.euclidean_from_sdf(dom, grid, mask), mask)
+        pl.euclidean_from_sdf(dom, grid, mask))
     assert abs(c1 - 1.0) <= 1e-12 and abs(c2 - 1.0) <= 1e-12
 
 
@@ -230,7 +220,7 @@ def test_distance_finds_the_lower_basin():
     coeffs = pl.product(np.array([[4.0, 1.0], [1.0, 2.0]]))
     h = 1.0 / 64
     grid, mask = pl.build_grid(dom, h)
-    d = pl.finsler_distance(dom, grid, mask, coeffs).interior_values(mask)
+    d = pl.finsler_distance(dom, grid, mask, coeffs).interior_values()
     t = 2.0 * np.pi * np.arange(4096) / 4096
     c, s = np.cos(t), np.sin(t)
     p = finsler.quartic_symbol(coeffs.M, c, s) ** 0.25

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -82,20 +83,24 @@ def test_every_public_name_has_a_caller():
     assert [n for n in pl.__all__ if n not in read] == []
 
 
-def test_no_public_function_takes_what_it_can_derive():
-    # a DistanceField holds its grid, the decay check reads eigenpair 0 and
-    # every check builds its own difference operators; assemble_weighted
+def test_no_public_function_takes_what_it_can_derive(disk32):
+    # a DistanceField holds its grid and mask, the witnesses their labels
+    # and a Spectrum its mass form as B; the decay check reads eigenpair 0
+    # and every check builds its own difference operators.  assemble_weighted
     # takes dist=None for the mass and power-0 forms, so it needs the grid
-    both, handed = [], []
+    # and the mask
+    paired, handed = [], []
     for name in pl.__all__:
         obj = getattr(pl, name)
         if not inspect.isfunction(obj):
             continue
         params = set(inspect.signature(obj).parameters)
-        if {"grid", "dist"} <= params and name != "assemble_weighted":
-            both.append(name)
-        if params & {"ops", "u_index"}:
+        if (name != "assemble_weighted" and "dist" in params
+                and params & {"grid", "mask"}) or {"spec", "mass"} <= params:
+            paired.append(name)
+        if params & {"ops", "u_index", "labels"}:
             handed.append(name)
-    assert both == [] and handed == []
+    assert paired == [] and handed == []
     assert [f.name for f in dataclasses.fields(pl.DistanceField)] == [
-        "grid", "d"]
+        "grid", "mask", "d"]
+    assert isinstance(pl.make_witnesses(disk32.spec, disk32.dist), Mapping)

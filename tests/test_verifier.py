@@ -41,7 +41,7 @@ def test_hardy_sweep_nonincreasing(disk32):
     grad = assembly.assemble_weighted(disk32.grid, disk32.mask, None,
                                       "grad", 0.0, 1)
     rep = verifier.estimate_hardy_constant(
-        grad, disk32.mask, disk32.dist, "hardy_grad",
+        grad, disk32.dist, "hardy_grad",
         n_sweep=(4, 8, 16, 32))
     vals = [c for _, c in rep.n_sweep]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -53,7 +53,7 @@ def test_hardy_plain_constant_above_quarter(disk64):
     grad = assembly.assemble_weighted(disk64.grid, disk64.mask, None,
                                       "grad", 0.0, 1)
     rep = verifier.estimate_hardy_constant(
-        grad, disk64.mask, disk64.dist, "hardy_grad",
+        grad, disk64.dist, "hardy_grad",
         n_sweep=(8, 16, 32, 64))
     # continuum best constant for the clamped class is 1/4; the discrete
     # estimate must not fall below it
@@ -62,22 +62,21 @@ def test_hardy_plain_constant_above_quarter(disk64):
 
 def test_hardy_unknown_kind(disk32):
     with pytest.raises(ValueError):
-        verifier.estimate_hardy_constant(disk32.Q0, disk32.mask, disk32.dist,
-                                         "nope")
+        verifier.estimate_hardy_constant(disk32.Q0, disk32.dist, "nope")
 
 
 def test_hardy_weak_pair_reported(disk32):
     # weak_pair is (c_inf, rms residual) of the law fitted to the sweep;
     # three levels determine the law's three parameters
     rep = verifier.estimate_hardy_constant(
-        disk32.Q0, disk32.mask, disk32.dist, "rellich_mass",
+        disk32.Q0, disk32.dist, "rellich_mass",
         n_sweep=(8, 16, 32))
     assert rep.weak_pair == verifier._fit_log_law(rep.n_sweep)
     assert rep.weak_pair[1] <= 1e-10
     assert rep.weak_sweep == ()
     # two levels do not determine it
     rep = verifier.estimate_hardy_constant(
-        disk32.Q0, disk32.mask, disk32.dist, "rellich_mass",
+        disk32.Q0, disk32.dist, "rellich_mass",
         n_sweep=(8, 16))
     assert rep.weak_pair is None
     assert not rep.weak_stabilized
@@ -89,7 +88,7 @@ def test_hardy_assembles_each_weight_once(disk32, monkeypatch):
     monkeypatch.setattr(verifier, "assemble_weighted", lambda *a, **k:
                         calls.append(a[-1]) or weighted(*a, **k))
     verifier.estimate_hardy_constant(
-        disk32.Q0, disk32.mask, disk32.dist, "hardy_grad",
+        disk32.Q0, disk32.dist, "hardy_grad",
         n_sweep=(4, 8, 16))
     assert calls == [4, 8, 16]
 
@@ -97,7 +96,7 @@ def test_hardy_assembles_each_weight_once(disk32, monkeypatch):
 def test_hardy_weak_stabilized_flag(disk32):
     def report(n_sweep):
         return verifier.estimate_hardy_constant(
-            disk32.Q0, disk32.mask, disk32.dist, "rellich_mass",
+            disk32.Q0, disk32.dist, "rellich_mass",
             n_sweep=n_sweep)
 
     # three levels leave no level out to check the fit with
@@ -137,7 +136,7 @@ def test_hardy_matches_a_solve_per_level(domain, h):
     # and weak_pair is the fit of that sweep
     grid, mask, dist, pencils = _hardy_setup(domain, h)
     for kind, A in pencils.items():
-        rep = verifier.estimate_hardy_constant(A, mask, dist, kind)
+        rep = verifier.estimate_hardy_constant(A, dist, kind)
         order, power = verifier._HARDY_POWERS[kind]
         sweep = tuple(
             (n, float(pl.lowest_eigenpairs(A, assembly.assemble_weighted(
@@ -162,7 +161,7 @@ def _hardy_call_counts(monkeypatch):
     counts = []
     for kind, A in pencils.items():
         calls.clear()
-        verifier.estimate_hardy_constant(A, mask, dist, kind)
+        verifier.estimate_hardy_constant(A, dist, kind)
         counts.append(dict(calls))
     return n_sweep, counts
 
@@ -209,7 +208,7 @@ def test_fit_log_law_on_the_continuum_hardy_values():
 
 
 def test_decay_lhs_monotone_in_n(disk32):
-    rep = verifier.verify_decay(disk32.spec, 0.25, disk32.dist, disk32.mask,
+    rep = verifier.verify_decay(disk32.spec, 0.25, disk32.dist,
                                 n_sweep=(4, 8, 16, 32))
     vals = [v for _, v in rep.n_sweep]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -219,14 +218,14 @@ def test_decay_lhs_monotone_in_n(disk32):
 
 
 def test_decay_blowup_flags(disk32):
-    rep = verifier.verify_decay(disk32.spec, 0.6, disk32.dist, disk32.mask,
+    rep = verifier.verify_decay(disk32.spec, 0.6, disk32.dist,
                                 n_sweep=(8, 16, 32))
     assert rep.flagged_alpha
     assert rep.blowup
     with pytest.raises(AlphaOutOfRange):
-        verifier.verify_decay(disk32.spec, 1.5, disk32.dist, disk32.mask)
+        verifier.verify_decay(disk32.spec, 1.5, disk32.dist)
     with pytest.raises(ValueError):
-        verifier.verify_decay(disk32.spec, 0.25, disk32.dist, disk32.mask,
+        verifier.verify_decay(disk32.spec, 0.25, disk32.dist,
                               n_sweep=(0, 8))
 
 
@@ -237,12 +236,12 @@ def test_decay_refuses_a_sweep_with_nothing_to_compare(n_sweep, match):
     # would leave it comparing nothing
     disk = disk_setup(1.0 / 16)
     with pytest.raises(ValueError, match=match):
-        verifier.verify_decay(disk.spec, 0.25, disk.dist, disk.mask,
+        verifier.verify_decay(disk.spec, 0.25, disk.dist,
                               n_sweep=n_sweep)
     if match == "repeats":
         with pytest.raises(ValueError, match=match):
             verifier.estimate_hardy_constant(
-                disk.Q0, disk.mask, disk.dist, "rellich_mass",
+                disk.Q0, disk.dist, "rellich_mass",
                 n_sweep=n_sweep)
 
 
@@ -252,7 +251,7 @@ def test_decay_matches_assembled_weighted_forms(disk32):
     u = disk32.spec.vectors[:, 0]
     Dxx, Dyy, Dxy, _, _ = assembly.interior_difference_ops(grid, mask)
     alpha = 0.3
-    rep = verifier.verify_decay(disk32.spec, alpha, dist, mask,
+    rep = verifier.verify_decay(disk32.spec, alpha, dist,
                                 n_sweep=(8, 32))
     for n, lhs in rep.n_sweep:
         W = assembly.assemble_weighted(grid, mask, dist, "mass", 2 * alpha, n)
@@ -274,7 +273,7 @@ def test_decay_rhs_matches_dense_spectrum():
     u = disk.spec.vectors[:, 0]
     c2 = (V.T @ (disk.mass.matrix @ u)) ** 2
     for alpha in (0.1, 0.3):
-        rep = verifier.verify_decay(disk.spec, alpha, disk.dist, disk.mask)
+        rep = verifier.verify_decay(disk.spec, alpha, disk.dist)
         dense = np.sqrt(lam**2 @ c2) * np.sqrt(lam**alpha @ c2)
         assert rep.rhs == pytest.approx(dense, rel=1e-9)
 
@@ -282,7 +281,7 @@ def test_decay_rhs_matches_dense_spectrum():
 def test_decay_increment_grows_with_alpha(disk32):
     incs = []
     for a in (0.1, 0.4, 0.7):
-        rep = verifier.verify_decay(disk32.spec, a, disk32.dist, disk32.mask,
+        rep = verifier.verify_decay(disk32.spec, a, disk32.dist,
                                     n_sweep=(16, 32))
         (_, lo), (_, hi) = rep.n_sweep
         incs.append((hi - lo) / lo)
@@ -290,24 +289,21 @@ def test_decay_increment_grows_with_alpha(disk32):
 
 
 def test_witnesses_reproducible_and_normalized(disk32):
-    w1, l1 = verifier.make_witnesses(disk32.spec, disk32.dist, disk32.mask,
-                                     seed=42)
-    w2, l2 = verifier.make_witnesses(disk32.spec, disk32.dist, disk32.mask,
-                                     seed=42)
-    assert l1 == l2 == ["phi_1", "phi_2", "phi_3", "phi_4", "phi_5",
-                        "bump_1", "bump_2", "bump_3"]
-    for a, b in zip(w1, w2):
+    w1 = verifier.make_witnesses(disk32.spec, disk32.dist, seed=42)
+    w2 = verifier.make_witnesses(disk32.spec, disk32.dist, seed=42)
+    assert list(w1) == list(w2) == ["phi_1", "phi_2", "phi_3", "phi_4",
+                                    "phi_5", "bump_1", "bump_2", "bump_3"]
+    for a, b in zip(w1.values(), w2.values()):
         assert np.array_equal(a, b)
-    for u in w1:
+    for u in w1.values():
         norm = np.sqrt(disk32.spec.b_inner(u, u))
         assert norm == pytest.approx(1.0, rel=1e-6)
 
 
 def test_probe_p_alpha_positive_margin(disk32):
-    witnesses, labels = verifier.make_witnesses(
-        disk32.spec, disk32.dist, disk32.mask)
+    witnesses = verifier.make_witnesses(disk32.spec, disk32.dist)
     rep = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                 witnesses, labels=labels, mask=disk32.mask)
+                                 witnesses)
     assert rep.margin > 0
     assert rep.k_used == pytest.approx(1.05 * verifier.k_alpha_ref(0.25))
     assert rep.kprime_used >= 1.0
@@ -316,80 +312,61 @@ def test_probe_p_alpha_positive_margin(disk32):
     assert min(rep.per_witness_margin) == pytest.approx(rep.margin)
     with pytest.raises(AlphaOutOfRange):
         verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.5,
-                               witnesses, mask=disk32.mask)
-
-
-def test_probes_require_mask(disk32):
-    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
-                                           disk32.mask)
-    with pytest.raises(TypeError, match="mask"):
-        verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
                                witnesses)
-    base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                  witnesses, mask=disk32.mask)
-    with pytest.raises(TypeError, match="mask"):
-        verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
-                                    disk32.dist, 0.0, 1.0, 1.0, witnesses)
 
 
 @pytest.mark.parametrize("n_sweep", [(0, 8), (-4, 8), ()])
 def test_every_probe_rejects_levels_below_one(disk32, n_sweep):
     # d + 1/n is undefined for n = 0 and no regularization for n < 0
-    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
-                                           disk32.mask)
+    witnesses = verifier.make_witnesses(disk32.spec, disk32.dist)
     base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                  witnesses, mask=disk32.mask)
+                                  witnesses)
     with pytest.raises(ValueError, match="n >= 1"):
         verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                               witnesses, n_sweep=n_sweep, mask=disk32.mask)
+                               witnesses, n_sweep=n_sweep)
     with pytest.raises(ValueError, match="n >= 1"):
         verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
                                     disk32.dist, 0.0, 1.0, 1.0, witnesses,
-                                    n_sweep=n_sweep, mask=disk32.mask)
+                                    n_sweep=n_sweep)
     with pytest.raises(ValueError, match="n >= 1"):
-        verifier.verify_decay(disk32.spec, 0.25, disk32.dist, disk32.mask,
+        verifier.verify_decay(disk32.spec, 0.25, disk32.dist,
                               n_sweep=n_sweep)
     with pytest.raises(ValueError, match="n >= 1"):
         verifier.estimate_hardy_constant(
-            disk32.Q0, disk32.mask, disk32.dist, "rellich_mass",
+            disk32.Q0, disk32.dist, "rellich_mass",
             n_sweep=n_sweep)
 
 
 def test_cross_term_constant_in_theory_window(disk32):
-    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
-                                           disk32.mask)
+    witnesses = verifier.make_witnesses(disk32.spec, disk32.dist)
     c_hat = verifier.measure_cross_term_constant(
-        disk32.dist, 0.25, witnesses, disk32.mask, Q0=disk32.Q0)
+        disk32.dist, 0.25, witnesses, Q0=disk32.Q0)
     # the closed-form ceiling at (c2, A, B) = (1, 1/4, 9/16) is 18
     assert 0.0 < c_hat <= verifier.cross_term_bound(1.0, 0.25, 9.0 / 16.0)
 
 
 def test_probe_perturbation_zero_delta_matches_base(disk32):
-    witnesses, labels = verifier.make_witnesses(
-        disk32.spec, disk32.dist, disk32.mask)
+    witnesses = verifier.make_witnesses(disk32.spec, disk32.dist)
     base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                  witnesses, labels=labels, mask=disk32.mask)
+                                  witnesses)
     rep = verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
-                                      disk32.dist, 0.0, 1.0, 1.0, witnesses,
-                                      labels=labels, mask=disk32.mask)
+                                      disk32.dist, 0.0, 1.0, 1.0, witnesses)
     assert rep.k_used == pytest.approx(base.k_used, rel=1e-15)
     assert rep.margin == pytest.approx(base.margin, rel=1e-10)
 
 
 def test_probe_perturbation_inflates_k_and_keeps_margin(disk32):
-    witnesses, labels = verifier.make_witnesses(
-        disk32.spec, disk32.dist, disk32.mask)
+    witnesses = verifier.make_witnesses(disk32.spec, disk32.dist)
     base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                  witnesses, labels=labels, mask=disk32.mask)
+                                  witnesses)
     tilde = assembly.perturb_coeffs(pl.bilaplacian(), 0.01, seed=42)
     Qt = assembly.assemble_Q(disk32.grid, disk32.mask, tilde)
     lam = assembly.ellipticity_window(tilde)
     c_hat = verifier.measure_cross_term_constant(
-        disk32.dist, 0.25, witnesses, disk32.mask, Q0=disk32.Q0)
+        disk32.dist, 0.25, witnesses, Q0=disk32.Q0)
     rep = verifier.probe_perturbation(base, Qt, disk32.mass, disk32.dist,
                                       tilde.delta_norm, lam,
-                                      c_hat, witnesses, labels=labels,
-                                      mask=disk32.mask)
+                                      c_hat, witnesses)
     expect_k = base.k_used / (1.0 - (1.0 + c_hat * base.k_used)
                               * tilde.delta_norm / lam)
     assert rep.k_used == pytest.approx(expect_k, rel=1e-12)
@@ -398,12 +375,11 @@ def test_probe_perturbation_inflates_k_and_keeps_margin(disk32):
 
 
 def test_probe_perturbation_hypothesis_violation(disk32):
-    witnesses, _ = verifier.make_witnesses(disk32.spec, disk32.dist,
-                                           disk32.mask)
+    witnesses = verifier.make_witnesses(disk32.spec, disk32.dist)
     base = verifier.probe_P_alpha(disk32.Q0, disk32.mass, disk32.dist, 0.25,
-                                  witnesses, mask=disk32.mask)
+                                  witnesses)
     hyp = 1.0 / (1.0 + 1.0 * base.k_used)
     with pytest.raises(BoundViolated):
         verifier.probe_perturbation(base, disk32.Q0, disk32.mass,
                                     disk32.dist, 2.0 * hyp, 1.0, 1.0,
-                                    witnesses, mask=disk32.mask)
+                                    witnesses)
