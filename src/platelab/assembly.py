@@ -22,9 +22,11 @@ from .geometry import Grid, GridMask, difference_ops
 
 @dataclass(frozen=True)
 class FormMatrix:
-    """Sparse symmetric quadratic form on the masked unknowns."""
+    """Sparse symmetric quadratic form on the masked unknowns: ``mask`` is
+    the ``GridMask`` of its dofs, None for a form built off a lattice."""
 
     matrix: sp.csr_matrix
+    mask: Optional[GridMask] = None
 
     def __call__(self, u, v=None) -> float:
         """Q(u) or the bilinear Q(u, v)."""
@@ -67,7 +69,7 @@ def assemble_Q(grid: Grid, mask: GridMask,
     del B, AB
     P = P.tocsr()
     P.data *= grid.h**2
-    return FormMatrix(_symmetrize(P))
+    return FormMatrix(_symmetrize(P), mask)
 
 
 def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
@@ -88,7 +90,7 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         dn = mask.restrict(dist.d) + 1.0 / n_reg
         w = dn ** (-float(power))
     if order == "mass":
-        return FormMatrix(sp.diags(grid.h**2 * w).tocsr())
+        return FormMatrix(sp.diags(grid.h**2 * w).tocsr(), mask)
     if order != "grad":
         raise ValueError(f"unknown weighted order {order!r}")
     rows = mask.nodes
@@ -96,7 +98,7 @@ def assemble_weighted(grid: Grid, mask: GridMask, dist: Optional[DistanceField],
         rows, w = None, np.ones(grid.n_nodes)
     W = sp.diags(grid.h**2 * w).tocsr()
     grads = difference_ops(grid, mask, ("Gx", "Gy"), rows)
-    return FormMatrix(_symmetrize(sum(G.T @ (W @ G) for G in grads)))
+    return FormMatrix(_symmetrize(sum(G.T @ (W @ G) for G in grads)), mask)
 
 
 def interior_difference_ops(grid: Grid, mask: GridMask):
@@ -113,7 +115,8 @@ def principal_submatrix(form: FormMatrix, mask: GridMask,
     eroded subdomain.
     """
     keep = np.flatnonzero(mask.restrict(sub_interior))
-    return FormMatrix(form.matrix[keep][:, keep].tocsr())
+    return FormMatrix(form.matrix[keep][:, keep].tocsr(),
+                      mask.within(sub_interior))
 
 
 def ellipticity_window(coeffs: CoefficientField) -> float:

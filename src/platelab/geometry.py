@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -180,6 +180,21 @@ class GridMask:
         """Dof values of a lattice array of shape (ny, nx, ...)."""
         return a.reshape((self.interior.size,) + a.shape[2:])[self.nodes]
 
+    def within(self, inside: np.ndarray) -> GridMask:
+        """The mask of the nodes of this one where the (ny, nx) bool
+        ``inside`` holds; its dofs keep their order."""
+        return GridMask(self.interior & inside)
+
+    def mirror(self, axis: int) -> Optional[np.ndarray]:
+        """The dof permutation of the lattice mirror along ``axis`` (0: iy
+        to ny - 1 - iy, 1: ix to nx - 1 - ix), entry k the dof at the image
+        of dof k's node; None when the mirror moves the mask."""
+        if not np.array_equal(self.interior, np.flip(self.interior, axis)):
+            return None
+        dof = np.full(self.interior.shape, -1)
+        dof[self.interior] = np.arange(self.count)
+        return np.flip(dof, axis)[self.interior]
+
 
 def _stencils(h: float) -> dict:
     """name -> the (dy, dx, weight) taps of each centred stencil, in raveled
@@ -255,7 +270,7 @@ def build_grid(domain: AnalyticDomain, h: float):
 def eroded_mask(dist, eps: float) -> GridMask:
     """The nodes with d > eps under the distance ``dist``, with
     ``build_grid``'s rounding tolerance: the mask eroded by eps."""
-    return GridMask(dist.d > eps + INTERIOR_TOL * dist.grid.h)
+    return dist.mask.within(dist.d > eps + INTERIOR_TOL * dist.grid.h)
 
 
 def smoothstep(t):

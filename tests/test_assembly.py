@@ -312,6 +312,8 @@ def test_principal_submatrix_is_form_restriction():
                                                       "mass", 0.0, 1))):
                 ref = assembly.principal_submatrix(full, mask, sub.interior)
                 assert _same_csr(part.matrix, ref.matrix)
+                assert part.mask is sub
+                assert np.array_equal(ref.mask.interior, sub.interior)
 
 
 def test_ellipticity_window_identity_and_scaling():

@@ -723,6 +723,67 @@ def test_cli_spectrum_after_erode_factors_nothing(tmp_path, monkeypatch):
         (cold / "spectrum.csv").read_bytes()
 
 
+def _numbers(path):
+    """Column or key path -> the numbers of a CSV or JSON output."""
+    if path.suffix == ".json":
+        found = collections.defaultdict(list)
+
+        def walk(o, key):
+            if isinstance(o, dict):
+                for k, v in o.items():
+                    walk(v, f"{key}/{k}")
+            elif isinstance(o, list):
+                for v in o:
+                    walk(v, key)
+            elif isinstance(o, (int, float)):
+                found[key].append(o)
+
+        walk(json.loads(path.read_text()), "")
+        return dict(found)
+    header, *rows = (line.split(",") for line in path.read_text().split())
+    return {name: [float(r[i]) for r in rows]
+            for i, name in enumerate(header) if name != "flag"}
+
+
+def test_cli_mirror_blocks_agree_with_one_lu(tmp_path, monkeypatch):
+    # the mirror blocks of each form solve as its one LU does, so every
+    # number the eigensolves give agrees to 1e-8; the residual certificates
+    # are rounding themselves, and the ball-law error |lambda~ / lambda -
+    # (1 - eps)^-4| is the difference of two numbers near lambda~ / lambda,
+    # so those agree to 1e-8 absolute and relative to lambda~ / lambda.  At
+    # h = 1/64 the disk has 12849 unknowns and the eroded disks 11277 and
+    # 10545, all of them above SPLIT_MIN_UNKNOWNS
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace(
+        "h = 0.0625", "h = 0.015625").replace("eps = 0.25",
+                                               "eps = 0.0625 0.09375"))
+    mirrors, found = spectral._mirrors, []
+    outs = {}
+    for split in (True, False):
+        monkeypatch.setattr(spectral, "_mirrors", lambda A: found.append(
+            mirrors(A) if split else []) or found[-1])
+        outs[split] = tmp_path / f"split_{split}"
+        for command in ("spectrum", "erode", "decay"):
+            assert cli_main([command, "--config", cfg,
+                             "--out", str(outs[split])]) == 0
+    # the full pencil, then the two eroded ones, with and without blocks
+    assert [len(m) for m in found] == [2, 2, 2, 0, 0, 0]
+    for name in ("spectrum.csv", "stability.csv", "stability.json",
+                 "decay.csv"):
+        split, one = (_numbers(outs[s] / name) for s in (True, False))
+        assert split.keys() == one.keys()
+        for key in split:
+            if key == "residual":
+                np.testing.assert_allclose(split[key], one[key], rtol=0,
+                                           atol=1e-8)
+            elif key == "ball_law_error":
+                ratio = np.divide(one["lambda_tilde"], one["lambda"])
+                assert np.all(np.abs(np.subtract(split[key], one[key]))
+                              <= 1e-8 * ratio)
+            else:
+                np.testing.assert_allclose(split[key], one[key], rtol=1e-8,
+                                           atol=0)
+
+
 _UNPICKLED = []
 
 

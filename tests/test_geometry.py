@@ -189,6 +189,20 @@ def test_dof_index_is_row_major():
     assert np.array_equal(mask.restrict(a[..., 0, 0]), a[iy, ix, 0, 0])
 
 
+def test_mirror_maps_each_dof_to_its_image_node():
+    grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 16)
+    iy, ix = np.divmod(mask.nodes, grid.nx)
+    for axis, image in ((0, (grid.ny - 1 - iy, ix)),
+                        (1, (iy, grid.nx - 1 - ix))):
+        p = mask.mirror(axis)
+        assert np.array_equal(np.divmod(mask.nodes[p], grid.nx), image)
+        assert np.array_equal(p[p], np.arange(mask.count))
+    X, _ = grid.meshgrid()
+    half = mask.within(X < 0.5)
+    assert half.count < mask.count
+    assert half.mirror(1) is None and half.mirror(0) is not None
+
+
 # the names of a second, inverse pair of dof <-> node maps
 _INDEX_MAPS = {"_of_".join(pair) for pair in (("node", "dof"), ("dof", "node"))}
 
@@ -211,7 +225,8 @@ def _dof_layout_uses(path):
 def test_only_geometry_knows_the_dof_layout():
     src = Path(pl.geometry.__file__).resolve().parent
     found = [u for p in sorted(src.glob("*.py")) for u in _dof_layout_uses(p)]
-    # the two masks: build_grid's and eroded_mask's
+    # the two masks: build_grid's and GridMask.within's, through which
+    # eroded_mask and principal_submatrix restrict a mask
     assert found == [("geometry", "GridMask")] * 2
 
 

@@ -130,25 +130,123 @@ def test_factor_solves_disk_forms(disk32):
         assert np.linalg.norm(form.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_factor_solves_only_when_applied(disk32, monkeypatch):
-    # a LinearOperator left to find its own dtype makes one throwaway solve
-    solves = []
+def test_factor_solves_only_when_applied(disk64, monkeypatch):
+    # a LinearOperator left to find its own dtype makes one throwaway
+    # solve; each application solves once through each of the LUs of the
+    # disk's four mirror blocks
+    lus = []
     splu = spla.splu
 
     class CountedLU:
         def __init__(self, lu):
-            self.lu = lu
+            self.lu, self.solves = lu, 0
 
         def solve(self, b):
-            solves.append(1)
+            self.solves += 1
             return self.lu.solve(b)
 
-    monkeypatch.setattr(spla, "splu",
-                        lambda *a, **k: CountedLU(splu(*a, **k)))
-    op = spectral.factor(disk32.Q0)
-    assert solves == [] and op.dtype == disk32.Q0.matrix.dtype
-    op @ np.ones(disk32.mask.count)
-    assert solves == [1]
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: lus.append(
+        CountedLU(splu(*a, **k))) or lus[-1])
+    op = spectral.factor(disk64.Q0)
+    assert [lu.solves for lu in lus] == [0, 0, 0, 0]
+    assert op.dtype == disk64.Q0.matrix.dtype
+    op @ np.ones(disk64.mask.count)
+    assert [lu.solves for lu in lus] == [1, 1, 1, 1]
+
+
+def _block_sizes(form, monkeypatch):
+    """The order of each matrix ``factor(form)`` hands to splu."""
+    sizes = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda B, **kw:
+                        sizes.append(B.shape[0]) or splu(B, **kw))
+    spectral.factor(form)
+    return sizes
+
+
+def _lattice_form(domain, h, coeffs=None):
+    """(mask, Q0 or the Q of ``coeffs``) on ``domain`` at spacing h."""
+    grid, mask = pl.build_grid(domain, h)
+    form = (assembly.assemble_Q0(grid, mask) if coeffs is None
+            else assembly.assemble_Q(grid, mask, coeffs))
+    return mask, form
+
+
+def test_factor_splits_the_disk_into_four_mirror_blocks(monkeypatch):
+    # the characters (+, +), (+, -), (-, +), (-, -) of the two lattice
+    # mirrors; a block is odd under a mirror only off its axis
+    mask, Q0 = _lattice_form(pl.disk(1.0), 1.0 / 96)
+    assert _block_sizes(Q0, monkeypatch) == [7324, 7228, 7228, 7133]
+    assert mask.count == 7324 + 2 * 7228 + 7133
+
+
+@pytest.mark.parametrize("domain, coeffs", [
+    (pl.superellipse(1.0, 0.6, 4.0), None),
+    (pl.rectangle(2.0, 1.0), pl.diagonal([[16.0, 0.0], [0.0, 1.0]])),
+], ids=["superellipse", "rect_aniso"])
+def test_factor_splits_symmetric_domains_into_four_blocks(domain, coeffs,
+                                                          monkeypatch):
+    mask, form = _lattice_form(domain, 1.0 / 96, coeffs)
+    sizes = _block_sizes(form, monkeypatch)
+    assert len(sizes) == 4 and sum(sizes) == mask.count
+
+
+def test_factor_splits_a_mask_with_one_mirror_into_two_blocks(disk64,
+                                                              monkeypatch):
+    # the disk cut at x = 0.5 keeps only the mirror y -> -y
+    X, _ = disk64.grid.meshgrid()
+    mask = disk64.mask.within(X < 0.5)
+    form = assembly.assemble_Q0(disk64.grid, mask)
+    sizes = _block_sizes(form, monkeypatch)
+    assert len(sizes) == 2 and sum(sizes) == mask.count
+
+
+def test_factor_keeps_one_lu_for_a_form_no_mirror_leaves(disk64,
+                                                        monkeypatch):
+    # b01 != 0 couples u_xy to u_xx and u_yy, which each mirror flips in
+    # sign against them; a CSR matrix carries no mask to mirror
+    form = assembly.assemble_Q(disk64.grid, disk64.mask,
+                               pl.product([[4.0, 1.0], [1.0, 2.0]]))
+    assert _block_sizes(form, monkeypatch) == [disk64.mask.count]
+    assert _block_sizes(disk64.Q0.matrix, monkeypatch) == [disk64.mask.count]
+
+
+def test_factor_keeps_one_lu_below_the_split_size(disk32, monkeypatch):
+    # the h = 1/32 disk's 3205 unknowns are below SPLIT_MIN_UNKNOWNS
+    assert disk32.mask.count < spectral.SPLIT_MIN_UNKNOWNS
+    assert _block_sizes(disk32.Q0, monkeypatch) == [disk32.mask.count]
+    monkeypatch.setattr(spectral, "SPLIT_MIN_UNKNOWNS", disk32.mask.count)
+    assert len(_block_sizes(disk32.Q0, monkeypatch)) == 4
+
+
+def test_factor_blocks_solve_as_one_lu_does(disk64):
+    b = np.random.default_rng(7).standard_normal(disk64.mask.count)
+    A = disk64.Q0.matrix
+    x = spectral.factor(disk64.Q0) @ b
+    ref = spectral.factor(A) @ b
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+    res = np.linalg.norm(A @ x - b)
+    assert res <= 10.0 * max(np.linalg.norm(A @ ref - b),
+                             1e-15 * np.linalg.norm(b))
+
+
+def test_factor_blocks_fill_less_than_one_lu(disk64, monkeypatch):
+    # L.nnz + U.nnz at h = 1/64: 1180676 in the four blocks against
+    # 1881906 in one LU, a ratio of 0.627
+    nnz = []
+    splu = spla.splu
+
+    def counted(B, **kw):
+        lu = splu(B, **kw)
+        nnz.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", counted)
+    spectral.factor(disk64.Q0)
+    blocks = sum(nnz)
+    nnz.clear()
+    spectral.factor(disk64.Q0.matrix)
+    assert len(nnz) == 1 and blocks < 0.7 * nnz[0]
 
 
 def test_lowest_eigenpairs_matches_default_ordering_lu(disk32):
@@ -257,22 +355,21 @@ def test_single_eigenpair_stops_at_the_certificate_accuracy(disk32,
 
 
 def test_factor_reads_the_form_in_place(disk32, monkeypatch):
-    # a symmetric form's CSR arrays are its CSC arrays: splu reads them
-    # without a copy, and the LU solves as that of the CSC copy does
-    grad = assembly.assemble_weighted(disk32.grid, disk32.mask, None,
-                                      "grad", 0.0, 1)
+    # a symmetric form's CSR arrays are its CSC arrays: splu reads those of
+    # a form no mirror leaves without a copy, and the LU solves as that of
+    # the CSC copy does
+    form = assembly.assemble_Q(disk32.grid, disk32.mask,
+                               pl.product([[4.0, 1.0], [1.0, 2.0]]))
     b = np.random.default_rng(5).standard_normal(disk32.mask.count)
     seen = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu",
                         lambda A, **kw: seen.append(A) or splu(A, **kw))
-    for form in (disk32.Q0, grad):
-        x = spectral.factor(form) @ b
-        A = seen[-1]
-        assert A.format == "csc"
-        assert all(np.shares_memory(getattr(A, part),
-                                    getattr(form.matrix, part))
-                   for part in ("data", "indices", "indptr"))
-        lu = splu(form.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        assert np.array_equal(x, lu.solve(b))
+    x = spectral.factor(form) @ b
+    [A] = seen
+    assert A.format == "csc"
+    assert all(np.shares_memory(getattr(A, part), getattr(form.matrix, part))
+               for part in ("data", "indices", "indptr"))
+    lu = splu(form.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert np.array_equal(x, lu.solve(b))
