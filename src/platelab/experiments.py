@@ -203,17 +203,17 @@ class StabilityReport:
 
 
 def cutoff_rayleigh_bound(spec: Spectrum, tau: np.ndarray,
-                          Q: FormMatrix, mask) -> np.ndarray:
+                          Q: FormMatrix) -> np.ndarray:
     """Upper bounds sup{Q(v)/||v||^2 : v in span(tau phi_1..tau phi_n)} for
-    the lattice cutoff ``tau`` of ``build_cutoff``, the norm that of the
-    pencil's mass ``spec.B``.
+    the lattice cutoff ``tau`` of ``build_cutoff`` on the dofs of
+    ``Q.mask``, the norm that of the pencil's mass ``spec.B``.
 
     Returns one bound per n = 1..m via the dense generalized eigenproblem in
     the transplanted subspace.
     """
     import scipy.linalg as sla
 
-    U = mask.restrict(tau)[:, None] * spec.vectors
+    U = Q.mask.restrict(tau)[:, None] * spec.vectors
     S = U.T @ (Q.matrix @ U)
     T = U.T @ (spec.B @ U)
     S = (S + S.T) / 2
@@ -314,8 +314,8 @@ def run_erosion_study(domain: AnalyticDomain, coeffs: CoefficientField,
     Q = assemble_Q(grid, mask, coeffs)
     mass = assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = full_eigenpairs(Q, mass, m=m, tol=tol, seed=seed)
-    bounds = [cutoff_rayleigh_bound(spec, build_cutoff(dist_sdf, eps), Q,
-                                    mask) for eps in eps_list]
+    bounds = [cutoff_rayleigh_bound(spec, build_cutoff(dist_sdf, eps), Q)
+              for eps in eps_list]
     hess_deps = {eps: measure_eroded_hessian_bound(dist_sdf, eps)
                  for eps in eps_list}
     lam, res = spec.values, spec.residuals

@@ -20,14 +20,18 @@ DEFAULT_SEED = 42
 # default (0, machine precision) took ``hardy`` on the h = 1/40 disk about
 # 4600 LU solves where 3500 give the same minima.  m >= 2 keeps 0: Lanczos
 # sees the second copy of a repeated eigenvalue only through rounding, and a
-# looser stop returns the next eigenvalue in its place.
+# looser stop returns the next eigenvalue in its place.  The mirror blocks
+# keep this rule, though a repeat that the mirrors make falls into two
+# blocks: for m = 3 on the h = 1/96 disk a looser stop in them saved no
+# solves (84 against 84).
 LANCZOS_TOL_RATIO = 1e-3
 # ``factor`` splits no form with fewer unknowns: below it the blocks' set-up
 # and the gather and scatter around each solve cost about what their smaller
 # fill saves.  The time of the factor and 150 solves on the disk, blocks
 # over one LU (2 vCPUs, scipy 1.17.1): Q0 1.00 at 5013 unknowns, 0.94-0.89
 # at 7209-9841 and 0.87-0.97 from 12849 to 28913; the grad form 1.37 at
-# 5013 and 1.07-1.05 from 12849 to 28913.
+# 5013 and 1.07-1.05 from 12849 to 28913.  Only a split form's pencils are
+# solved block by block, so a smaller one is solved on the whole space.
 SPLIT_MIN_UNKNOWNS = 10_000
 
 
@@ -51,21 +55,25 @@ def _as_matrix(A: Union[FormMatrix, sp.spmatrix]) -> sp.csr_matrix:
     return A.tocsr()
 
 
+def _invariant(M: sp.csr_matrix, p: np.ndarray) -> bool:
+    """Whether M[p][:, p] equals M array for array (indptr, indices and
+    data, after sorting): p is a mirror, its own inverse."""
+    P = M[p]
+    P = sp.csr_matrix((P.data, p[P.indices], P.indptr), shape=P.shape)
+    P.sort_indices()
+    return all(np.array_equal(getattr(P, k), getattr(M, k))
+               for k in ("indptr", "indices", "data"))
+
+
 def _mirrors(A: FormMatrix) -> list:
     """The dof permutations p of the lattice mirrors (``GridMask.mirror``)
-    that leave A exactly invariant: A[p][:, p] equals A array for array."""
+    that leave A exactly invariant (``_invariant``)."""
     if A.mask is None:
         return []
     found = []
     for axis in (0, 1):
         p = A.mask.mirror(axis)
-        if p is None:
-            continue
-        P = A.matrix[p]  # A[p][:, p]: p is its own inverse
-        P = sp.csr_matrix((P.data, p[P.indices], P.indptr), shape=P.shape)
-        P.sort_indices()
-        if all(np.array_equal(getattr(P, k), getattr(A.matrix, k))
-               for k in ("indptr", "indices", "data")):
+        if p is not None and _invariant(A.matrix, p):
             found.append(p)
     return found
 
@@ -108,11 +116,14 @@ def factor(A) -> spla.LinearOperator:
     A-invariant and mutually orthogonal, so A^-1 = sum over the blocks of
     S (S^T A S)^-1 S^T exactly; their LUs fill a third less than A's on
     the h = 1/96 disk (3.27M against 4.98M nonzeros).  The blocks are
-    formed and factored one at a time.
+    formed and factored one at a time.  The operator carries them as
+    ``blocks``, the pairs (S, y -> (S^T A S)^-1 y), and the permutations
+    it split by as ``mirrors``, so that ``lowest_eigenpairs`` can solve a
+    pencil block by block.
 
-    Any other A is factored whole.  It must be symmetric, as every
-    ``FormMatrix`` is: its CSR arrays are then its CSC arrays, and splu
-    reads them in place; A is not copied."""
+    Any other A is factored whole, with ``blocks`` and ``mirrors`` empty.
+    It must be symmetric, as every ``FormMatrix`` is: its CSR arrays are
+    then its CSC arrays, and splu reads them in place; A is not copied."""
     import scipy.sparse.linalg as spla
 
     Am = _as_matrix(A)
@@ -138,7 +149,12 @@ def factor(A) -> spla.LinearOperator:
     else:
         solve = lus[0].solve
     # a LinearOperator without a dtype finds one by a throwaway solve
-    return spla.LinearOperator(Am.shape, matvec=solve, dtype=Am.dtype)
+    op = spla.LinearOperator(Am.shape, matvec=solve, dtype=Am.dtype)
+    op.mirrors = mirrors
+    op.blocks = [(Sk, spla.LinearOperator((Sk.shape[1],) * 2, dtype=Am.dtype,
+                                          matvec=lu.solve))
+                 for Sk, lu in zip(bases, lus)] if mirrors else []
+    return op
 
 
 def _residuals(Am, Bm, vals, vecs) -> np.ndarray:
@@ -161,7 +177,17 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
     lets a caller reuse one ``factor(A)`` across a sweep of mass matrices.
     ARPACK stops at ``tol * LANCZOS_TOL_RATIO`` for m = 1 and at machine
     precision for m >= 2; either way every pair returned has a residual
-    <= ``tol``.
+    <= ``tol`` on the full pencil.
+
+    When ``OPinv`` carries the mirror blocks of ``factor`` and B is
+    invariant under each of its mirrors (``_invariant``), each block's
+    span is A- and B-invariant and the pencils (S^T A S, S^T B S) are
+    solved one at a time, from the start vector S^T v0: the lowest
+    min(m, dim - 1) pairs of each, lifted by S, merged and the lowest m
+    kept.  A pair that is repeated under a mirror, such as the disk's
+    lambda_2 = lambda_3, then falls into two blocks, and each returned
+    vector is even or odd under every mirror.  Any other pencil is solved
+    on the whole space.
     """
     import scipy.sparse.linalg as spla
 
@@ -183,17 +209,35 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
     v0 = rng.standard_normal(n)
     if OPinv is None:
         OPinv = factor(A)
-    try:
-        vals, vecs = spla.eigsh(Am, k=m, M=Bm, sigma=0.0, which="LM",
-                                v0=v0, OPinv=OPinv,
-                                tol=tol * LANCZOS_TOL_RATIO if m == 1 else 0)
-    except spla.ArpackNoConvergence as exc:
-        partial = None
-        if len(exc.eigenvalues):
-            partial = _residuals(Am, Bm, exc.eigenvalues, exc.eigenvectors)
-        raise NoConvergence("eigsh failed to converge",
-                            residuals=partial) from exc
-    order = np.argsort(vals)
+    blocks = getattr(OPinv, "blocks", [])
+    if not (blocks and all(_invariant(Bm, p) for p in OPinv.mirrors)):
+        blocks = [(None, OPinv)]
+    vals, vecs = [], []
+    for S, solve in blocks:
+        if S is None:
+            Ak, Bk, v0k, k = Am, Bm, v0, m
+        else:
+            # in mode 3 with OPinv, eigsh reads only A's shape and dtype
+            # (scipy 1.17.1, arpack.py): the block's mass stands in for A
+            Bk = (S.T @ (Bm @ S)).tocsr()
+            Ak, v0k, k = Bk, S.T @ v0, min(m, S.shape[1] - 1)
+        lift = (lambda y: y) if S is None else (lambda y: S @ y)
+        try:
+            w, y = spla.eigsh(Ak, k=k, M=Bk, sigma=0.0, which="LM", v0=v0k,
+                              OPinv=solve,
+                              tol=tol * LANCZOS_TOL_RATIO if m == 1 else 0)
+        except spla.ArpackNoConvergence as exc:
+            partial = None
+            if len(exc.eigenvalues):
+                partial = _residuals(Am, Bm, exc.eigenvalues,
+                                     lift(exc.eigenvectors))
+            raise NoConvergence("eigsh failed to converge",
+                                residuals=partial) from exc
+        vals.append(w)
+        vecs.append(lift(y))
+    vals = np.concatenate(vals)
+    vecs = np.hstack(vecs)
+    order = np.argsort(vals)[:m]
     vals = vals[order]
     vecs = vecs[:, order]
     res = _residuals(Am, Bm, vals, vecs)

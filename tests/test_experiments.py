@@ -151,7 +151,7 @@ def test_cutoff_rayleigh_identity_when_tau_is_one():
     mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
     spec = pl.lowest_eigenpairs(Q0, mass, m=3)
     cutoff = pl.build_cutoff(dist, 0.15)
-    bounds = experiments.cutoff_rayleigh_bound(spec, cutoff, Q0, mask)
+    bounds = experiments.cutoff_rayleigh_bound(spec, cutoff, Q0)
     assert np.allclose(bounds, spec.values, rtol=1e-10)
 
 

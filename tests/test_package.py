@@ -84,8 +84,9 @@ def test_every_public_name_has_a_caller():
 
 
 def test_no_public_function_takes_what_it_can_derive(disk32):
-    # a DistanceField holds its grid and mask, the witnesses their labels
-    # and a Spectrum its mass form as B; the decay check reads eigenpair 0
+    # a DistanceField holds its grid and mask, a FormMatrix its mask, the
+    # witnesses their labels and a Spectrum its mass form as B; the decay
+    # check reads eigenpair 0
     # and every check builds its own difference operators.  assemble_weighted
     # takes dist=None for the mass and power-0 forms, so it needs the grid
     # and the mask
@@ -96,7 +97,8 @@ def test_no_public_function_takes_what_it_can_derive(disk32):
             continue
         params = set(inspect.signature(obj).parameters)
         if (name != "assemble_weighted" and "dist" in params
-                and params & {"grid", "mask"}) or {"spec", "mass"} <= params:
+                and params & {"grid", "mask"}) or {"spec", "mass"} <= params \
+                or {"Q", "mask"} <= params:
             paired.append(name)
         if params & {"ops", "u_index", "labels"}:
             handed.append(name)

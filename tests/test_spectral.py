@@ -373,3 +373,125 @@ def test_factor_reads_the_form_in_place(disk32, monkeypatch):
     lu = splu(form.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     assert np.array_equal(x, lu.solve(b))
+
+
+def _whole_space(A, B, m, OPinv, seed=spectral.DEFAULT_SEED):
+    """The pairs of ``lowest_eigenpairs`` as one Lanczos run on the whole
+    space: its probe draws, its start vector, its stop and its sort."""
+    n = A.matrix.shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        rng.standard_normal(n)
+    stop = 0 if m > 1 else spectral.DEFAULT_TOL * spectral.LANCZOS_TOL_RATIO
+    vals, vecs = spla.eigsh(A.matrix, k=m, M=B.matrix, sigma=0.0, which="LM",
+                            v0=rng.standard_normal(n), OPinv=OPinv, tol=stop)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _eigsh_sizes(monkeypatch):
+    """The order of each pencil ``lowest_eigenpairs`` hands to eigsh."""
+    sizes = []
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda A, **kw:
+                        sizes.append(A.shape[0]) or eigsh(A, **kw))
+    return sizes
+
+
+def test_mirror_blocks_solve_the_pencil_as_the_whole_space_does(
+        disk64, monkeypatch):
+    # Q0 and the mass on the h = 1/64 disk: four Lanczos runs, one per
+    # block, through the same block LUs as the whole-space run
+    op = spectral.factor(disk64.Q0)
+    sizes = _eigsh_sizes(monkeypatch)
+    spec = pl.lowest_eigenpairs(disk64.Q0, disk64.mass, m=5, OPinv=op)
+    assert sizes == [S.shape[1] for S, _ in op.blocks]
+    assert len(sizes) == 4 and sum(sizes) == disk64.mask.count
+    # a bare operator carries no blocks: one run on the whole space
+    bare = spla.LinearOperator(op.shape, matvec=op.matvec, dtype=op.dtype)
+    whole = pl.lowest_eigenpairs(disk64.Q0, disk64.mass, m=5, OPinv=bare)
+    np.testing.assert_allclose(spec.values, whole.values, rtol=1e-10, atol=0)
+    assert np.all(spec.residuals <= spectral.DEFAULT_TOL)
+    G = spec.vectors.T @ (spec.B @ spec.vectors)
+    assert np.allclose(G, np.eye(5), atol=1e-8)
+
+
+def _character(v, mirrors):
+    """The sign of v under each mirror, asserting v is even or odd."""
+    signs = []
+    for p in mirrors:
+        sign = 1.0 if v[p] @ v > 0 else -1.0
+        assert np.abs(v[p] - sign * v).max() <= 1e-12 * np.abs(v).max()
+        signs.append(sign)
+    return tuple(signs)
+
+
+def test_mirror_blocks_fix_the_degenerate_pair(disk64):
+    # lambda_2 = lambda_3 on the disk: each copy is the minimum of its own
+    # block, (+, -) or (-, +), so every seed returns the same two vectors
+    # up to sign and their order, which the rounding of the tie decides
+    mirrors = [disk64.mask.mirror(axis) for axis in (0, 1)]
+    op = spectral.factor(disk64.Q0)
+    pairs = []
+    for seed in (1, 2, 42):
+        spec = pl.lowest_eigenpairs(disk64.Q0, disk64.mass, m=5, seed=seed,
+                                    OPinv=op)
+        chars = [_character(v, mirrors) for v in spec.vectors.T]
+        assert sorted(chars[1:3]) == [(-1.0, 1.0), (1.0, -1.0)]
+        pairs.append({c: v for c, v in zip(chars[1:3],
+                                           spec.vectors.T[1:3])})
+    for pair in pairs[1:]:
+        for c, v in pair.items():
+            ref = pairs[0][c]
+            sign = np.sign(v @ ref)
+            assert np.abs(sign * v - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_mass_no_mirror_leaves_is_solved_on_the_whole_space(monkeypatch):
+    # a Hardy weight on the h = 1/72 disk is not bitwise mirror-invariant
+    # (the lattice's node coordinates are not), so the pencil (Q0, W_n)
+    # goes through one Lanczos run on the whole space, bit for bit as before
+    dom = pl.disk(1.0)
+    grid, mask = pl.build_grid(dom, 1.0 / 72)
+    dist = pl.euclidean_from_sdf(dom, grid, mask)
+    Q0 = assembly.assemble_Q0(grid, mask)
+    W = assembly.assemble_weighted(grid, mask, dist, "mass", 2.0, 40)
+    op = spectral.factor(Q0)
+    assert len(op.blocks) == 4
+    assert not any(spectral._invariant(W.matrix, p) for p in op.mirrors)
+    sizes = _eigsh_sizes(monkeypatch)
+    spec = pl.lowest_eigenpairs(Q0, W, m=1, OPinv=op)
+    assert sizes == [mask.count]
+    vals, vecs = _whole_space(Q0, W, 1, op)
+    assert np.array_equal(spec.values, vals)
+    assert np.array_equal(spec.vectors, vecs)
+
+
+def test_form_below_the_split_size_is_solved_on_the_whole_space(disk32):
+    op = spectral.factor(disk32.Q0)
+    assert op.blocks == [] and op.mirrors == []
+    spec = pl.lowest_eigenpairs(disk32.Q0, disk32.mass, m=5, OPinv=op)
+    vals, vecs = _whole_space(disk32.Q0, disk32.mass, 5, op)
+    assert np.array_equal(spec.values, vals)
+    assert np.array_equal(spec.vectors, vecs)
+    assert np.array_equal(disk32.spec.values, vals)
+
+
+def test_no_convergence_in_a_block_certifies_the_lifted_pairs(disk64,
+                                                              monkeypatch):
+    # a partial pair of a block is a block vector; its residual is taken
+    # on the full pencil after the lift by S
+    op = spectral.factor(disk64.Q0)
+    S = op.blocks[0][0]
+    y = np.zeros((S.shape[1], 1))
+    y[0, 0] = 1.0
+
+    def eigsh(A, **kw):
+        raise spla.ArpackNoConvergence("no convergence", np.array([1.0]), y)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    with pytest.raises(NoConvergence) as info:
+        pl.lowest_eigenpairs(disk64.Q0, disk64.mass, m=2, OPinv=op)
+    ref = spectral._residuals(disk64.Q0.matrix, disk64.mass.matrix,
+                              np.array([1.0]), S @ y)
+    assert info.value.residuals == pytest.approx(ref, rel=1e-12)
