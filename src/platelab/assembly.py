@@ -107,16 +107,16 @@ def interior_difference_ops(grid: Grid, mask: GridMask):
     return difference_ops(grid, mask, rows=mask.nodes)
 
 
-def principal_submatrix(form: FormMatrix, mask: GridMask,
+def principal_submatrix(form: FormMatrix,
                         sub_interior: np.ndarray) -> FormMatrix:
     """Restrict a form to the dofs whose nodes satisfy ``sub_interior``.
 
     This is the discrete meaning of restricting the quadratic form to the
     eroded subdomain.
     """
-    keep = np.flatnonzero(mask.restrict(sub_interior))
+    keep = np.flatnonzero(form.mask.restrict(sub_interior))
     return FormMatrix(form.matrix[keep][:, keep].tocsr(),
-                      mask.within(sub_interior))
+                      form.mask.within(sub_interior))
 
 
 def ellipticity_window(coeffs: CoefficientField) -> float:

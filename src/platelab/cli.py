@@ -136,7 +136,7 @@ def _eigenpairs(out: str, A, B, m: int, tol: float, seed: int):
             if str(stored["key"]) == key:
                 return spectral.Spectrum(
                     values=stored["values"], vectors=stored["vectors"],
-                    residuals=stored["residuals"], B=B.matrix, m=m)
+                    residuals=stored["residuals"], B=B.matrix)
     except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile):  # TypeError: a .npy file is no archive
         pass

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import BandUnresolved, GridTooCoarse
 
-# A node is interior when sdf < -INTERIOR_TOL * h.  Node coordinates are
-# origin + h * arange, so a node on a grid-aligned boundary can come out
-# 1 ulp inside; the tolerance keeps it out, far below the genuine
+# A node is interior when sdf < -INTERIOR_TOL * h.  A node h * k on a
+# boundary can round 1 ulp inside when h is not dyadic (h * 49 = 1 - 1 ulp
+# at h = 1/49); the tolerance keeps it out, far below the genuine
 # near-boundary nodes (0.01h and more on the disk).
 INTERIOR_TOL = 1e-9
 # build_grid refuses a grid with fewer interior nodes than this
@@ -32,7 +32,8 @@ class AnalyticDomain:
 
     ``sdf`` is vectorized over coordinate arrays and 1-Lipschitz in the
     Euclidean norm; ``support(c, s)`` = max over the domain of c x + s y for
-    unit (c, s); ``bbox`` is (xmin, xmax, ymin, ymax) containing {sdf <= 0}.
+    unit (c, s); ``bbox`` is the half-extents (hx, hy) of the centred box
+    containing {sdf <= 0}: every domain is symmetric in both axes.
     """
 
     kind: str
@@ -52,7 +53,7 @@ def disk(radius: float) -> AnalyticDomain:
         return np.hypot(x, y) - r
 
     return AnalyticDomain("disk", {"radius": r}, sdf, lambda c, s: r + 0.0 * c,
-                          (-r, r, -r, r), r)
+                          (r, r), r)
 
 
 def rectangle(width: float, height: float) -> AnalyticDomain:
@@ -70,12 +71,12 @@ def rectangle(width: float, height: float) -> AnalyticDomain:
 
     return AnalyticDomain("rectangle", {"width": w, "height": ht}, sdf,
                           lambda c, s: hx * np.abs(c) + hy * np.abs(s),
-                          (-hx, hx, -hy, hy), min(hx, hy))
+                          (hx, hy), min(hx, hy))
 
 
 def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
-    """|x/a|^p + |y/b|^p = 1 boundary; support ||(a c, b s)||_q with
-    1/p + 1/q = 1 (Hoelder); sdf from the support, by ``_support_distance``."""
+    """|x/a|^p + |y/b|^p = 1 boundary; support ||(a c, b s)||_q (Hoelder,
+    1/p + 1/q = 1); sdf by ``_support_distance`` at (|x|, |y|), symmetric."""
     a, b, p = float(a), float(b), float(p)
     if a <= 0 or b <= 0 or p < 2:
         raise ValueError("superellipse needs a, b > 0 and exponent p >= 2")
@@ -84,10 +85,10 @@ def superellipse(a: float, b: float, p: float) -> AnalyticDomain:
         return np.linalg.norm([a * c, b * s], p / (p - 1.0), axis=0)
 
     def sdf(x, y):
-        return -_support_distance(support, lambda c, s: 1.0, x, y)
+        return -_support_distance(support, lambda c, s: 1.0, abs(x), abs(y))
 
     return AnalyticDomain("superellipse", {"a": a, "b": b, "p": p}, sdf,
-                          support, (-a, a, -b, b), min(a, b))
+                          support, (a, b), min(a, b))
 
 
 # _BLOCK bounds the (points, _SCAN) scan arrays; _R is the golden ratio - 1
@@ -141,16 +142,17 @@ def _support_distance(support, pstar, x, y):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node lattice: node(i, j) = origin + (j*h, i*h)."""
+    """Uniform lattice centred on the origin: node (iy, ix) at h * (ix -
+    (nx - 1)/2, iy - (ny - 1)/2), exactly antisymmetric under each mirror
+    since h * -k = -(h * k) in floating point."""
 
     h: float
-    origin: tuple
     nx: int
     ny: int
 
     def meshgrid(self):
-        return np.meshgrid(self.origin[0] + self.h * np.arange(self.nx),
-                           self.origin[1] + self.h * np.arange(self.ny))
+        return np.meshgrid(*(self.h * (np.arange(n) - (n - 1) / 2)
+                             for n in (self.nx, self.ny)))
 
     @property
     def n_nodes(self) -> int:
@@ -246,21 +248,12 @@ def hessian_norm2(ops, f: np.ndarray) -> np.ndarray:
 
 
 def build_grid(domain: AnalyticDomain, h: float):
-    """Lattice covering the bbox (one halo ring) plus the interior mask."""
+    """The centred lattice over the bbox and a halo ring, plus the mask."""
     if h <= 0:
         raise ValueError("grid spacing must be positive")
-    xmin, xmax, ymin, ymax = domain.bbox
-    i0 = int(np.floor(xmin / h)) - 1
-    i1 = int(np.ceil(xmax / h)) + 1
-    j0 = int(np.floor(ymin / h)) - 1
-    j1 = int(np.ceil(ymax / h)) + 1
-    nx, ny = i1 - i0 + 1, j1 - j0 + 1
-    if nx < 3 or ny < 3:
-        raise GridTooCoarse("fewer than 3 nodes per axis")
-    grid = Grid(h=float(h), origin=(i0 * h, j0 * h), nx=nx, ny=ny)
-    X, Y = grid.meshgrid()
-    interior = domain.sdf(X, Y) < -INTERIOR_TOL * grid.h
-    mask = GridMask(interior)
+    nx, ny = (2 * int(np.ceil(half / h)) + 3 for half in domain.bbox)
+    grid = Grid(h=float(h), nx=nx, ny=ny)
+    mask = GridMask(domain.sdf(*grid.meshgrid()) < -INTERIOR_TOL * grid.h)
     if mask.count < MIN_INTERIOR:
         raise GridTooCoarse(
             f"only {mask.count} interior nodes (need {MIN_INTERIOR})")

@@ -43,7 +43,10 @@ class Spectrum:
     vectors: np.ndarray     # (count, m), B-orthonormal
     residuals: np.ndarray   # (m,), ||A v - t B v|| / (t ||v||_B)
     B: sp.csr_matrix
-    m: int
+
+    @property
+    def m(self) -> int:
+        return self.values.size
 
     def b_inner(self, u, v) -> float:
         return float(u @ (self.B @ v))
@@ -244,4 +247,4 @@ def lowest_eigenpairs(A, B, m: int, tol: float = DEFAULT_TOL,
     if np.any(res > tol):
         raise NoConvergence(
             f"residuals {res} exceed tol {tol}", residuals=res)
-    return Spectrum(values=vals, vectors=vecs, residuals=res, B=Bm, m=m)
+    return Spectrum(values=vals, vectors=vecs, residuals=res, B=Bm)

@@ -67,8 +67,8 @@ def _erosion_errors(h):
     for eps in ERODE_EPS:
         sub = dist.d > eps + INTERIOR_TOL * h   # as the erosion study rounds
         lam_eps = pl.lowest_eigenpairs(
-            assembly.principal_submatrix(Q, mask, sub),
-            assembly.principal_submatrix(mass, mask, sub), m=1).values[0]
+            assembly.principal_submatrix(Q, sub),
+            assembly.principal_submatrix(mass, sub), m=1).values[0]
         errs.append(lam_eps / lam * (1.0 - eps) ** 4 - 1.0)
     return np.array(errs)
 

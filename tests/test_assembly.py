@@ -17,7 +17,7 @@ from test_spectral import _callers
 def _single_node_setup():
     # a 5x5 lattice whose one interior node has a full ring of exterior
     # nodes around it
-    grid = pl.Grid(h=0.5, origin=(-1.0, -1.0), nx=5, ny=5)
+    grid = pl.Grid(h=0.5, nx=5, ny=5)
     interior = np.zeros((5, 5), dtype=bool)
     interior[2, 2] = True
     return grid, pl.GridMask(interior)
@@ -184,7 +184,7 @@ def test_every_form_is_sorted_csr_equal_to_its_transpose(disk32):
               assembly.assemble_weighted(grid, mask, dist, "mass", 4.0, 8),
               assembly.assemble_weighted(grid, mask, None, "grad", 0.0, 1),
               assembly.assemble_weighted(grid, mask, dist, "grad", 2.0, 8),
-              assembly.principal_submatrix(disk32.Q0, mask,
+              assembly.principal_submatrix(disk32.Q0,
                                            disk32.domain.sdf(X, Y) < -0.25)]
     for form in forms:
         A = form.matrix
@@ -310,7 +310,7 @@ def test_principal_submatrix_is_form_restriction():
                     (Q, assembly.assemble_Q(grid, sub, coeffs)),
                     (mass, assembly.assemble_weighted(grid, sub, None,
                                                       "mass", 0.0, 1))):
-                ref = assembly.principal_submatrix(full, mask, sub.interior)
+                ref = assembly.principal_submatrix(full, sub.interior)
                 assert _same_csr(part.matrix, ref.matrix)
                 assert part.mask is sub
                 assert np.array_equal(ref.mask.interior, sub.interior)

@@ -1,7 +1,8 @@
 """Closed-form checks of the lattice spectrum beyond the disk's Bessel
-values: the clamped unit square's lambda_1, the two-grid estimate
-2 lambda(h) - lambda(2h) on the disk and the ellipse, and the Hadamard
-density of erosion whose depth varies along the disk's boundary."""
+values: the clamped unit square's lambda_1, the closed-form spectrum of
+``rect_aniso.cfg``, the two-grid estimate 2 lambda(h) - lambda(2h) on the
+disk and the ellipse, and the Hadamard density of erosion whose depth
+varies along the disk's boundary."""
 import functools
 
 import numpy as np
@@ -58,6 +59,37 @@ def test_unit_square_two_grid_value_meets_the_reference():
                     for n in (64, 128))
     assert abs(fine) <= 2e-3
     assert abs(fine) < 0.3 * abs(coarse)
+
+
+# the clamped beam's roots, cos k cosh k = 1
+BEAM_K = np.array([4.730040744863, 7.853204624096, 10.995607838002])
+
+
+def test_rect_aniso_converges_to_the_beam_sums_at_first_order():
+    # rect_aniso.cfg's pencil, diag(16, 1) on the 2 x 1 rectangle, has no
+    # u_xy term, so it is the Kronecker sum of two clamped beams:
+    # lambda = 16 (k_i / 2)^4 + k_j^4 = k_i^4 + k_j^4.  On the lattice the
+    # continuum pair (1, 2) / (2, 1) splits at O(h): the x and y beams see
+    # different walls
+    assert np.all(np.abs(np.cos(BEAM_K) - 1.0 / np.cosh(BEAM_K)) <= 1e-12)
+    exact = np.sort((BEAM_K[:, None] ** 4 + BEAM_K ** 4).ravel())[:4]
+    np.testing.assert_allclose(
+        exact, [1001.127803, 4304.100982, 4304.100982, 7607.074161],
+        rtol=0, atol=1e-6)
+    err, split = [], []
+    for n in (32, 64):
+        grid, mask = pl.build_grid(pl.rectangle(2.0, 1.0), 1.0 / n)
+        Q = assembly.assemble_Q(grid, mask, pl.diagonal(np.diag([16.0, 1.0])))
+        mass = assembly.assemble_weighted(grid, mask, None, "mass", 0.0, 1)
+        lam = pl.lowest_eigenpairs(Q, mass, m=4).values
+        err.append(lam / exact - 1.0)
+        split.append(lam[2] / lam[1] - 1.0)
+    np.testing.assert_allclose(
+        err, [[-8.743e-2, -11.110e-2, -6.699e-2, -8.926e-2],
+              [-4.524e-2, -5.718e-2, -3.418e-2, -4.573e-2]],
+        rtol=0, atol=1e-5)
+    np.testing.assert_allclose(err[0] / err[1], 2.0, rtol=0, atol=0.1)
+    np.testing.assert_allclose(split, [4.96e-2, 2.44e-2], rtol=0, atol=5e-5)
 
 
 @pytest.mark.parametrize("kind, coarse, fine", [

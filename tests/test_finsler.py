@@ -89,7 +89,7 @@ def test_distance_anisotropic_directional_factor():
     dist = pl.finsler_distance(dom, grid, mask, coeffs)
     px = pl.dual_metric(coeffs, np.array([1.0, 0.0]))
     iy = grid.ny // 2
-    ix = int(round((0.9 - grid.origin[0]) / h))  # (0.9, 0): 0.1 from the face
+    ix = grid.nx // 2 + int(round(0.9 / h))  # (0.9, 0): 0.1 from the face
     assert dist.d[iy, ix] == pytest.approx(0.1 / px, abs=2 * h)
 
 

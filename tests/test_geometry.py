@@ -42,6 +42,16 @@ def test_superellipse_sdf_is_signed_and_lipschitz():
     assert np.all(np.abs(dp - dq) <= gap + 1e-9)
 
 
+def test_superellipse_sdf_is_mirror_symmetric_bit_for_bit():
+    # the sdf is taken at (|x|, |y|), so each mirror image of a point has
+    # the same float distance
+    s = pl.superellipse(1.0, 0.6, 4.0)
+    x, y = np.random.default_rng(3).uniform(-1.5, 1.5, size=(2, 2000))
+    d = s.sdf(x, y)
+    for sx, sy in ((-1, 1), (1, -1), (-1, -1)):
+        assert np.array_equal(s.sdf(sx * x, sy * y), d)
+
+
 def _boundary(a, b, p, t):
     """The boundary points (a sgn(c)|c|^(2/p), b sgn(s)|s|^(2/p)) at the
     angles t, c = cos t, s = sin t."""
@@ -113,7 +123,7 @@ def test_build_grid_disk_h_half_count_nine():
     # build_grid's lattice for the unit disk at h = 1/2 (bbox plus a halo
     # ring) holds 9 interior nodes, below the 25 that build_grid accepts
     dom = pl.disk(1.0)
-    grid = Grid(h=0.5, origin=(-1.5, -1.5), nx=7, ny=7)
+    grid = Grid(h=0.5, nx=7, ny=7)
     X, Y = grid.meshgrid()
     mask = GridMask(dom.sdf(X, Y) < -INTERIOR_TOL * grid.h)
     assert mask.count == 9
@@ -121,6 +131,18 @@ def test_build_grid_disk_h_half_count_nine():
     assert np.all(xs**2 + ys**2 < 1.0)
     with pytest.raises(GridTooCoarse, match="only 9 interior nodes"):
         pl.build_grid(dom, 0.5)
+
+
+@pytest.mark.parametrize("n", [40, 72, 96])
+def test_lattice_is_centred_and_mirror_exact(n):
+    # node (iy, ix) at h * (ix - (nx - 1)/2, iy - (ny - 1)/2): the
+    # coordinates are exactly antisymmetric at every h, dyadic or not
+    grid, _ = pl.build_grid(pl.rectangle(2.0, 1.0), 1.0 / n)
+    assert [f.name for f in dataclasses.fields(Grid)] == ["h", "nx", "ny"]
+    assert (grid.nx, grid.ny) == (2 * n + 3, n + 3)
+    X, Y = grid.meshgrid()
+    assert np.array_equal(X, -X[:, ::-1]) and np.array_equal(Y, -Y[::-1])
+    assert X[0, grid.nx // 2] == 0.0 and Y[grid.ny // 2, 0] == 0.0
 
 
 def test_build_grid_too_coarse():
@@ -136,22 +158,23 @@ def test_build_grid_count_tracks_area():
     assert abs(mask.count - expect) / expect < 0.01
 
 
-@pytest.mark.parametrize("n", [40, 48, 96])
+@pytest.mark.parametrize("n", [40, 48, 96, 98])
 def test_rectangle_boundary_nodes_are_not_dofs(n):
-    # at these h the nodes on x = +-1 or y = +-1/2 come out 1 ulp inside
+    # the nodes on x = +-1 and y = +-1/2 are no dofs; at h = 1/98 they come
+    # out 1 ulp inside (h * 98 and h * 49 round down)
     _, mask = pl.build_grid(pl.rectangle(2.0, 1.0), 1.0 / n)
     assert mask.count == (2 * n - 1) * (n - 1)
 
 
 @pytest.mark.parametrize("dom, n", [
-    (pl.disk(1.0), 40), (pl.disk(1.0), 48), (pl.disk(1.0), 96),
-    (pl.superellipse(1.5, 0.7, 8.0), 96)],
-    ids=["40", "48", "96", "superellipse-96"])
+    (pl.disk(1.0), 40), (pl.disk(1.0), 48), (pl.disk(1.0), 49),
+    (pl.disk(1.0), 96), (pl.superellipse(1.5, 0.7, 8.0), 96)],
+    ids=["40", "48", "49", "96", "superellipse-96"])
 def test_disk_has_no_dof_on_the_circle(dom, n):
-    # the axis nodes (+-1, 0) and (0, +-1) lie on the circle, and the node
-    # (-1.5 + 1 ulp, 0) on the superellipse; a dof's distance is taken from
-    # the level set f = |x/a|^p + |y/b|^p - 1 (a = b = 1, p = 2 for the
-    # unit circle) as -f / |grad f|, not from the sdf under test
+    # the axis nodes (+-1, 0) and (0, +-1) lie on the circle (1 ulp inside
+    # at h = 1/49), and (+-1.5, 0) on the superellipse; a dof's distance is
+    # taken from the level set f = |x/a|^p + |y/b|^p - 1 (a = b = 1, p = 2
+    # for the unit circle) as -f / |grad f|, not from the sdf under test
     a, b, p = (dom.params.get("a", 1.0), dom.params.get("b", 1.0),
                dom.params.get("p", 2.0))
     grid, mask = pl.build_grid(dom, 1.0 / n)

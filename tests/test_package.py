@@ -83,25 +83,35 @@ def test_every_public_name_has_a_caller():
     assert [n for n in pl.__all__ if n not in read] == []
 
 
+_SUBMODULES = [f"platelab.{p.stem}" for p in sorted(
+    Path(pl.__file__).resolve().parent.glob("*.py"))
+    if p.name != "__init__.py"]
+
+
 def test_no_public_function_takes_what_it_can_derive(disk32):
     # a DistanceField holds its grid and mask, a FormMatrix its mask, the
     # witnesses their labels and a Spectrum its mass form as B; the decay
     # check reads eigenpair 0
     # and every check builds its own difference operators.  assemble_weighted
     # takes dist=None for the mass and power-0 forms, so it needs the grid
-    # and the mask
+    # and the mask; hessian_norm2 is the helper through which the checks
+    # read the operators they built.  Every public function of every
+    # submodule is scanned, exported or not
     paired, handed = [], []
-    for name in pl.__all__:
-        obj = getattr(pl, name)
-        if not inspect.isfunction(obj):
-            continue
-        params = set(inspect.signature(obj).parameters)
-        if (name != "assemble_weighted" and "dist" in params
-                and params & {"grid", "mask"}) or {"spec", "mass"} <= params \
-                or {"Q", "mask"} <= params:
-            paired.append(name)
-        if params & {"ops", "u_index", "labels"}:
-            handed.append(name)
+    for module in _SUBMODULES:
+        for name, obj in vars(importlib.import_module(module)).items():
+            if (name.startswith("_") or not inspect.isfunction(obj)
+                    or obj.__module__ != module):
+                continue
+            params = set(inspect.signature(obj).parameters)
+            if (name != "assemble_weighted" and "dist" in params
+                    and params & {"grid", "mask"}) \
+                    or {"spec", "mass"} <= params \
+                    or {"Q", "mask"} <= params or {"form", "mask"} <= params:
+                paired.append(name)
+            if (name != "hessian_norm2"
+                    and params & {"ops", "u_index", "labels"}):
+                handed.append(name)
     assert paired == [] and handed == []
     assert [f.name for f in dataclasses.fields(pl.DistanceField)] == [
         "grid", "mask", "d"]

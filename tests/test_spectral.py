@@ -106,8 +106,8 @@ def test_minmax_monotone_under_restriction(disk32):
     from platelab import assembly
     X, Y = disk32.grid.meshgrid()
     sub = disk32.domain.sdf(X, Y) < -0.2
-    Qs = assembly.principal_submatrix(disk32.Q0, disk32.mask, sub)
-    Ms = assembly.principal_submatrix(disk32.mass, disk32.mask, sub)
+    Qs = assembly.principal_submatrix(disk32.Q0, sub)
+    Ms = assembly.principal_submatrix(disk32.mass, sub)
     spec_s = pl.lowest_eigenpairs(Qs, Ms, m=disk32.spec.m)
     assert np.all(spec_s.values >= disk32.spec.values - 1e-8)
 
@@ -448,23 +448,63 @@ def test_mirror_blocks_fix_the_degenerate_pair(disk64):
 
 
 def test_mass_no_mirror_leaves_is_solved_on_the_whole_space(monkeypatch):
-    # a Hardy weight on the h = 1/72 disk is not bitwise mirror-invariant
-    # (the lattice's node coordinates are not), so the pencil (Q0, W_n)
-    # goes through one Lanczos run on the whole space, bit for bit as before
-    dom = pl.disk(1.0)
-    grid, mask = pl.build_grid(dom, 1.0 / 72)
-    dist = pl.euclidean_from_sdf(dom, grid, mask)
+    # B = diag(h^2 (1 + (x + y)/4)) on the h = 1/72 disk moves under each
+    # mirror, so the pencil (Q0, B) goes through one Lanczos run on the
+    # whole space, bit for bit as the direct eigsh call
+    grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 72)
+    x, y = (mask.restrict(c) for c in grid.meshgrid())
     Q0 = assembly.assemble_Q0(grid, mask)
-    W = assembly.assemble_weighted(grid, mask, dist, "mass", 2.0, 40)
+    B = assembly.FormMatrix(
+        sp.diags(grid.h**2 * (1.0 + (x + y) / 4.0)).tocsr(), mask)
     op = spectral.factor(Q0)
     assert len(op.blocks) == 4
-    assert not any(spectral._invariant(W.matrix, p) for p in op.mirrors)
+    assert not any(spectral._invariant(B.matrix, p) for p in op.mirrors)
     sizes = _eigsh_sizes(monkeypatch)
-    spec = pl.lowest_eigenpairs(Q0, W, m=1, OPinv=op)
+    spec = pl.lowest_eigenpairs(Q0, B, m=1, OPinv=op)
     assert sizes == [mask.count]
-    vals, vecs = _whole_space(Q0, W, 1, op)
+    vals, vecs = _whole_space(Q0, B, 1, op)
     assert np.array_equal(spec.values, vals)
     assert np.array_equal(spec.vectors, vecs)
+
+
+_HARDY_WEIGHTS = [(order, power, n) for order, power in (
+    ("mass", 2.0), ("mass", 4.0), ("grad", 2.0)) for n in (8, 64, 96)]
+
+
+@pytest.mark.parametrize("domain, h", [
+    (pl.disk(1.0), 1 / 40), (pl.disk(1.0), 1 / 96),
+    (pl.rectangle(2.0, 1.0), 1 / 96), (pl.superellipse(1.0, 0.6, 4.0), 1 / 64)],
+    ids=["disk-40", "disk-96", "rectangle-96", "superellipse-64"])
+def test_every_hardy_weight_is_mirror_invariant(domain, h):
+    # the centred lattice's coordinates, the sdf and so d_n are exactly
+    # symmetric at every h, dyadic or not: each Hardy W_n (hardy_grad,
+    # rellich_mass, rellich_grad) is invariant under both mirrors
+    grid, mask = pl.build_grid(domain, h)
+    dist = pl.euclidean_from_sdf(domain, grid, mask)
+    mirrors = [mask.mirror(axis) for axis in (0, 1)]
+    assert all(p is not None for p in mirrors)
+    held = [spectral._invariant(assembly.assemble_weighted(
+        grid, mask, dist, order, power, n).matrix, p)
+        for order, power, n in _HARDY_WEIGHTS for p in mirrors]
+    assert held == [True] * 18
+
+
+def test_hardy_pencil_on_a_split_form_is_solved_block_by_block(monkeypatch):
+    # the rellich_mass pencil (Q0, W_40) on the h = 1/72 disk: one Lanczos
+    # run per block of Q0's factor, the minimum of the whole-space run
+    # through the same block LUs
+    grid, mask = pl.build_grid(pl.disk(1.0), 1.0 / 72)
+    dist = pl.euclidean_from_sdf(pl.disk(1.0), grid, mask)
+    Q0 = assembly.assemble_Q0(grid, mask)
+    W = assembly.assemble_weighted(grid, mask, dist, "mass", 4.0, 40)
+    op = spectral.factor(Q0)
+    sizes = _eigsh_sizes(monkeypatch)
+    spec = pl.lowest_eigenpairs(Q0, W, m=1, OPinv=op)
+    assert sizes == [S.shape[1] for S, _ in op.blocks] and len(sizes) == 4
+    bare = spla.LinearOperator(op.shape, matvec=op.matvec, dtype=op.dtype)
+    whole = pl.lowest_eigenpairs(Q0, W, m=1, OPinv=bare)
+    assert sizes[4:] == [mask.count]
+    np.testing.assert_allclose(spec.values, whole.values, rtol=1e-10, atol=0)
 
 
 def test_form_below_the_split_size_is_solved_on_the_whole_space(disk32):
